@@ -11,9 +11,10 @@
 ///
 /// The JSON records GFLOP/s and ns/op for the blocked GEMM vs the reference
 /// loop, fused vs unfused elastic/SGD kernels, and heap allocations per
-/// steady-state training step from the arena counters. The kernel suite also
-/// re-checks blocked-vs-reference parity and exits non-zero on a mismatch,
-/// so CI's perf-smoke job doubles as a correctness gate.
+/// steady-state training step from the arena counters, and the checkpoint
+/// CRC-32 kernel's GB/s. The kernel suite also re-checks blocked-vs-reference
+/// parity (and the CRC check value and chaining identity) and exits non-zero
+/// on a mismatch, so CI's perf-smoke job doubles as a correctness gate.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/format.hpp"
 #include "common/queue.hpp"
 #include "common/thread_pool.hpp"
 #include "core/elastic.hpp"
@@ -361,6 +363,37 @@ double codec_err_bound(tensor::Codec codec) {
   return codec == tensor::Codec::kInt8 ? 0.5 / 127.0 + 1e-6 : 0x1.0p-10;
 }
 
+struct CrcResult {
+  std::size_t bytes;  ///< buffer size timed
+  double gbps;        ///< ckpt::crc32 throughput
+  bool check_ok;      ///< "123456789" -> 0xCBF43926
+  bool chain_ok;      ///< chaining and crc32_combine agree with one pass
+};
+
+/// Checkpoint CRC-32 over 16 MB (about one checkpoint file), plus the
+/// correctness identities the perf-smoke gate enforces.
+CrcResult bench_crc32() {
+  const std::size_t n = std::size_t{16} << 20;
+  Rng rng(0xC4C32);
+  std::vector<std::uint8_t> buf(n);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::uint64_t word = rng.engine()();
+    std::memcpy(buf.data() + i, &word, 8);
+  }
+  CrcResult r{n, 0, false, false};
+  std::uint32_t whole = 0;
+  r.gbps = static_cast<double>(n) /
+           time_ns([&] { whole = ckpt::crc32(buf.data(), n); }, 10);
+  r.check_ok = ckpt::crc32("123456789", 9) == 0xCBF43926u;
+  const std::size_t split = n / 3 + 5;  // odd: the second pass is unaligned
+  const std::uint32_t head = ckpt::crc32(buf.data(), split);
+  const std::uint32_t tail = ckpt::crc32(buf.data() + split, n - split);
+  r.chain_ok =
+      ckpt::crc32(buf.data() + split, n - split, head) == whole &&
+      ckpt::crc32_combine(head, tail, n - split) == whole;
+  return r;
+}
+
 struct ArenaResult {
   double acquires_per_step, heap_allocs_per_step;
 };
@@ -436,6 +469,15 @@ int run_kernel_suite(const std::string& json_path) {
         c.name.c_str(), c.quant_gbps, c.quant_ref_gbps, c.dequant_gbps,
         c.dequant_ref_gbps, c.wire_ratio, c.max_err);
   }
+  const CrcResult crc = bench_crc32();
+  if (!crc.check_ok || !crc.chain_ok) {
+    parity_ok = false;
+    std::fprintf(stderr, "CRC FAIL crc32: check value %s, chaining %s\n",
+                 crc.check_ok ? "ok" : "WRONG", crc.chain_ok ? "ok" : "WRONG");
+  }
+  std::printf("crc32 %zu MB %6.2f GB/s  check %s  chain %s\n", crc.bytes >> 20,
+              crc.gbps, crc.check_ok ? "ok" : "FAIL",
+              crc.chain_ok ? "ok" : "FAIL");
   const ArenaResult arena = bench_arena_steady_state();
   std::printf("arena steady-state: %.1f acquires/step, %.2f heap allocs/step\n",
               arena.acquires_per_step, arena.heap_allocs_per_step);
@@ -479,7 +521,11 @@ int run_kernel_suite(const std::string& json_path) {
         << ", \"parity_ok\": " << (c.parity_ok ? "true" : "false") << "}"
         << (i + 1 < codecs.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"arena\": {\"acquires_per_step\": "
+  out << "  ],\n  \"crc32\": {\"bytes\": " << crc.bytes
+      << ", \"gbps\": " << crc.gbps
+      << ", \"check_ok\": " << (crc.check_ok ? "true" : "false")
+      << ", \"chain_ok\": " << (crc.chain_ok ? "true" : "false") << "},\n";
+  out << "  \"arena\": {\"acquires_per_step\": "
       << arena.acquires_per_step
       << ", \"heap_allocs_per_step\": " << arena.heap_allocs_per_step
       << "},\n";

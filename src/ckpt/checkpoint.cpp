@@ -20,6 +20,9 @@ namespace avgpipe::ckpt {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'V', 'G', 'P'};
+/// Header: magic, u32 version, u32 record count.
+constexpr std::size_t kHeaderBytes = 12;
+constexpr std::size_t kCountOffset = 8;
 constexpr const char* kManifestName = "MANIFEST.json";
 constexpr const char* kManifestFormat = "avgpipe-ckpt-manifest-v1";
 
@@ -30,47 +33,51 @@ std::string parent_dir(const std::string& path) {
   return path.substr(0, pos);
 }
 
-void fsync_fd(int fd, const std::string& what) {
-  AVGPIPE_CHECK(::fsync(fd) == 0,
-                "fsync(" << what << ") failed: " << std::strerror(errno));
-}
-
 /// Durability for the *name*: after renaming into `dir`, the directory entry
 /// itself must reach disk or a crash could roll the rename back.
 void fsync_dir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY);
   AVGPIPE_CHECK(fd >= 0,
                 "open dir '" << dir << "' failed: " << std::strerror(errno));
-  fsync_fd(fd, dir);
+  const int rc = ::fsync(fd);
+  const int err = errno;
   ::close(fd);
+  AVGPIPE_CHECK(rc == 0,
+                "fsync(" << dir << ") failed: " << std::strerror(err));
 }
 
 /// The write-temp → fsync → rename → fsync(dir) protocol, shared by
-/// checkpoint files and the manifest.
+/// checkpoint files and the manifest. Every failure before the rename
+/// closes the fd and unlinks the `.tmp`, so a failed commit leaves the
+/// directory as it found it.
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t size) {
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   AVGPIPE_CHECK(fd >= 0,
                 "open '" << tmp << "' failed: " << std::strerror(errno));
+  const auto fail = [&](const std::string& what) {
+    const int err = errno;
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    AVGPIPE_THROW(what << " failed: " << std::strerror(err));
+  };
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::size_t written = 0;
   while (written < size) {
     const ssize_t n = ::write(fd, p + written, size - written);
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      AVGPIPE_THROW("write '" << tmp << "' failed: " << std::strerror(err));
-    }
+    if (n < 0) fail("write '" + tmp + "'");
     written += static_cast<std::size_t>(n);
   }
-  fsync_fd(fd, tmp);
-  ::close(fd);
-  AVGPIPE_CHECK(::rename(tmp.c_str(), path.c_str()) == 0,
-                "rename '" << tmp << "' -> '" << path
-                           << "' failed: " << std::strerror(errno));
+  if (::fsync(fd) != 0) fail("fsync(" + tmp + ")");
+  // close(2) releases the fd even when it reports an error: never retry it.
+  const int closing = fd;
+  fd = -1;
+  if (::close(closing) != 0) fail("close '" + tmp + "'");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    fail("rename '" + tmp + "' -> '" + path + "'");
+  }
   fsync_dir(parent_dir(path));
 }
 
@@ -93,36 +100,47 @@ bool read_file(const std::string& path, std::vector<std::uint8_t>* out,
   return true;
 }
 
+/// Extend `crc`, which covers image[.., *end), over the framing bytes up to
+/// `payload_begin` and then over the payload through its own CRC: payload
+/// bytes are never read a second time for the whole-file CRC.
+std::uint32_t fold_payload(std::uint32_t crc, const std::uint8_t* image,
+                           std::size_t* end, std::size_t payload_begin,
+                           std::uint32_t payload_crc, std::uint64_t len) {
+  crc = crc32(image + *end, payload_begin - *end, crc);
+  *end = payload_begin + len;
+  return crc32_combine(crc, payload_crc, len);
+}
+
 struct ParsedFile {
   bool ok = false;
   std::string error;
   std::uint32_t version = 0;
+  std::uint32_t file_crc = 0;  ///< CRC over the entire image
   std::vector<RecordInfo> records;
-  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::size_t> offsets;  ///< payload offsets, parallel to records
 };
 
-/// Lenient structural parse: stops (with `error`) at the first framing
-/// failure, marks per-record CRC mismatches in `crc_ok` and keeps going.
-ParsedFile parse_image(const std::vector<std::uint8_t>& image) {
-  ParsedFile out;
-  ByteReader r(image);
-  if (image.size() < 12) {
-    out.error = "file too small for header";
-    return out;
+/// Record framing walk behind parse_image. Leaves `*crc_end` at the end of
+/// the prefix `out->file_crc` covers.
+void parse_records(const std::vector<std::uint8_t>& image, ParsedFile* out,
+                   std::size_t* crc_end) {
+  if (image.size() < kHeaderBytes) {
+    out->error = "file too small for header";
+    return;
   }
+  ByteReader r(image);
   const std::uint8_t* magic = r.bytes(4);
   if (std::memcmp(magic, kMagic, 4) != 0) {
-    out.error = "bad magic (not an avgpipe checkpoint)";
-    return out;
+    out->error = "bad magic (not an avgpipe checkpoint)";
+    return;
   }
-  out.version = r.u32();
-  if (out.version != kFormatVersion) {
-    out.error = "unsupported format version " + std::to_string(out.version);
-    return out;
+  out->version = r.u32();
+  if (out->version != kFormatVersion) {
+    out->error = "unsupported format version " + std::to_string(out->version);
+    return;
   }
-  std::uint32_t count = 0;
   try {
-    count = r.u32();
+    const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count; ++i) {
       RecordInfo info;
       const std::uint16_t name_len = r.u16();
@@ -131,22 +149,37 @@ ParsedFile parse_image(const std::vector<std::uint8_t>& image) {
       info.size = r.u64();
       const std::uint8_t* payload = r.bytes(info.size);
       info.crc = r.u32();
+      const auto offset = static_cast<std::size_t>(payload - image.data());
+      const std::uint32_t payload_crc = crc32(payload, info.size);
       // CRC covers name + payload so a record can't be silently renamed.
-      std::uint32_t actual = crc32(name, name_len);
-      actual = crc32(payload, info.size, actual);
-      info.crc_ok = actual == info.crc;
-      out.payloads.emplace_back(payload, payload + info.size);
-      out.records.push_back(std::move(info));
+      info.crc_ok = crc32_combine(crc32(name, name_len), payload_crc,
+                                  info.size) == info.crc;
+      out->file_crc = fold_payload(out->file_crc, image.data(), crc_end,
+                                   offset, payload_crc, info.size);
+      out->offsets.push_back(offset);
+      out->records.push_back(std::move(info));
     }
     if (!r.done()) {
-      out.error = std::to_string(r.remaining()) + " trailing bytes";
-      return out;
+      out->error = std::to_string(r.remaining()) + " trailing bytes";
+      return;
     }
   } catch (const Error& e) {
-    out.error = e.what();
-    return out;
+    out->error = e.what();
+    return;
   }
-  out.ok = true;
+  out->ok = true;
+}
+
+/// Lenient structural parse: stops (with `error`) at the first framing
+/// failure, marks per-record CRC mismatches in `crc_ok` and keeps going.
+/// Each payload is CRC'd once; its CRC yields both the record check and
+/// that payload's share of the whole-file CRC.
+ParsedFile parse_image(const std::vector<std::uint8_t>& image) {
+  ParsedFile out;
+  std::size_t crc_end = 0;
+  parse_records(image, &out, &crc_end);
+  out.file_crc = crc32(image.data() + crc_end, image.size() - crc_end,
+                       out.file_crc);
   return out;
 }
 
@@ -198,39 +231,54 @@ std::vector<std::string> array_objects(const std::string& text,
 
 // -- CheckpointWriter ---------------------------------------------------------
 
-void CheckpointWriter::add_record(const std::string& name,
-                                  std::vector<std::uint8_t> payload) {
-  AVGPIPE_CHECK(name.size() <= 0xFFFF, "record name too long");
-  for (const auto& [existing, unused] : records_) {
-    AVGPIPE_CHECK(existing != name, "duplicate record '" << name << "'");
-  }
-  records_.emplace_back(name, std::move(payload));
+CheckpointWriter::CheckpointWriter() {
+  image_.reserve(kHeaderBytes);
+  image_.bytes(kMagic, 4);
+  image_.u32(kFormatVersion);
+  image_.u32(0);  // record count, patched as each record closes
+  crc_end_ = image_.size();
 }
 
-std::vector<std::uint8_t> CheckpointWriter::serialize() const {
-  ByteWriter w;
-  w.bytes(kMagic, 4);
-  w.u32(kFormatVersion);
-  w.u32(static_cast<std::uint32_t>(records_.size()));
-  for (const auto& [name, payload] : records_) {
-    w.u16(static_cast<std::uint16_t>(name.size()));
-    w.bytes(name.data(), name.size());
-    w.u64(payload.size());
-    w.bytes(payload.data(), payload.size());
-    std::uint32_t crc = crc32(name.data(), name.size());
-    crc = crc32(payload.data(), payload.size(), crc);
-    w.u32(crc);
-  }
-  return w.take();
+void CheckpointWriter::reserve(std::size_t bytes) {
+  image_.reserve(kHeaderBytes + bytes);
+}
+
+void CheckpointWriter::begin_record(const std::string& name) {
+  AVGPIPE_CHECK(name.size() <= 0xFFFF, "record name too long");
+  AVGPIPE_CHECK(std::find(names_.begin(), names_.end(), name) == names_.end(),
+                "duplicate record '" << name << "'");
+  names_.push_back(name);
+  image_.u16(static_cast<std::uint16_t>(name.size()));
+  image_.bytes(name.data(), name.size());
+  image_.u64(0);  // payload size, patched by end_record
+  payload_begin_ = image_.size();
+  name_crc_ = crc32(name.data(), name.size());
+}
+
+void CheckpointWriter::end_record() {
+  const std::size_t len = image_.size() - payload_begin_;
+  image_.patch_u64(payload_begin_ - 8, len);
+  const std::uint8_t* base = image_.buffer().data();
+  const std::uint32_t payload_crc = crc32(base + payload_begin_, len);
+  body_crc_ = fold_payload(body_crc_, base, &crc_end_, payload_begin_,
+                           payload_crc, len);
+  // CRC covers name + payload so a record can't be silently renamed.
+  image_.u32(crc32_combine(name_crc_, payload_crc, len));
+  image_.patch_u32(kCountOffset, static_cast<std::uint32_t>(names_.size()));
 }
 
 CheckpointWriter::Committed CheckpointWriter::commit(
     const std::string& path) const {
-  const std::vector<std::uint8_t> image = serialize();
+  const std::vector<std::uint8_t>& image = image_.buffer();
   atomic_write_file(path, image.data(), image.size());
   Committed c;
   c.bytes = image.size();
-  c.crc = crc32(image.data(), image.size());
+  // Header CRC (its count is final only now) ++ body CRC, where the body
+  // CRC reuses every payload CRC computed as its record closed.
+  const std::uint32_t body = crc32(image.data() + crc_end_,
+                                   image.size() - crc_end_, body_crc_);
+  c.crc = crc32_combine(crc32(image.data(), kHeaderBytes), body,
+                        image.size() - kHeaderBytes);
   return c;
 }
 
@@ -240,15 +288,24 @@ CheckpointReader CheckpointReader::open(const std::string& path) {
   std::vector<std::uint8_t> image;
   std::string error;
   AVGPIPE_CHECK(read_file(path, &image, &error), "checkpoint: " << error);
+  return parse(std::move(image), path);
+}
+
+CheckpointReader CheckpointReader::parse(std::vector<std::uint8_t> image,
+                                         const std::string& what,
+                                         const std::uint32_t* expected_crc) {
   ParsedFile parsed = parse_image(image);
-  AVGPIPE_CHECK(parsed.ok, "checkpoint '" << path << "': " << parsed.error);
+  AVGPIPE_CHECK(expected_crc == nullptr || parsed.file_crc == *expected_crc,
+                "checkpoint '" << what << "': whole-file CRC mismatch");
+  AVGPIPE_CHECK(parsed.ok, "checkpoint '" << what << "': " << parsed.error);
   for (const auto& rec : parsed.records) {
-    AVGPIPE_CHECK(rec.crc_ok, "checkpoint '" << path << "': record '"
+    AVGPIPE_CHECK(rec.crc_ok, "checkpoint '" << what << "': record '"
                                              << rec.name << "' CRC mismatch");
   }
   CheckpointReader reader;
+  reader.image_ = std::move(image);
   reader.records_ = std::move(parsed.records);
-  reader.payloads_ = std::move(parsed.payloads);
+  reader.offsets_ = std::move(parsed.offsets);
   return reader;
 }
 
@@ -257,8 +314,8 @@ CheckpointReader::FileInfo CheckpointReader::inspect(const std::string& path) {
   std::vector<std::uint8_t> image;
   if (!read_file(path, &image, &info.error)) return info;
   info.bytes = image.size();
-  info.file_crc = crc32(image.data(), image.size());
   ParsedFile parsed = parse_image(image);
+  info.file_crc = parsed.file_crc;
   info.version = parsed.version;
   info.records = std::move(parsed.records);
   info.error = parsed.error;
@@ -276,10 +333,13 @@ bool CheckpointReader::has(const std::string& name) const {
   return false;
 }
 
-const std::vector<std::uint8_t>& CheckpointReader::payload(
+std::span<const std::uint8_t> CheckpointReader::payload(
     const std::string& name) const {
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (records_[i].name == name) return payloads_[i];
+    if (records_[i].name == name) {
+      return {image_.data() + offsets_[i],
+              static_cast<std::size_t>(records_[i].size)};
+    }
   }
   AVGPIPE_THROW("checkpoint record '" << name << "' not found");
 }
@@ -392,16 +452,18 @@ CheckpointDir::LoadResult CheckpointDir::load_latest(TrainState* state) const {
       ++result.fallbacks;
       continue;
     }
-    if (image.size() != it->bytes ||
-        crc32(image.data(), image.size()) != it->crc) {
+    if (image.size() != it->bytes) {
       result.error = "whole-file CRC/size mismatch on '" + it->file + "'";
       ++result.fallbacks;
       continue;
     }
     try {
-      // Strict parse + decode under try/catch: a payload that passes the
-      // CRCs but fails structural validation still falls back.
-      const CheckpointReader reader = CheckpointReader::open(path);
+      // Strict parse of the image already read (one CRC pass checks the
+      // manifest's whole-file CRC and every record CRC) + decode under
+      // try/catch: a payload that passes the CRCs but fails structural
+      // validation still falls back.
+      const CheckpointReader reader =
+          CheckpointReader::parse(std::move(image), it->file, &it->crc);
       *state = decode(reader);
     } catch (const Error& e) {
       result.error = e.what();

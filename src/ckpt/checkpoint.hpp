@@ -27,6 +27,7 @@
 /// silently reordered history.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,38 +43,73 @@ struct RecordInfo {
   bool crc_ok = false;
 };
 
-/// In-memory builder for one checkpoint file. Records accumulate in memory
-/// and `commit` performs the atomic write protocol in one shot — there is
-/// deliberately no incremental-append mode, so a crash mid-capture leaves
-/// only a `.tmp` file that the manifest never references.
+/// In-memory builder for one checkpoint file. Records are encoded straight
+/// into the final file image (framing and payload bytes are copied exactly
+/// once) and `commit` performs the atomic write protocol in one shot —
+/// there is deliberately no incremental-append mode, so a crash mid-capture
+/// leaves only a `.tmp` file that the manifest never references.
+///
+/// Each payload is CRC'd once, as it is closed; the record CRC (name +
+/// payload) and the whole-file CRC are both derived from that one pass with
+/// crc32_combine, so `commit` never re-reads the image.
 class CheckpointWriter {
  public:
-  /// Add a named record (names must be unique within a file).
-  void add_record(const std::string& name, std::vector<std::uint8_t> payload);
+  CheckpointWriter();
+
+  /// Pre-size the image for `bytes` of records so encoding never
+  /// reallocates it.
+  void reserve(std::size_t bytes);
+
+  /// Add a named record whose payload `fill(ByteWriter&)` appends in place
+  /// (names must be unique within a file).
+  template <typename Fill>
+  void record(const std::string& name, Fill&& fill) {
+    begin_record(name);
+    fill(image_);
+    end_record();
+  }
 
   struct Committed {
     std::uint64_t bytes = 0;  ///< final file size
     std::uint32_t crc = 0;    ///< CRC-32 over the entire file
   };
 
-  /// Serialize all records and commit atomically to `path` (write tmp,
-  /// fsync, rename, fsync parent dir). Throws avgpipe::Error on any I/O
-  /// failure; on throw the target path is untouched.
+  /// Commit the image atomically to `path` (write tmp, fsync, rename, fsync
+  /// parent dir). Throws avgpipe::Error on any I/O failure; on throw the
+  /// target path is untouched and no `.tmp` is left behind.
   Committed commit(const std::string& path) const;
 
-  /// The serialized image `commit` would write (exposed for tests).
-  std::vector<std::uint8_t> serialize() const;
+  /// The file image `commit` writes (complete after every record).
+  const std::vector<std::uint8_t>& image() const { return image_.buffer(); }
 
  private:
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> records_;
+  void begin_record(const std::string& name);
+  void end_record();
+
+  ByteWriter image_;
+  std::vector<std::string> names_;
+  std::size_t payload_begin_ = 0;  ///< of the open record
+  std::uint32_t name_crc_ = 0;     ///< of the open record
+  /// CRC over image bytes [header end, crc_end_): everything but the header,
+  /// whose record count changes with every record.
+  std::uint32_t body_crc_ = 0;
+  std::size_t crc_end_ = 0;
 };
 
-/// Parsed checkpoint file with validated record CRCs.
+/// Parsed checkpoint file with validated record CRCs. Owns the file image;
+/// payloads are views into it, never copies.
 class CheckpointReader {
  public:
   /// Strict open: throws avgpipe::Error on a bad header, truncated record
   /// framing, or any record CRC mismatch.
   static CheckpointReader open(const std::string& path);
+
+  /// Strict parse of an image already in memory; `what` names it in errors.
+  /// With `expected_crc`, the whole-file CRC — derived in the same pass that
+  /// validates the record CRCs — must match it too.
+  static CheckpointReader parse(std::vector<std::uint8_t> image,
+                                const std::string& what,
+                                const std::uint32_t* expected_crc = nullptr);
 
   /// Lenient parse for inspection: never throws on corruption; `ok` is
   /// false and `error` explains the first structural failure, and records
@@ -90,12 +126,14 @@ class CheckpointReader {
 
   const std::vector<RecordInfo>& records() const { return records_; }
   bool has(const std::string& name) const;
-  /// Payload of the named record; throws if absent.
-  const std::vector<std::uint8_t>& payload(const std::string& name) const;
+  /// Payload of the named record, valid while the reader lives; throws if
+  /// absent.
+  std::span<const std::uint8_t> payload(const std::string& name) const;
 
  private:
+  std::vector<std::uint8_t> image_;
   std::vector<RecordInfo> records_;
-  std::vector<std::vector<std::uint8_t>> payloads_;  // parallel to records_
+  std::vector<std::size_t> offsets_;  ///< payload offsets, parallel to records_
 };
 
 /// One committed checkpoint in MANIFEST.json.

@@ -6,32 +6,97 @@ namespace avgpipe::ckpt {
 
 namespace {
 
-/// Software CRC-32 table (reflected 0xEDB88320), built once.
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;  // reflected IEEE 802.3
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0] is the classic bytewise table, and t[k][b] is
+/// the CRC state after byte b is followed by k zero bytes, so eight table
+/// lookups advance the CRC over eight input bytes at once.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? kCrcPoly ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian load; compilers fold the shifts into one unaligned mov.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// GF(2) 32x32 matrix (one column per bit) times a vector.
+std::uint32_t gf2_times(const std::array<std::uint32_t, 32>& mat,
+                        std::uint32_t vec) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; vec != 0; ++i, vec >>= 1) {
+    if ((vec & 1u) != 0) sum ^= mat[i];
+  }
+  return sum;
+}
+
+std::array<std::uint32_t, 32> gf2_square(
+    const std::array<std::uint32_t, 32>& mat) {
+  std::array<std::uint32_t, 32> sq{};
+  for (std::size_t i = 0; i < 32; ++i) sq[i] = gf2_times(mat, mat[i]);
+  return sq;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  const auto& table = crc_table();
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; size -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; size > 0; --size, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                            std::uint64_t len2) {
+  if (len2 == 0) return crc1;
+  // Appending len2 zero bytes to A is linear over GF(2): square the
+  // one-zero-bit operator up to one byte, then apply the operator for each
+  // set bit of len2 while squaring (zlib's crc32_combine).
+  std::array<std::uint32_t, 32> odd{};
+  odd[0] = kCrcPoly;
+  for (std::size_t i = 1; i < 32; ++i) odd[i] = 1u << (i - 1);
+  std::array<std::uint32_t, 32> even = gf2_square(odd);  // 2 zero bits
+  odd = gf2_square(even);                                 // 4 zero bits
+  for (;;) {
+    even = gf2_square(odd);
+    if ((len2 & 1u) != 0) crc1 = gf2_times(even, crc1);
+    len2 >>= 1;
+    if (len2 == 0) break;
+    odd = gf2_square(even);
+    if ((len2 & 1u) != 0) crc1 = gf2_times(odd, crc1);
+    len2 >>= 1;
+    if (len2 == 0) break;
+  }
+  return crc1 ^ crc2;
 }
 
 void write_tensor(ByteWriter& w, const tensor::Tensor& t) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,13 +29,28 @@ namespace avgpipe::ckpt {
 /// Current on-disk format version (header field of every checkpoint file).
 constexpr std::uint32_t kFormatVersion = 1;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). `seed` lets callers
-/// chain incremental updates: crc32(b, crc32(a)) == crc32(a ++ b).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8.
+/// `seed` lets callers chain incremental updates:
+/// crc32(b, crc32(a)) == crc32(a ++ b).
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
+
+/// CRC of a ++ b from crc1 = crc32(a), crc2 = crc32(b) and len2 = |b|,
+/// without touching the bytes again (O(log len2) GF(2) matrix products).
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                            std::uint64_t len2);
 
 /// Append-only little-endian byte sink.
 class ByteWriter {
  public:
+  /// Pre-size the buffer so appends never reallocate (and copy) it.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+  std::size_t size() const { return buf_.size(); }
+
+  /// Overwrite a field already appended at `pos` (counts and lengths whose
+  /// value is only known once the bytes after them are written).
+  void patch_u32(std::size_t pos, std::uint32_t v) { put(pos, v, 4); }
+  void patch_u64(std::size_t pos, std::uint64_t v) { put(pos, v, 8); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { le(v, 2); }
   void u32(std::uint32_t v) { le(v, 4); }
@@ -60,12 +76,20 @@ class ByteWriter {
   }
 
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
   void le(std::uint64_t v, int n) {
     for (int i = 0; i < n; ++i) {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void put(std::size_t pos, std::uint64_t v, int n) {
+    AVGPIPE_CHECK(n <= static_cast<int>(buf_.size()) &&
+                      pos <= buf_.size() - static_cast<std::size_t>(n),
+                  "patch past the end of the buffer");
+    for (int i = 0; i < n; ++i) {
+      buf_[pos + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
   std::vector<std::uint8_t> buf_;
@@ -78,7 +102,7 @@ class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<std::uint8_t>& buf)
+  explicit ByteReader(std::span<const std::uint8_t> buf)
       : ByteReader(buf.data(), buf.size()) {}
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(le(1)); }

@@ -12,17 +12,47 @@ std::string residual_record(std::size_t i) {
   return "residual." + std::to_string(i);
 }
 
+/// Encoded bytes of a tensor list: u32 count, then per tensor a u32 rank,
+/// u64 dims and the raw f64 values (see write_tensor_list).
+std::size_t list_bytes(const std::vector<tensor::Tensor>& ts) {
+  std::size_t n = 4;
+  for (const auto& t : ts) n += 4 + 8 * t.shape().size() + 8 * t.numel();
+  return n;
+}
+
+/// Upper bound on the file bytes `encode` appends for `state`, from tensor
+/// shapes and string lengths, so the image is allocated once and never
+/// regrown (each regrowth would copy every byte written so far).
+std::size_t encoded_bytes_bound(const TrainState& state) {
+  // Covers one record's framing (name <= 32 bytes) plus its fixed fields.
+  constexpr std::size_t kRecordSlack = 64;
+  std::size_t n = 6 * kRecordSlack + list_bytes(state.reference) +
+                  list_bytes(state.policy_state) +
+                  list_bytes(state.broadcast) +
+                  list_bytes(state.broadcast_residual);
+  for (const auto& p : state.pipelines) {
+    n += 2 * kRecordSlack + list_bytes(p.params) + list_bytes(p.residuals);
+    for (const auto& s : p.stages) {
+      n += kRecordSlack + s.optimizer.name.size() +
+           8 * s.optimizer.scalars.size() + list_bytes(s.optimizer.slots) +
+           list_bytes(s.pred_delta);
+    }
+  }
+  for (const auto& [name, snapshot] : state.rng_streams) {
+    n += 8 + name.size() + snapshot.size();
+  }
+  return n;
+}
+
 /// Residual record payload: codec byte + tensor list.
-std::vector<std::uint8_t> encode_residuals(
-    std::uint8_t codec, const std::vector<tensor::Tensor>& residuals) {
-  ByteWriter w;
+void write_residuals(ByteWriter& w, std::uint8_t codec,
+                     const std::vector<tensor::Tensor>& residuals) {
   w.u8(codec);
   write_tensor_list(w, residuals);
-  return w.take();
 }
 
 std::vector<tensor::Tensor> decode_residuals(
-    const std::vector<std::uint8_t>& payload, const char* what) {
+    std::span<const std::uint8_t> payload, const char* what) {
   ByteReader r(payload);
   r.u8();  // codec byte (authoritative copy lives in residual.broadcast)
   std::vector<tensor::Tensor> ts = read_tensor_list(r);
@@ -30,8 +60,7 @@ std::vector<tensor::Tensor> decode_residuals(
   return ts;
 }
 
-std::vector<std::uint8_t> encode_pipeline(const PipelineState& p) {
-  ByteWriter w;
+void write_pipeline(ByteWriter& w, const PipelineState& p) {
   w.u8(p.alive ? 1 : 0);
   write_tensor_list(w, p.params);
   w.u32(static_cast<std::uint32_t>(p.stages.size()));
@@ -40,10 +69,9 @@ std::vector<std::uint8_t> encode_pipeline(const PipelineState& p) {
     write_tensor_list(w, s.pred_delta);
     w.u8(s.pred_have_delta ? 1 : 0);
   }
-  return w.take();
 }
 
-PipelineState decode_pipeline(const std::vector<std::uint8_t>& payload) {
+PipelineState decode_pipeline(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   PipelineState p;
   p.alive = r.u8() != 0;
@@ -61,14 +89,13 @@ PipelineState decode_pipeline(const std::vector<std::uint8_t>& payload) {
   return p;
 }
 
-std::vector<std::uint8_t> encode_list(const std::vector<tensor::Tensor>& ts) {
-  ByteWriter w;
-  write_tensor_list(w, ts);
-  return w.take();
+void write_list_record(CheckpointWriter& writer, const std::string& name,
+                       const std::vector<tensor::Tensor>& ts) {
+  writer.record(name, [&](ByteWriter& w) { write_tensor_list(w, ts); });
 }
 
-std::vector<tensor::Tensor> decode_list(
-    const std::vector<std::uint8_t>& payload, const char* what) {
+std::vector<tensor::Tensor> decode_list(std::span<const std::uint8_t> payload,
+                                        const char* what) {
   ByteReader r(payload);
   std::vector<tensor::Tensor> ts = read_tensor_list(r);
   r.expect_done(what);
@@ -78,41 +105,40 @@ std::vector<tensor::Tensor> decode_list(
 }  // namespace
 
 void encode(const TrainState& state, CheckpointWriter& writer) {
-  {
-    ByteWriter w;
+  writer.reserve(encoded_bytes_bound(state));
+  writer.record("meta", [&](ByteWriter& w) {
     w.i64(state.step);
     w.u8(state.policy_kind);
     w.f64(state.alpha);
     w.u32(static_cast<std::uint32_t>(state.pipelines.size()));
     w.u32(static_cast<std::uint32_t>(state.rng_streams.size()));
-    writer.add_record("meta", w.take());
-  }
-  writer.add_record("reference", encode_list(state.reference));
-  writer.add_record("policy", encode_list(state.policy_state));
-  writer.add_record("broadcast", encode_list(state.broadcast));
+  });
+  write_list_record(writer, "reference", state.reference);
+  write_list_record(writer, "policy", state.policy_state);
+  write_list_record(writer, "broadcast", state.broadcast);
   for (std::size_t i = 0; i < state.pipelines.size(); ++i) {
-    writer.add_record(pipeline_record(i), encode_pipeline(state.pipelines[i]));
+    writer.record(pipeline_record(i), [&](ByteWriter& w) {
+      write_pipeline(w, state.pipelines[i]);
+    });
   }
-  {
-    ByteWriter w;
+  writer.record("rng", [&](ByteWriter& w) {
     w.u32(static_cast<std::uint32_t>(state.rng_streams.size()));
     for (const auto& [name, snapshot] : state.rng_streams) {
       w.str(name);
       w.str(snapshot);
     }
-    writer.add_record("rng", w.take());
-  }
+  });
   // Sync-compression EF residuals ride along only when a codec was active:
   // an uncompressed run's checkpoint bytes are unchanged, and old readers
   // simply never ask for these records.
   if (state.sync_codec != 0) {
-    writer.add_record(
-        "residual.broadcast",
-        encode_residuals(state.sync_codec, state.broadcast_residual));
+    writer.record("residual.broadcast", [&](ByteWriter& w) {
+      write_residuals(w, state.sync_codec, state.broadcast_residual);
+    });
     for (std::size_t i = 0; i < state.pipelines.size(); ++i) {
-      writer.add_record(
-          residual_record(i),
-          encode_residuals(state.sync_codec, state.pipelines[i].residuals));
+      writer.record(residual_record(i), [&](ByteWriter& w) {
+        write_residuals(w, state.sync_codec, state.pipelines[i].residuals);
+      });
     }
   }
 }

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -139,6 +141,22 @@ void expect_states_equal(const ckpt::TrainState& a, const ckpt::TrainState& b) {
   }
 }
 
+/// Append a record holding `payload` verbatim.
+void add_bytes(ckpt::CheckpointWriter& w, const std::string& name,
+               const std::vector<std::uint8_t>& payload) {
+  w.record(name, [&](ckpt::ByteWriter& b) {
+    b.bytes(payload.data(), payload.size());
+  });
+}
+
+/// Direct CRC-32 over a file's bytes on disk.
+std::uint32_t file_crc(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  return ckpt::crc32(bytes.data(), bytes.size());
+}
+
 /// tiny_state plus an active sync codec and error-feedback residuals.
 ckpt::TrainState tiny_state_compressed(long step) {
   Rng rng(static_cast<std::uint64_t>(step) + 31);
@@ -226,24 +244,99 @@ TEST(CkptFormatTest, OptimizerStateRoundTrips) {
   EXPECT_EQ(max_abs_diff(back.slots, s.slots), 0.0);
 }
 
+// -- CRC-32 ------------------------------------------------------------------------------
+
+/// The textbook bytewise CRC-32 (reflected 0xEDB88320), bit by bit: the
+/// oracle the table-driven kernel in src/ckpt must match exactly.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n,
+                            std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return v;
+}
+
+TEST(CkptCrcTest, CheckValue) {
+  EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+}
+
+TEST(CkptCrcTest, MatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  lengths.push_back(100003);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    // 8 spare bytes so every start offset 0-7 sees the full length.
+    const auto buf = random_bytes(100003 + 8, seed);
+    for (const std::size_t n : lengths) {
+      for (std::size_t off = 0; off < 8; ++off) {
+        const std::uint8_t* p = buf.data() + off;
+        ASSERT_EQ(ckpt::crc32(p, n), crc32_bitwise(p, n))
+            << "seed " << seed << " len " << n << " offset " << off;
+        // A non-zero seed exercises the chaining entry state too.
+        ASSERT_EQ(ckpt::crc32(p, n, 0x12345678u),
+                  crc32_bitwise(p, n, 0x12345678u))
+            << "seed " << seed << " len " << n << " offset " << off;
+      }
+    }
+  }
+}
+
+TEST(CkptCrcTest, ChainingIdentity) {
+  const auto buf = random_bytes(10007, 4);
+  for (const std::size_t split : {0u, 1u, 7u, 8u, 9u, 4096u, 10006u, 10007u}) {
+    const std::uint32_t a = ckpt::crc32(buf.data(), split);
+    EXPECT_EQ(ckpt::crc32(buf.data() + split, buf.size() - split, a),
+              ckpt::crc32(buf.data(), buf.size()))
+        << "split " << split;
+  }
+}
+
+TEST(CkptCrcTest, CombineMatchesDirectCrcOverTheConcatenation) {
+  const auto buf = random_bytes(70001, 5);
+  const std::uint32_t whole = ckpt::crc32(buf.data(), buf.size());
+  for (const std::size_t split :
+       {0u, 1u, 3u, 8u, 255u, 256u, 4096u, 65536u, 70000u, 70001u}) {
+    const std::uint32_t a = ckpt::crc32(buf.data(), split);
+    const std::uint32_t b = ckpt::crc32(buf.data() + split, buf.size() - split);
+    EXPECT_EQ(ckpt::crc32_combine(a, b, buf.size() - split), whole)
+        << "split " << split;
+  }
+}
+
 // -- checkpoint files --------------------------------------------------------------------
 
 TEST(CkptFileTest, WriterCommitsAtomicallyAndReaderValidatesRecords) {
   TempDir tmp;
   const std::string path = tmp.path + "/ckpt.bin";
   ckpt::CheckpointWriter w;
-  w.add_record("meta", {1, 2, 3});
-  w.add_record("payload", std::vector<std::uint8_t>(257, 0x5A));
-  EXPECT_THROW(w.add_record("meta", {}), Error);  // names unique per file
+  add_bytes(w, "meta", {1, 2, 3});
+  add_bytes(w, "payload", std::vector<std::uint8_t>(257, 0x5A));
+  EXPECT_THROW(add_bytes(w, "meta", {}), Error);  // names unique per file
 
   const auto committed = w.commit(path);
   EXPECT_EQ(committed.bytes, ckpt::file_size(path));
-  EXPECT_EQ(w.serialize().size(), committed.bytes);
+  EXPECT_EQ(w.image().size(), committed.bytes);
+  EXPECT_EQ(ckpt::crc32(w.image().data(), w.image().size()), committed.crc);
 
   const auto reader = ckpt::CheckpointReader::open(path);
   ASSERT_TRUE(reader.has("meta"));
   ASSERT_TRUE(reader.has("payload"));
-  EXPECT_EQ(reader.payload("meta"), (std::vector<std::uint8_t>{1, 2, 3}));
+  const auto meta = reader.payload("meta");
+  EXPECT_EQ(std::vector<std::uint8_t>(meta.begin(), meta.end()),
+            (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(reader.payload("payload").size(), 257u);
   for (const auto& rec : reader.records()) EXPECT_TRUE(rec.crc_ok);
   EXPECT_THROW(reader.payload("absent"), Error);
@@ -255,7 +348,7 @@ TEST(CkptFileTest, FlippedBitIsCaughtByRecordCrc) {
   TempDir tmp;
   const std::string path = tmp.path + "/ckpt.bin";
   ckpt::CheckpointWriter w;
-  w.add_record("payload", std::vector<std::uint8_t>(64, 0x00));
+  add_bytes(w, "payload", std::vector<std::uint8_t>(64, 0x00));
   w.commit(path);
 
   ckpt::flip_bit(path, /*bit_index=*/8 * 40);  // inside the payload
@@ -263,6 +356,7 @@ TEST(CkptFileTest, FlippedBitIsCaughtByRecordCrc) {
 
   // The lenient parse survives to report which record is bad.
   const auto info = ckpt::CheckpointReader::inspect(path);
+  EXPECT_EQ(info.file_crc, file_crc(path));
   bool any_bad = !info.ok;
   for (const auto& rec : info.records) any_bad = any_bad || !rec.crc_ok;
   EXPECT_TRUE(any_bad);
@@ -272,7 +366,7 @@ TEST(CkptFileTest, TornWriteFailsStrictOpenButNotInspect) {
   TempDir tmp;
   const std::string path = tmp.path + "/ckpt.bin";
   ckpt::CheckpointWriter w;
-  w.add_record("payload", std::vector<std::uint8_t>(512, 0x77));
+  add_bytes(w, "payload", std::vector<std::uint8_t>(512, 0x77));
   w.commit(path);
 
   ckpt::truncate_file(path, ckpt::file_size(path) / 2);
@@ -280,6 +374,50 @@ TEST(CkptFileTest, TornWriteFailsStrictOpenButNotInspect) {
   const auto info = ckpt::CheckpointReader::inspect(path);
   EXPECT_FALSE(info.ok);
   EXPECT_FALSE(info.error.empty());
+  // The parse stopped mid-record; the whole-file CRC still covers every byte.
+  EXPECT_EQ(info.file_crc, file_crc(path));
+}
+
+TEST(CkptFileTest, FailedRenameThrowsAndLeavesNoTmp) {
+  // The target path is a non-empty directory, so rename(2) fails after the
+  // tmp file was written and fsync'd: the commit must throw, close its fd
+  // and remove the tmp rather than leave it behind.
+  TempDir tmp;
+  const std::string path = tmp.path + "/ckpt.bin";
+  std::filesystem::create_directory(path);
+  std::filesystem::create_directory(path + "/occupied");
+  ckpt::CheckpointWriter w;
+  add_bytes(w, "payload", std::vector<std::uint8_t>(128, 0x11));
+  EXPECT_THROW(w.commit(path), Error);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/occupied"));
+}
+
+TEST(CkptFileTest, GoldenFormatIsByteIdenticalToFormatV1) {
+  // Byte count and whole-file CRC of tiny_state checkpoints as written by
+  // the original serialize-then-copy writer (libstdc++ normal_distribution
+  // draws the tensors). Any layout drift in the single-copy writer shows up
+  // here. The manifest CRC, derived with crc32_combine, must also equal a
+  // direct CRC over the bytes on disk.
+  struct Golden {
+    ckpt::TrainState state;
+    std::uint64_t bytes;
+    std::uint32_t crc;
+  };
+  const std::vector<Golden> goldens = {
+      {tiny_state(5), 13478, 0x2EC5A204u},
+      {tiny_state_compressed(6), 13765, 0xD8247AC4u}};
+  TempDir tmp;
+  ckpt::CheckpointDir dir(tmp.path);
+  for (const auto& g : goldens) {
+    const ckpt::ManifestEntry e = dir.write(g.state);
+    EXPECT_EQ(e.bytes, g.bytes) << "step " << e.step;
+    EXPECT_EQ(e.crc, g.crc) << "step " << e.step;
+    const auto info = ckpt::CheckpointReader::inspect(tmp.path + "/" + e.file);
+    EXPECT_TRUE(info.ok) << info.error;
+    EXPECT_EQ(info.bytes, g.bytes);
+    EXPECT_EQ(info.file_crc, g.crc);
+  }
 }
 
 // -- TrainState codec --------------------------------------------------------------------

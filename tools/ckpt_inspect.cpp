@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,7 +119,7 @@ std::string join(const std::vector<std::string>& parts) {
 /// Human summary of one record's decoded content ("" when the payload does
 /// not decode — the caller treats that as corruption the CRC missed).
 std::string describe_record(const std::string& name,
-                            const std::vector<std::uint8_t>& payload) {
+                            std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   std::ostringstream os;
   if (name == "meta") {
