@@ -32,8 +32,18 @@ runtime::OptimizerFactory adam(double lr) {
   };
 }
 
+/// AvgPipe as an update-rule trainer: one stage, the whole batch as one
+/// micro-batch, synchronous reference applies.
+core::AvgPipeConfig update_rule_config(std::size_t pipelines, double alpha) {
+  core::AvgPipeConfig config;
+  config.num_pipelines = pipelines;
+  config.micro_batches = 1;
+  config.alpha = alpha;
+  return config;
+}
+
 /// Epochs to reach the accuracy target (0 = never within the cap).
-std::size_t epochs_to_target(core::AvgPipeTrainer& trainer,
+std::size_t epochs_to_target(core::AvgPipe& trainer,
                              const data::Dataset& ds, double target,
                              std::size_t max_epochs) {
   data::DataLoader loader(ds, 16, 99);
@@ -56,14 +66,9 @@ std::size_t epochs_to_target(core::AvgPipeTrainer& trainer,
 }
 
 /// Max parameter distance between the two replicas after training.
-double replica_divergence(core::AvgPipeTrainer& trainer) {
-  auto a = trainer.replica(0).parameters();
-  auto b = trainer.replica(1).parameters();
-  double d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    d = std::max(d, a[i].value().max_abs_diff(b[i].value()));
-  }
-  return d;
+double replica_divergence(core::AvgPipe& trainer) {
+  return core::max_abs_diff(trainer.replica_snapshot(0),
+                            trainer.replica_snapshot(1));
 }
 
 }  // namespace
@@ -77,7 +82,8 @@ int main() {
   std::printf("-- alpha sweep (paper default: 1/N = 0.5) --\n");
   Table t1({"alpha", "epochs to target", "replica divergence"});
   for (double alpha : {0.05, 0.1, 0.25, 0.5, 0.75, 0.95}) {
-    core::AvgPipeTrainer trainer(model_factory(), adam(3e-3), 2, alpha);
+    core::AvgPipe trainer(model_factory(), adam(3e-3),
+                          update_rule_config(2, alpha));
     const std::size_t epochs = epochs_to_target(trainer, ds, target, cap);
     t1.row()
         .cell(alpha, 2)
@@ -91,7 +97,8 @@ int main() {
   std::printf("-- pipeline-count sweep (alpha = 1/N) --\n");
   Table t2({"N", "epochs to target"});
   for (std::size_t n : {1u, 2u, 3u, 4u}) {
-    core::AvgPipeTrainer trainer(model_factory(), adam(3e-3), n);
+    core::AvgPipe trainer(model_factory(), adam(3e-3),
+                          update_rule_config(n, 0.0));
     const std::size_t epochs = epochs_to_target(trainer, ds, target, cap);
     t2.row()
         .cell_int(static_cast<long long>(n))

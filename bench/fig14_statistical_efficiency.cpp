@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "common/table.hpp"
 #include "core/avgpipe.hpp"
@@ -93,23 +94,20 @@ void run_workload(const Workload& w) {
                                       /*per_micro=*/false, "PipeDream-2BW");
     report("PipeDream-2BW (1-stale)", epochs_to_target(trainer, w));
   }
-  {
-    core::AvgPipeTrainer trainer(w.model, w.optimizer, /*pipelines=*/2);
-    report("AvgPipe (elastic averaging, N=2)", epochs_to_target(trainer, w));
-  }
-  {
-    core::SyncPolicyConfig sync;
-    sync.kind = core::SyncPolicyKind::kBsp;
-    core::AvgPipeTrainer trainer(w.model, w.optimizer, /*pipelines=*/2, sync);
-    report("AvgPipe[bsp] (model averaging, N=2)",
-           epochs_to_target(trainer, w));
-  }
-  {
-    core::SyncPolicyConfig sync;
-    sync.kind = core::SyncPolicyKind::kBmuf;
-    core::AvgPipeTrainer trainer(w.model, w.optimizer, /*pipelines=*/2, sync);
-    report("AvgPipe[bmuf] (block momentum, N=2)",
-           epochs_to_target(trainer, w));
+  const std::pair<core::SyncPolicyKind, const char*> avgpipe_rows[] = {
+      {core::SyncPolicyKind::kElastic, "AvgPipe (elastic averaging, N=2)"},
+      {core::SyncPolicyKind::kBsp, "AvgPipe[bsp] (model averaging, N=2)"},
+      {core::SyncPolicyKind::kBmuf, "AvgPipe[bmuf] (block momentum, N=2)"},
+  };
+  for (const auto& [kind, label] : avgpipe_rows) {
+    // Update rule only: one stage, the whole batch as one micro-batch, and
+    // synchronous reference applies.
+    core::AvgPipeConfig config;
+    config.num_pipelines = 2;
+    config.micro_batches = 1;
+    config.sync.kind = kind;
+    core::AvgPipe trainer(w.model, w.optimizer, config);
+    report(label, epochs_to_target(trainer, w));
   }
 
   table.print();

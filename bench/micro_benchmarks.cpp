@@ -10,7 +10,7 @@
 ///   micro_benchmarks --json=BENCH_kernels.json [--kernels-only]
 ///
 /// The JSON records GFLOP/s and ns/op for the blocked GEMM vs the reference
-/// loop, fused vs unfused elastic/SGD kernels, and heap allocations per
+/// loop, fused vs unfused SGD kernels, and heap allocations per
 /// steady-state training step from the arena counters, and the checkpoint
 /// CRC-32 kernel's GB/s. The kernel suite also re-checks blocked-vs-reference
 /// parity (and the CRC check value and chaining identity) and exits non-zero
@@ -29,7 +29,6 @@
 #include "ckpt/format.hpp"
 #include "common/queue.hpp"
 #include "common/thread_pool.hpp"
-#include "core/elastic.hpp"
 #include "nn/models.hpp"
 #include "optim/optimizer.hpp"
 #include "sim/resources.hpp"
@@ -215,36 +214,6 @@ struct FusedResult {
   std::string name;
   double fused_ns, unfused_ns, speedup;
 };
-
-FusedResult bench_fused_elastic() {
-  const std::size_t n = 1 << 16;
-  Rng rng(5);
-  auto make = [&] {
-    Tensor t({n});
-    for (auto& v : t.data()) v = rng.normal(0.0, 1.0);
-    return t;
-  };
-  std::vector<Variable> params{Variable(make(), true)};
-  core::ParamSet reference;
-  reference.push_back(make());
-  const double alpha = 0.25;
-
-  FusedResult r{"elastic_pull_push", 0, 0, 0};
-  r.fused_ns = time_ns(
-      [&] {
-        benchmark::DoNotOptimize(
-            core::elastic_pull_push(params, reference, alpha));
-      },
-      50);
-  r.unfused_ns = time_ns(
-      [&] {
-        core::elastic_pull(params, reference, alpha);
-        benchmark::DoNotOptimize(core::difference(params, reference));
-      },
-      50);
-  r.speedup = r.unfused_ns / r.fused_ns;
-  return r;
-}
 
 FusedResult bench_fused_sgd() {
   const std::size_t n = 1 << 16;
@@ -441,8 +410,7 @@ int run_kernel_suite(const std::string& json_path) {
         "speedup %5.2fx  max_rel_err %.2e\n",
         m, n, k, g.ref_gflops, g.blocked_gflops, g.speedup, g.max_rel_err);
   }
-  const std::vector<FusedResult> fused = {bench_fused_elastic(),
-                                          bench_fused_sgd()};
+  const std::vector<FusedResult> fused = {bench_fused_sgd()};
   for (const auto& f : fused) {
     std::printf("%-20s fused %10.0f ns  unfused %10.0f ns  speedup %.2fx\n",
                 f.name.c_str(), f.fused_ns, f.unfused_ns, f.speedup);

@@ -10,14 +10,14 @@
 /// pipeline's parameters plus per-stage runtime state (optimizer slots and
 /// the XPipe EMA predictors), and every named RNG stream. Restoring it —
 /// plus re-feeding the same batches — reproduces the uninterrupted run
-/// bit-for-bit on the serial path, which is the property `ckpt_test` gates
-/// on for all four policies.
+/// bit-for-bit, which is the property `ckpt_test` gates on for all four
+/// policies.
 ///
-/// The capture/restore entry points live on `core::AvgPipe` /
-/// `core::AvgPipeTrainer` (they own the thread discipline); this file only
-/// defines the state bag and its serialization. Kept deliberately free of a
-/// core dependency (policy kind is a raw byte here) so the checkpoint layer
-/// sits below core in the link order.
+/// The capture/restore entry points live on `core::AvgPipe` (it owns the
+/// thread discipline); this file only defines the state bag and its
+/// serialization. Kept deliberately free of a core dependency (policy kind
+/// is a raw byte here) so the checkpoint layer sits below core in the link
+/// order.
 
 #include <cstdint>
 #include <string>

@@ -750,215 +750,4 @@ bool AvgPipe::restore_pipeline_from_checkpoint(std::size_t i) {
   return usable;
 }
 
-// -- AvgPipeTrainer (update semantics only) -----------------------------------------
-
-AvgPipeTrainer::AvgPipeTrainer(const nn::ModelFactory& factory,
-                               const runtime::OptimizerFactory& make_optimizer,
-                               std::size_t num_pipelines, double alpha,
-                               std::string name)
-    : AvgPipeTrainer(factory, make_optimizer, num_pipelines,
-                     SyncPolicyConfig{}, alpha, std::move(name)) {}
-
-AvgPipeTrainer::AvgPipeTrainer(const nn::ModelFactory& factory,
-                               const runtime::OptimizerFactory& make_optimizer,
-                               std::size_t num_pipelines, SyncPolicyConfig sync,
-                               double alpha, std::string name)
-    : alpha_(alpha > 0.0 ? alpha : default_alpha(num_pipelines)),
-      name_(std::move(name)) {
-  AVGPIPE_CHECK(num_pipelines >= 1, "need at least one pipeline");
-  policy_ = make_sync_policy(sync);
-  if (name_.empty()) name_ = "AvgPipe[" + policy_->name() + "]";
-  for (std::size_t i = 0; i < num_pipelines; ++i) {
-    auto replica = std::make_unique<Replica>();
-    replica->model = factory(1234);
-    replicas_.push_back(std::move(replica));
-  }
-  eval_model_ = factory(1234);
-  for (std::size_t i = 1; i < replicas_.size(); ++i) {
-    nn::copy_parameters(replicas_[0]->model, replicas_[i]->model);
-  }
-  nn::copy_parameters(replicas_[0]->model, eval_model_);
-  for (auto& replica : replicas_) {
-    replica->optimizer = make_optimizer(replica->model.parameters());
-  }
-  reference_ = std::make_unique<ReferenceModel>(
-      clone_values(replicas_[0]->model.parameters()));
-  broadcast_ = policy_->make_broadcast(*reference_);
-  compression_ = sync_compression_from_env(SyncCompression{});
-  init_codecs();
-}
-
-void AvgPipeTrainer::set_sync_compression(SyncCompression compression) {
-  compression_ = compression;
-  init_codecs();
-}
-
-void AvgPipeTrainer::init_codecs() {
-  broadcast_codec_ = SyncCodec(compression_);
-  push_codecs_.assign(replicas_.size(), SyncCodec(compression_));
-  if (compression_.enabled()) {
-    // The serial trainer's only thread is the reference process.
-    common::RoleGuard ref_role(reference_capability());
-    broadcast_ = policy_->make_broadcast(*reference_);
-    broadcast_codec_.transmit(broadcast_);
-  }
-}
-
-double AvgPipeTrainer::train_iteration(const std::vector<data::Batch>& batches) {
-  AVGPIPE_CHECK(batches.size() == replicas_.size(),
-                "need one batch per pipeline");
-  if (policy_->needs_begin()) {
-    // BSP/BMUF round start: every replica restarts from the broadcast.
-    for (auto& replica : replicas_) {
-      auto params = replica->model.parameters();
-      policy_->begin_round(params, broadcast_);
-    }
-  }
-  double loss_sum = 0;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    auto& replica = *replicas_[i];
-    replica.optimizer->zero_grad();
-    tensor::Variable in(batches[i].inputs);
-    tensor::Variable out = replica.model.forward(in);
-    tensor::Variable loss =
-        out.shape().size() == 3
-            ? tensor::softmax_cross_entropy(
-                  tensor::reshape(out, {out.shape()[0] * out.shape()[1],
-                                        out.shape()[2]}),
-                  batches[i].targets)
-            : tensor::softmax_cross_entropy(out, batches[i].targets);
-    loss.backward();
-    replica.optimizer->step();
-    loss_sum += loss.value()[0];
-  }
-
-  // Policy round: elastic's override runs the fused pull+push straight
-  // against the live reference (accumulate only writes accum_, so every
-  // replica still sees identical reference values — no snapshot clone); the
-  // BSP family clones trained weights and replaces/filters the reference.
-  std::vector<std::vector<tensor::Variable>> param_sets;
-  param_sets.reserve(replicas_.size());
-  for (auto& replica : replicas_) {
-    param_sets.push_back(replica->model.parameters());
-  }
-  // The serial trainer's only thread is the reference process.
-  common::RoleGuard ref_role(reference_capability());
-  if (!compression_.enabled()) {
-    policy_->serial_round(*reference_, param_sets, alpha_);
-    if (policy_->needs_begin()) {
-      broadcast_ = policy_->make_broadcast(*reference_);
-    }
-  } else {
-    // Compressed generic round, mirroring the threaded sync path exactly:
-    // local_sync against the *published* (already transmitted) broadcast,
-    // transmit each replica's update, apply the round, publish a freshly
-    // transmitted broadcast. The elastic fused serial_round can't be used
-    // here — it folds the update into the accumulator without ever
-    // materialising it, and the wire needs the update as a payload.
-    std::vector<ParamSet> round;
-    round.reserve(param_sets.size());
-    for (std::size_t i = 0; i < param_sets.size(); ++i) {
-      ParamSet update = policy_->local_sync(param_sets[i], broadcast_, alpha_);
-      push_codecs_[i].transmit(update);
-      round.push_back(std::move(update));
-    }
-    policy_->apply_round(*reference_, round);
-    broadcast_ = policy_->make_broadcast(*reference_);
-    broadcast_codec_.transmit(broadcast_);
-  }
-  ++iterations_;
-  return loss_sum / static_cast<double>(replicas_.size());
-}
-
-ckpt::TrainState AvgPipeTrainer::capture_state() const {
-  // The serial trainer's only thread is the reference process.
-  common::RoleGuard ref_role(reference_capability());
-  ckpt::TrainState state;
-  state.step = iterations_;
-  state.policy_kind = static_cast<std::uint8_t>(policy_->kind());
-  state.alpha = alpha_;
-  state.sync_codec = static_cast<std::uint8_t>(compression_.codec);
-  state.reference = reference_->snapshot();
-  state.policy_state = policy_->export_state();
-  state.broadcast = clone_set(broadcast_);
-  state.broadcast_residual = clone_set(broadcast_codec_.residuals());
-  state.pipelines.reserve(replicas_.size());
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const auto& replica = replicas_[i];
-    ckpt::PipelineState p;
-    p.params = clone_values(replica->model.parameters());
-    runtime::StageState stage;
-    stage.optimizer = replica->optimizer->export_state();
-    p.stages.push_back(std::move(stage));
-    p.residuals = clone_set(push_codecs_[i].residuals());
-    state.pipelines.push_back(std::move(p));
-  }
-  return state;
-}
-
-void AvgPipeTrainer::restore_state(const ckpt::TrainState& state) {
-  AVGPIPE_CHECK(state.pipelines.size() == replicas_.size(),
-                "restore: checkpoint has " << state.pipelines.size()
-                                           << " replicas, trainer has "
-                                           << replicas_.size());
-  AVGPIPE_CHECK(
-      state.policy_kind == static_cast<std::uint8_t>(policy_->kind()),
-      "restore: checkpoint policy kind " << int(state.policy_kind)
-                                         << " != configured policy '"
-                                         << policy_->name() << "'");
-  iterations_ = state.step;
-  const bool codec_match =
-      state.sync_codec == static_cast<std::uint8_t>(compression_.codec);
-  // The serial trainer's only thread is the reference process.
-  common::RoleGuard ref_role(reference_capability());
-  ParamSet& ref = reference_->mutable_params();
-  AVGPIPE_CHECK(ref.size() == state.reference.size(),
-                "restore: reference size mismatch");
-  for (std::size_t j = 0; j < ref.size(); ++j) {
-    ref[j].copy_from(state.reference[j]);
-  }
-  policy_->import_state(clone_set(state.policy_state));
-  broadcast_ = clone_set(state.broadcast);
-  if (codec_match) {
-    broadcast_codec_.set_residuals(clone_set(state.broadcast_residual));
-  } else {
-    broadcast_codec_.reset_residuals();
-  }
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const auto& p = state.pipelines[i];
-    auto params = replicas_[i]->model.parameters();
-    AVGPIPE_CHECK(params.size() == p.params.size(),
-                  "restore: replica " << i << " parameter count mismatch");
-    for (std::size_t j = 0; j < params.size(); ++j) {
-      params[j].value().copy_from(p.params[j]);
-      params[j].zero_grad();
-    }
-    AVGPIPE_CHECK(p.stages.size() == 1,
-                  "serial trainer checkpoints one stage per replica, got "
-                      << p.stages.size());
-    replicas_[i]->optimizer->import_state(p.stages[0].optimizer);
-    if (codec_match) {
-      push_codecs_[i].set_residuals(clone_set(p.residuals));
-    } else {
-      push_codecs_[i].reset_residuals();
-    }
-  }
-  alpha_ = state.alpha;
-}
-
-double AvgPipeTrainer::train_batch(const data::Batch& batch) {
-  AVGPIPE_CHECK(replicas_.size() == 1,
-                "train_batch on a multi-pipeline AvgPipeTrainer");
-  return train_iteration({batch});
-}
-
-nn::Sequential& AvgPipeTrainer::eval_model() {
-  auto params = eval_model_.parameters();
-  const auto& ref = reference_->params();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i].value().copy_from(ref[i]);
-  }
-  return eval_model_;
-}
-
 }  // namespace avgpipe::core

@@ -3,18 +3,13 @@
 /// \file avgpipe.hpp
 /// AvgPipe: elastic-averaging pipelined training (the paper's system).
 ///
-/// Two entry points:
-///
-/// * `AvgPipe` — the full system: N parallel pipelines, each a threaded
-///   `runtime::PipelineRuntime` over its own model replica, plus an
-///   asynchronous reference-model process fed through a message queue
-///   (paper Figure 6). One `train_iteration` consumes N batches.
-///
-/// * `AvgPipeTrainer` — the same update semantics single-threaded (each
-///   replica trained synchronously on its batch), used by the
-///   statistical-efficiency experiments where only the update rule matters.
-///   Both produce identical parameter trajectories for equal inputs; a test
-///   asserts that equivalence.
+/// `AvgPipe` runs N parallel pipelines, each a threaded
+/// `runtime::PipelineRuntime` over its own model replica, plus an
+/// asynchronous reference-model process fed through a message queue (paper
+/// Figure 6). One `train_iteration` consumes N batches. It is also the
+/// update-rule trainer of the statistical-efficiency experiments: built with
+/// `{boundaries = {}, micro_batches = 1, async_sync = false}` each replica
+/// trains its whole batch as one step, so only the update rule matters.
 
 #include <memory>
 #include <optional>
@@ -88,8 +83,9 @@ struct AvgPipeConfig {
   std::optional<SyncCompression> sync_compression;
 };
 
-/// The full threaded system.
-class AvgPipe {
+/// The full threaded system. As a `runtime::TrainerBase` it consumes N
+/// batches per iteration, one per pipeline.
+class AvgPipe : public runtime::TrainerBase {
  public:
   /// \param factory builds one model replica; called N+1 times (replicas +
   ///        evaluation copy) and synchronised to identical initial weights.
@@ -98,7 +94,7 @@ class AvgPipe {
   AvgPipe(const nn::ModelFactory& factory,
           const runtime::OptimizerFactory& make_optimizer,
           AvgPipeConfig config);
-  ~AvgPipe();
+  ~AvgPipe() override;
 
   AvgPipe(const AvgPipe&) = delete;
   AvgPipe& operator=(const AvgPipe&) = delete;
@@ -111,7 +107,18 @@ class AvgPipe {
   /// α rebalances to 1/N_alive, and the reference keeps averaging over the
   /// survivors. Dead pipelines' batches in `batches` are ignored. Throws
   /// only when no pipeline is left alive.
-  double train_iteration(const std::vector<data::Batch>& batches);
+  double train_iteration(const std::vector<data::Batch>& batches) override;
+
+  /// TrainerBase: N batches per iteration; `train_batch` is the N = 1 case.
+  std::size_t batches_per_iteration() const override {
+    return num_pipelines();
+  }
+  double train_batch(const data::Batch& batch) override {
+    return train_iteration({batch});
+  }
+  std::string name() const override {
+    return "AvgPipe[" + policy_->name() + "]";
+  }
 
   std::size_t num_pipelines() const { return replicas_.size(); }
   double alpha() const { return alpha_; }
@@ -142,7 +149,7 @@ class AvgPipe {
   /// Copy the reference weights into the evaluation model and return it.
   /// In async mode this first synchronize()s so the evaluation weights
   /// include every completed iteration.
-  nn::Sequential& eval_model();
+  nn::Sequential& eval_model() override;
 
   /// Current reference parameters (snapshot; synchronize()d first).
   ParamSet reference_snapshot();
@@ -297,73 +304,6 @@ class AvgPipe {
   Channel<int> applied_queue_{64};
   std::size_t outstanding_applies_ = 0;  ///< driver-side in-flight rounds
   std::thread reference_thread_;
-};
-
-/// Update-semantics-only trainer for Figure 14 (single-threaded replicas).
-class AvgPipeTrainer : public runtime::TrainerBase {
- public:
-  AvgPipeTrainer(const nn::ModelFactory& factory,
-                 const runtime::OptimizerFactory& make_optimizer,
-                 std::size_t num_pipelines, double alpha = 0.0,
-                 std::string name = "AvgPipe");
-  /// Same update semantics under an arbitrary sync policy. Note XPipe's
-  /// weight prediction is a pipeline-runtime feature; this single-threaded
-  /// trainer runs its elastic coupling only.
-  AvgPipeTrainer(const nn::ModelFactory& factory,
-                 const runtime::OptimizerFactory& make_optimizer,
-                 std::size_t num_pipelines, SyncPolicyConfig sync,
-                 double alpha = 0.0, std::string name = "");
-
-  std::size_t batches_per_iteration() const override { return replicas_.size(); }
-  double train_iteration(const std::vector<data::Batch>& batches) override;
-  double train_batch(const data::Batch& batch) override;
-  nn::Sequential& eval_model() override;
-  std::string name() const override { return name_; }
-
-  /// Direct access for invariant tests.
-  const ReferenceModel& reference() const { return *reference_; }
-  nn::Sequential& replica(std::size_t i) { return replicas_.at(i)->model; }
-  const SyncPolicy& policy() const { return *policy_; }
-
-  /// Pin the sync-transport compression (overriding the ctor's
-  /// AVGPIPE_SYNC_COMPRESS resolution) and reset all codec state. Call
-  /// before the first iteration; mirrors AvgPipeConfig::sync_compression.
-  void set_sync_compression(SyncCompression compression);
-  const SyncCompression& sync_compression() const { return compression_; }
-
-  // -- durable checkpoint/restore (serial path) ------------------------------
-
-  /// Iterations completed — the step counter serial checkpoints carry.
-  long iterations() const { return iterations_; }
-
-  /// Durable state of the serial trainer: one PipelineState per replica
-  /// (the whole replica is one "stage": its optimizer), plus reference,
-  /// policy state and the round broadcast. Restoring onto an identically
-  /// constructed trainer and re-feeding the same batches resumes the run
-  /// bit-identically — the parity property ckpt_test gates on per policy.
-  ckpt::TrainState capture_state() const;
-  void restore_state(const ckpt::TrainState& state);
-
- private:
-  struct Replica {
-    nn::Sequential model;
-    std::unique_ptr<optim::Optimizer> optimizer;
-  };
-  /// (Re)build the codecs for compression_ and, when it is on, republish
-  /// broadcast_ through the broadcast codec (transmission #1 of the stream,
-  /// matching the threaded ctor's initial publish).
-  void init_codecs();
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::unique_ptr<ReferenceModel> reference_;
-  std::unique_ptr<SyncPolicy> policy_;
-  SyncCompression compression_;
-  SyncCodec broadcast_codec_;
-  std::vector<SyncCodec> push_codecs_;  ///< one per replica
-  ParamSet broadcast_;  ///< round-start reset point (needs_begin policies)
-  nn::Sequential eval_model_;
-  double alpha_;
-  long iterations_ = 0;
-  std::string name_;
 };
 
 }  // namespace avgpipe::core

@@ -59,30 +59,6 @@ void elastic_pull(std::vector<tensor::Variable>& params,
   }
 }
 
-ParamSet elastic_pull_push(std::vector<tensor::Variable>& params,
-                           const ParamSet& reference, double alpha) {
-  AVGPIPE_CHECK(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
-  AVGPIPE_CHECK(params.size() == reference.size(), "param set size mismatch");
-  ParamSet updates;
-  updates.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    tensor::Tensor& x = params[i].value();
-    const tensor::Tensor& ref = reference[i];
-    AVGPIPE_CHECK(x.numel() == ref.numel(), "param/reference numel mismatch");
-    tensor::Tensor u = tensor::Tensor::uninitialized(x.shape());
-    auto xv = x.data();
-    const auto rv = ref.data();
-    auto uv = u.data();
-    for (std::size_t j = 0; j < xv.size(); ++j) {
-      const tensor::Scalar xn = xv[j] + alpha * (rv[j] - xv[j]);
-      xv[j] = xn;
-      uv[j] = xn + (-1.0) * rv[j];  // matches difference()'s axpy_ rounding
-    }
-    updates.push_back(std::move(u));
-  }
-  return updates;
-}
-
 ReferenceModel::ReferenceModel(ParamSet initial)
     : params_(std::move(initial)) {
   accum_.reserve(params_.size());
@@ -91,26 +67,6 @@ ReferenceModel::ReferenceModel(ParamSet initial)
 
 void ReferenceModel::accumulate(const ParamSet& update) {
   add_scaled(accum_, update, 1.0);
-  ++pending_;
-}
-
-void ReferenceModel::pull_and_accumulate(std::vector<tensor::Variable>& params,
-                                         double alpha) {
-  AVGPIPE_CHECK(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
-  AVGPIPE_CHECK(params.size() == params_.size(), "param set size mismatch");
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    tensor::Tensor& x = params[i].value();
-    AVGPIPE_CHECK(x.numel() == params_[i].numel(),
-                  "param/reference numel mismatch");
-    auto xv = x.data();
-    const auto rv = params_[i].data();
-    auto av = accum_[i].data();
-    for (std::size_t j = 0; j < xv.size(); ++j) {
-      const tensor::Scalar xn = xv[j] + alpha * (rv[j] - xv[j]);
-      xv[j] = xn;
-      av[j] += 1.0 * (xn + (-1.0) * rv[j]);  // matches add_scaled's axpy_
-    }
-  }
   ++pending_;
 }
 

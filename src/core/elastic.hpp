@@ -44,14 +44,6 @@ double default_alpha(std::size_t num_pipelines);
 void elastic_pull(std::vector<tensor::Variable>& params,
                   const ParamSet& reference, double alpha);
 
-/// Fused steps ❷+❸ prep: one pass per parameter computes
-///   x ← x + α·(ref − x)   and   update = x_new − ref
-/// simultaneously, bit-identical to elastic_pull followed by difference()
-/// but touching each weight once and allocating only the update tensors
-/// (uninitialized, arena-backed) instead of an extra clone per parameter.
-ParamSet elastic_pull_push(std::vector<tensor::Variable>& params,
-                           const ParamSet& reference, double alpha);
-
 /// The reference model (steps ❹–❺). Not thread-safe by itself; the
 /// asynchronous system in avgpipe.hpp serialises access through a queue,
 /// matching the paper's separate reference process per GPU.
@@ -61,14 +53,6 @@ class ReferenceModel {
 
   /// Step ❹: fold one pipeline's local update into the accumulator.
   void accumulate(const ParamSet& update);
-  /// Fused ❷+❸+❹ for serial callers (AvgPipeTrainer): pull `params` toward
-  /// the current reference and fold the implied update straight into the
-  /// accumulator in a single pass, with no snapshot clone and no update
-  /// materialisation. Only `accum_` is written, so every replica in the same
-  /// round still pulls against identical reference values. Bit-identical to
-  /// elastic_pull + difference + accumulate.
-  void pull_and_accumulate(std::vector<tensor::Variable>& params,
-                           double alpha);
   /// Step ❺: once every pipeline has reported, normalise by `n` and apply.
   /// Returns the number of updates that were folded in.
   std::size_t apply_accumulated(std::size_t n);

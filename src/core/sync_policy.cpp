@@ -62,20 +62,6 @@ void SyncPolicy::apply_rounds(ReferenceModel& reference,
   for (const auto& round : rounds) apply_round(reference, round);
 }
 
-void SyncPolicy::serial_round(
-    ReferenceModel& reference,
-    std::vector<std::vector<tensor::Variable>>& replicas, double alpha) {
-  std::vector<ParamSet> round;
-  round.reserve(replicas.size());
-  for (auto& params : replicas) {
-    // The BSP-family local_sync ignores the broadcast (it only clones), so
-    // passing the live reference values is safe here; elastic overrides the
-    // whole method with its fused path.
-    round.push_back(local_sync(params, reference.params(), alpha));
-  }
-  apply_round(reference, round);
-}
-
 namespace {
 
 /// Mean of the round's parameter sets into `dst`. n = 1 assigns exactly
@@ -110,7 +96,8 @@ class ElasticPolicy : public SyncPolicy {
   ParamSet local_sync(std::vector<tensor::Variable>& params,
                       const ParamSet& broadcast,
                       double alpha) const override {
-    return elastic_pull_push(params, broadcast, alpha);
+    elastic_pull(params, broadcast, alpha);
+    return difference(params, broadcast);
   }
 
   void apply_round(ReferenceModel& reference,
@@ -126,17 +113,6 @@ class ElasticPolicy : public SyncPolicy {
     // Fused sweep: bit-identical to the sequential apply_round loop but one
     // pass over the reference weights per batch (XPipe inherits this too).
     reference.apply_round_batch(rounds);
-  }
-
-  void serial_round(ReferenceModel& reference,
-                    std::vector<std::vector<tensor::Variable>>& replicas,
-                    double alpha) REQUIRES(reference_capability()) override {
-    // Fused ❷+❸+❹ against the live reference (no snapshot clone, no update
-    // materialisation) — bit-identical to local_sync + apply_round.
-    for (auto& params : replicas) {
-      reference.pull_and_accumulate(params, alpha);
-    }
-    reference.apply_accumulated(replicas.size());
   }
 };
 

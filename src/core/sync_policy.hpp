@@ -7,7 +7,7 @@
 /// model-coupling rules; its production siblings (kaldi-aslp's BSP model
 /// averaging and BMUF) and XPipe's weight prediction attack the same
 /// staleness problem from different angles. A `SyncPolicy` factors the rule
-/// out of `AvgPipe`/`AvgPipeTrainer` so all of them run on the identical
+/// out of `AvgPipe` so all of them run on the identical
 /// replica/reference machinery — same worker threads, same message queues,
 /// same fault handling — and differ only in four hooks:
 ///
@@ -22,8 +22,8 @@
 /// only on the replica's own parameters plus an immutable broadcast snapshot.
 /// The reference-side hooks own all mutable policy state (e.g. BMUF's block
 /// momentum) and are serialised by the caller: under `reference_mutex_` in
-/// the threaded system, trivially in the serial trainer. `make_broadcast` is
-/// const but reads reference-side state, so it shares that serialisation.
+/// `AvgPipe`. `make_broadcast` is const but reads reference-side state, so it
+/// shares that serialisation.
 ///
 /// Staleness semantics per policy:
 /// * elastic  — replicas never reset; each pull dilutes toward a broadcast
@@ -57,8 +57,8 @@ namespace avgpipe::core {
 /// The phantom capability standing for "I am serialised with the reference
 /// process". Every reference-side policy hook REQUIRES it; a caller asserts
 /// it with a `common::RoleGuard` whose justification is real serialisation —
-/// holding `reference_mutex_` in the threaded system, the single-threaded
-/// phase of construction, or the serial trainer's only thread. One global
+/// holding `reference_mutex_` in the threaded system, or the single-threaded
+/// phase of construction. One global
 /// capability (not per-policy) because the contract is about the reference
 /// *process*, which is unique per address space in this in-proc system.
 common::Role& reference_capability();
@@ -144,12 +144,6 @@ class SyncPolicy {
   /// Const but reads reference-side state, hence the shared serialisation.
   virtual ParamSet make_broadcast(const ReferenceModel& reference) const
       REQUIRES(reference_capability());
-
-  /// One full round for the serial trainer: local_sync every replica, apply.
-  /// Elastic overrides this with the fused `pull_and_accumulate` fast path.
-  virtual void serial_round(ReferenceModel& reference,
-                            std::vector<std::vector<tensor::Variable>>& replicas,
-                            double alpha) REQUIRES(reference_capability());
 
   // -- durable state (checkpoint layer, src/ckpt) -----------------------------
 

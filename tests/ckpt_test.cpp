@@ -25,7 +25,6 @@ namespace {
 
 using core::AvgPipe;
 using core::AvgPipeConfig;
-using core::AvgPipeTrainer;
 using core::clone_values;
 using core::max_abs_diff;
 using core::ParamSet;
@@ -584,68 +583,12 @@ TEST(CkptRngTest, RngSaveRestoreResumesTheDrawSequenceExactly) {
   EXPECT_THROW(b.restore_state("not an engine snapshot"), Error);
 }
 
-// -- serial resume bit-parity (one test per policy kind) ---------------------------------
+// -- resume bit-parity (one test per policy kind) ----------------------------------------
 
 class CkptResumeParityTest : public ::testing::TestWithParam<SyncPolicyKind> {};
 
 std::string kind_name(const ::testing::TestParamInfo<SyncPolicyKind>& info) {
   return to_string(info.param);
-}
-
-TEST_P(CkptResumeParityTest, SerialResumeIsBitIdenticalToUninterruptedRun) {
-  // Train 10 rounds straight vs 5 rounds + durable checkpoint + restore into
-  // a *fresh* trainer + 5 more rounds: losses EXPECT_DOUBLE_EQ per round and
-  // every parameter set exactly equal (0.0 max-abs delta). This is the
-  // paper-level recovery contract: a crash costs wall-clock, never the
-  // trajectory.
-  const SyncPolicyKind kind = GetParam();
-  SyntheticFeatures ds(64, 6, 2, 3);
-  DataLoader loader(ds, 12, 1);
-  SyncPolicyConfig sync;
-  sync.kind = kind;
-  const std::size_t kHalf = 5, kTotal = 10;
-
-  AvgPipeTrainer uninterrupted(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2,
-                               sync);
-  std::vector<double> losses;
-  for (std::size_t iter = 0; iter < kTotal; ++iter) {
-    losses.push_back(uninterrupted.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)}));
-  }
-
-  TempDir tmp;
-  ckpt::CheckpointDir ckpts(tmp.path);
-  {
-    AvgPipeTrainer first(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-    for (std::size_t iter = 0; iter < kHalf; ++iter) {
-      first.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
-    }
-    const auto entry = ckpts.write(first.capture_state());
-    EXPECT_EQ(entry.step, static_cast<long>(kHalf));
-  }  // trainer destroyed: the "process" died
-
-  AvgPipeTrainer resumed(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-  ckpt::TrainState state;
-  const auto res = ckpts.load_latest(&state);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(res.fallbacks, 0);
-  resumed.restore_state(state);
-  EXPECT_EQ(resumed.iterations(), static_cast<long>(kHalf));
-
-  for (std::size_t iter = kHalf; iter < kTotal; ++iter) {
-    const double loss = resumed.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)});
-    EXPECT_DOUBLE_EQ(loss, losses[iter]) << "iter " << iter;
-  }
-  EXPECT_EQ(max_abs_diff(resumed.reference().params(),
-                         uninterrupted.reference().params()),
-            0.0);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(max_abs_diff(clone_values(resumed.replica(i).parameters()),
-                           clone_values(uninterrupted.replica(i).parameters())),
-              0.0)
-        << "replica " << i;
-  }
 }
 
 TEST_P(CkptResumeParityTest, ThreadedResumeIsBitIdenticalToUninterruptedRun) {
@@ -716,72 +659,18 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CkptResumeParityTest,
 class CkptCompressedResumeTest
     : public ::testing::TestWithParam<SyncPolicyKind> {};
 
-TEST_P(CkptCompressedResumeTest, Int8ResumeIsBitIdenticalToUninterruptedRun) {
+TEST_P(CkptCompressedResumeTest, ThreadedInt8ResumeIsBitIdentical) {
   // The recovery contract must survive compression: the EF residuals are
   // part of TrainState, so a restore lands on the exact lossy trajectory the
   // uninterrupted compressed run follows — same quantization decisions, same
   // compensation, 0.0 delta.
-  const SyncPolicyKind kind = GetParam();
-  SyntheticFeatures ds(64, 6, 2, 3);
-  DataLoader loader(ds, 12, 1);
-  SyncPolicyConfig sync;
-  sync.kind = kind;
-  core::SyncCompression int8;
-  int8.codec = tensor::Codec::kInt8;
-  const std::size_t kHalf = 5, kTotal = 10;
-
-  AvgPipeTrainer uninterrupted(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2,
-                               sync);
-  uninterrupted.set_sync_compression(int8);
-  std::vector<double> losses;
-  for (std::size_t iter = 0; iter < kTotal; ++iter) {
-    losses.push_back(uninterrupted.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)}));
-  }
-
-  TempDir tmp;
-  ckpt::CheckpointDir ckpts(tmp.path);
-  {
-    AvgPipeTrainer first(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-    first.set_sync_compression(int8);
-    for (std::size_t iter = 0; iter < kHalf; ++iter) {
-      first.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
-    }
-    const ckpt::TrainState state = first.capture_state();
-    EXPECT_EQ(state.sync_codec,
-              static_cast<std::uint8_t>(tensor::Codec::kInt8));
-    ckpts.write(state);
-  }
-
-  AvgPipeTrainer resumed(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-  resumed.set_sync_compression(int8);
-  ckpt::TrainState state;
-  const auto res = ckpts.load_latest(&state);
-  ASSERT_TRUE(res.ok) << res.error;
-  resumed.restore_state(state);
-
-  for (std::size_t iter = kHalf; iter < kTotal; ++iter) {
-    const double loss = resumed.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)});
-    EXPECT_DOUBLE_EQ(loss, losses[iter]) << "iter " << iter;
-  }
-  EXPECT_EQ(max_abs_diff(resumed.reference().params(),
-                         uninterrupted.reference().params()),
-            0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, CkptCompressedResumeTest,
-                         ::testing::ValuesIn(core::all_sync_policies()),
-                         kind_name);
-
-TEST(CkptCompressedSystemTest, ThreadedInt8ResumeIsBitIdentical) {
-  // Same contract on the threaded system with the codec pinned in config.
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
   AvgPipeConfig cfg;
   cfg.num_pipelines = 2;
   cfg.micro_batches = 3;
   cfg.boundaries = {2};
+  cfg.sync.kind = GetParam();
   core::SyncCompression int8;
   int8.codec = tensor::Codec::kInt8;
   cfg.sync_compression = int8;
@@ -819,6 +708,10 @@ TEST(CkptCompressedSystemTest, ThreadedInt8ResumeIsBitIdentical) {
                          uninterrupted.reference_snapshot()),
             0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, CkptCompressedResumeTest,
+                         ::testing::ValuesIn(core::all_sync_policies()),
+                         kind_name);
 
 TEST(CkptCompressedSystemTest, CodecMismatchResetsResidualsButRestores) {
   // A checkpoint written under one codec must still restore into a system

@@ -8,6 +8,7 @@
 #include "common/env.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
+#include "test_util.hpp"
 #include "trace/analysis.hpp"
 
 namespace avgpipe::core {
@@ -18,6 +19,7 @@ using data::DataLoader;
 using data::SyntheticFeatures;
 using tensor::Tensor;
 using tensor::Variable;
+using testutil::TextbookAvgPipe;
 
 runtime::OptimizerFactory sgd_factory(double lr) {
   return [lr](std::vector<Variable> params) {
@@ -30,6 +32,15 @@ nn::ModelFactory mlp_factory(std::size_t in, std::size_t hidden,
   return [=](std::uint64_t seed) {
     return nn::make_mlp(in, hidden, depth, classes, seed);
   };
+}
+
+/// AvgPipe as an update-rule trainer: one stage, the whole batch as one
+/// micro-batch, synchronous reference applies.
+AvgPipeConfig update_rule_config(std::size_t pipelines) {
+  AvgPipeConfig config;
+  config.num_pipelines = pipelines;
+  config.micro_batches = 1;
+  return config;
 }
 
 // -- primitives -----------------------------------------------------------------------
@@ -182,110 +193,68 @@ TEST(SyncPolicyBatching, ApplyRoundsMatchesSequentialLoopForEveryPolicy) {
   }
 }
 
-// -- AvgPipeTrainer (semantics) ----------------------------------------------------------
+// -- AvgPipe as an update-rule trainer --------------------------------------------------
 
-TEST(AvgPipeTrainerTest, SinglePipelineMatchesSync) {
-  // With N=1, alpha=1: pull makes x == ref trivially and the update keeps
-  // ref == x, so training degenerates to plain SGD.
-  SyntheticFeatures ds(32, 4, 2, 3);
-  DataLoader loader(ds, 8, 1);
-
-  nn::Sequential sync_model = nn::make_mlp(4, 6, 2, 2, 7);
-  auto opt = std::make_unique<optim::Sgd>(sync_model.parameters(), 0.1);
-  runtime::SyncTrainer sync(sync_model, std::move(opt));
-
-  AvgPipeTrainer avg(mlp_factory(4, 6, 2, 2), sgd_factory(0.1), 1);
-  // This test asserts the exact uncompressed invariant (ref == replica to
-  // 1e-12); pin compression off so a CI-forced AVGPIPE_SYNC_COMPRESS doesn't
-  // quantize the pushed update.
-  avg.set_sync_compression(SyncCompression{});
-
-  for (int i = 0; i < 3; ++i) {
-    const Batch b = loader.batch(0, static_cast<std::size_t>(i));
-    sync.train_batch(b);
-    avg.train_iteration({b});
-  }
-  // Same trajectory? Initial weights differ (seed 7 vs 1234), so compare
-  // behaviourally: both must have a consistent reference==weights invariant.
-  auto replica = avg.replica(0).parameters();
-  const auto& ref = avg.reference().params();
-  for (std::size_t i = 0; i < replica.size(); ++i) {
-    EXPECT_LT(replica[i].value().max_abs_diff(ref[i]), 1e-12);
-  }
-}
-
-TEST(AvgPipeTrainerTest, ReferenceIsMeanAfterEveryIteration) {
+TEST(AvgPipeUpdateRuleTest, ReferenceIsMeanAfterEveryIteration) {
   SyntheticFeatures ds(64, 4, 2, 3);
   DataLoader loader(ds, 8, 1);
-  AvgPipeTrainer avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), 3);
+  AvgPipeConfig config = update_rule_config(3);
   // The exact-mean invariant only holds for lossless pushes; pin off so the
   // test is immune to an env-forced codec.
-  avg.set_sync_compression(SyncCompression{});
+  config.sync_compression = SyncCompression{};
+  AvgPipe avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), config);
 
   for (std::size_t iter = 0; iter < 3; ++iter) {
     std::vector<Batch> batches;
     for (std::size_t p = 0; p < 3; ++p) {
-      batches.push_back(loader.batch(iter, 3 * 0 + p));
+      batches.push_back(loader.batch(iter, p));
     }
     avg.train_iteration(batches);
 
-    const auto& ref = avg.reference().params();
+    const ParamSet ref = avg.reference_snapshot();
+    std::vector<ParamSet> replicas;
+    for (std::size_t p = 0; p < 3; ++p) {
+      replicas.push_back(avg.replica_snapshot(p));
+    }
     for (std::size_t t = 0; t < ref.size(); ++t) {
       Tensor mean(ref[t].shape());
-      for (std::size_t p = 0; p < 3; ++p) {
-        mean.axpy_(1.0 / 3.0, avg.replica(p).parameters()[t].value());
-      }
+      for (const auto& replica : replicas) mean.axpy_(1.0 / 3.0, replica[t]);
       EXPECT_LT(mean.max_abs_diff(ref[t]), 1e-10);
     }
   }
 }
 
-TEST(AvgPipeTrainerTest, ReplicasStayClose) {
+TEST(AvgPipeUpdateRuleTest, ReplicasStayClose) {
   // The elastic pull must prevent divergence (paper §3.1, Figure 5).
   SyntheticFeatures ds(64, 4, 2, 3);
   DataLoader loader(ds, 8, 1);
-  AvgPipeTrainer avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), 2);
+  AvgPipe avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), update_rule_config(2));
   for (std::size_t iter = 0; iter < 10; ++iter) {
     avg.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
   }
-  auto p0 = avg.replica(0).parameters();
-  auto p1 = avg.replica(1).parameters();
-  double diff = 0, scale = 0;
-  for (std::size_t i = 0; i < p0.size(); ++i) {
-    diff = std::max(diff, p0[i].value().max_abs_diff(p1[i].value()));
-    scale = std::max(scale, p0[i].value().abs_max());
-  }
-  EXPECT_LT(diff, scale);  // same order of magnitude, not divergent
+  const ParamSet p0 = avg.replica_snapshot(0);
+  const ParamSet p1 = avg.replica_snapshot(1);
+  double scale = 0;
+  for (const auto& t : p0) scale = std::max(scale, t.abs_max());
+  EXPECT_LT(max_abs_diff(p0, p1), scale);  // same order of magnitude
 }
 
-TEST(AvgPipeTrainerTest, ConvergesOnSeparableData) {
-  SyntheticFeatures ds(128, 6, 2, 3, /*noise=*/0.15);
-  DataLoader loader(ds, 16, 7);
-  AvgPipeTrainer avg(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), 2);
-  for (std::size_t epoch = 0; epoch < 10; ++epoch) {
-    for (std::size_t i = 0; i + 1 < loader.batches_per_epoch(); i += 2) {
-      avg.train_iteration({loader.batch(epoch, i), loader.batch(epoch, i + 1)});
-    }
-  }
-  EXPECT_GT(runtime::evaluate_accuracy(avg.eval_model(), loader, 0, 4), 0.9);
-}
-
-TEST(AvgPipeTrainerTest, WrongBatchCountThrows) {
-  AvgPipeTrainer avg(mlp_factory(4, 6, 1, 2), sgd_factory(0.1), 2);
+TEST(AvgPipeUpdateRuleTest, WrongBatchCountThrows) {
+  AvgPipe avg(mlp_factory(4, 6, 1, 2), sgd_factory(0.1), update_rule_config(2));
   Batch b{Tensor({4, 4}), {0, 1, 0, 1}};
   EXPECT_THROW(avg.train_iteration({b}), Error);
 }
 
-TEST(AvgPipeTrainerTest, WorksWithAdam) {
+TEST(AvgPipeUpdateRuleTest, WorksWithAdam) {
   // §3.1: the framework must be optimizer-agnostic.
   SyntheticFeatures ds(64, 4, 2, 3, 0.15);
   DataLoader loader(ds, 8, 1);
-  AvgPipeTrainer avg(
+  AvgPipe avg(
       mlp_factory(4, 8, 2, 2),
       [](std::vector<Variable> params) {
         return std::make_unique<optim::Adam>(std::move(params), 0.01);
       },
-      2, 0.0, "AvgPipe-Adam");
+      update_rule_config(2));
   for (std::size_t iter = 0; iter < 20; ++iter) {
     avg.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
   }
@@ -294,9 +263,9 @@ TEST(AvgPipeTrainerTest, WorksWithAdam) {
 
 // -- AvgPipe (full threaded system) -----------------------------------------------------
 
-TEST(AvgPipeSystemTest, MatchesSemanticTrainerTrajectory) {
+TEST(AvgPipeSystemTest, MatchesTextbookRoundTrajectory) {
   // The threaded system (N pipeline runtimes + async reference process) must
-  // produce the same parameters as the single-threaded semantic trainer.
+  // produce the same parameters as the serial textbook round.
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
 
@@ -305,18 +274,19 @@ TEST(AvgPipeSystemTest, MatchesSemanticTrainerTrajectory) {
   config.micro_batches = 3;
   config.boundaries = {2};
   AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), config);
-  AvgPipeTrainer semantic(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2);
+  TextbookAvgPipe oracle(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, {},
+                         system.sync_compression());
 
   for (std::size_t iter = 0; iter < 3; ++iter) {
     std::vector<Batch> batches{loader.batch(iter, 0), loader.batch(iter, 1)};
     system.train_iteration(batches);
-    semantic.train_iteration(batches);
+    oracle.train_iteration(batches);
   }
   const ParamSet sys_ref = system.reference_snapshot();
-  const auto& sem_ref = semantic.reference().params();
-  ASSERT_EQ(sys_ref.size(), sem_ref.size());
+  ASSERT_EQ(sys_ref.size(), oracle.reference().size());
   for (std::size_t i = 0; i < sys_ref.size(); ++i) {
-    EXPECT_LT(sys_ref[i].max_abs_diff(sem_ref[i]), 1e-9) << "tensor " << i;
+    EXPECT_LT(sys_ref[i].max_abs_diff(oracle.reference()[i]), 1e-9)
+        << "tensor " << i;
   }
 }
 
@@ -441,6 +411,7 @@ TEST(AvgPipeAsyncTest, TracesSyncLagCounterAndOffCriticalPathPulls) {
   system.synchronize();
 
   std::size_t lag_samples = 0, pulls = 0, applies = 0;
+  double batched_rounds = 0;
   for (const auto& ev : tracer.collect()) {
     if (ev.kind == trace::EventKind::kCounter &&
         ev.counter == trace::CounterId::kSyncLag) {
@@ -448,15 +419,22 @@ TEST(AvgPipeAsyncTest, TracesSyncLagCounterAndOffCriticalPathPulls) {
       EXPECT_LE(ev.value, static_cast<double>(config.sync_lag));
       EXPECT_GE(ev.value, 0.0);
     }
+    if (ev.kind == trace::EventKind::kCounter &&
+        ev.counter == trace::CounterId::kSyncBatch) {
+      batched_rounds += ev.value;
+    }
     if (ev.kind == trace::EventKind::kElasticPull) ++pulls;
     if (ev.kind == trace::EventKind::kReferenceApply) ++applies;
   }
   // One lag sample per iteration; one pull per alive replica per iteration
-  // (recorded by the replica worker threads, not the driver); one reference
-  // apply per dispatched round.
+  // (recorded by the replica worker threads, not the driver). The reference
+  // thread drains queued rounds into one batch with one apply span, so the
+  // batch sizes sum to the rounds dispatched and there are 1..iters applies.
   EXPECT_EQ(lag_samples, iters);
   EXPECT_EQ(pulls, 2 * iters);
-  EXPECT_EQ(applies, iters);
+  EXPECT_EQ(batched_rounds, static_cast<double>(iters));
+  EXPECT_GE(applies, 1u);
+  EXPECT_LE(applies, iters);
 }
 
 // -- elastic membership (fault tolerance) -----------------------------------------------
@@ -515,14 +493,16 @@ TEST(AvgPipeElasticTest, LoneSurvivorMatchesSinglePipelineTrainer) {
   system.detach_pipeline(1, "dead before the first batch");
   EXPECT_DOUBLE_EQ(system.alpha(), default_alpha(1));
 
-  AvgPipeTrainer lone(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 1);
+  AvgPipeConfig lone_config = config;
+  lone_config.num_pipelines = 1;
+  AvgPipe lone(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), lone_config);
   for (std::size_t iter = 0; iter < 3; ++iter) {
     const Batch b = loader.batch(iter, 0);
     system.train_iteration({b, loader.batch(iter, 1)});  // slot 1 ignored
     lone.train_iteration({b});
   }
   const ParamSet sys_ref = system.reference_snapshot();
-  const auto& lone_ref = lone.reference().params();
+  const ParamSet lone_ref = lone.reference_snapshot();
   ASSERT_EQ(sys_ref.size(), lone_ref.size());
   for (std::size_t i = 0; i < sys_ref.size(); ++i) {
     EXPECT_LT(sys_ref[i].max_abs_diff(lone_ref[i]), 1e-9) << "tensor " << i;
@@ -583,11 +563,10 @@ TEST(SyncCompressionTest, OffModeIsBitIdenticalToDefaultPath) {
   }
 }
 
-TEST(SyncCompressionTest, CompressedThreadedMatchesSemanticTrainer) {
-  // The serial trainer's generic compressed round must stay the semantic
-  // model of the threaded system when both pin the same codec: same
-  // transmission points (initial broadcast, per-replica push, re-publish),
-  // same replica order.
+TEST(SyncCompressionTest, CompressedThreadedMatchesTextbookRound) {
+  // The textbook round must stay the model of the threaded system when both
+  // pin the same codec: same transmission points (initial broadcast,
+  // per-replica push, re-publish), same replica order.
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
 
@@ -597,30 +576,31 @@ TEST(SyncCompressionTest, CompressedThreadedMatchesSemanticTrainer) {
   config.boundaries = {2};
   config.sync_compression = int8_compression();
   AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), config);
-  AvgPipeTrainer semantic(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2);
-  semantic.set_sync_compression(int8_compression());
+  TextbookAvgPipe oracle(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, {},
+                         int8_compression());
 
   for (std::size_t iter = 0; iter < 3; ++iter) {
     std::vector<Batch> batches{loader.batch(iter, 0), loader.batch(iter, 1)};
     system.train_iteration(batches);
-    semantic.train_iteration(batches);
+    oracle.train_iteration(batches);
   }
   const ParamSet sys_ref = system.reference_snapshot();
-  const auto& sem_ref = semantic.reference().params();
-  ASSERT_EQ(sys_ref.size(), sem_ref.size());
+  ASSERT_EQ(sys_ref.size(), oracle.reference().size());
   for (std::size_t i = 0; i < sys_ref.size(); ++i) {
-    EXPECT_LT(sys_ref[i].max_abs_diff(sem_ref[i]), 1e-9) << "tensor " << i;
+    EXPECT_LT(sys_ref[i].max_abs_diff(oracle.reference()[i]), 1e-9)
+        << "tensor " << i;
   }
 }
 
 TEST(SyncCompressionTest, Int8ErrorFeedbackConverges) {
   // The lossy trajectory must reach the same accuracy target as the exact
-  // path (the ConvergesOnSeparableData gate): error feedback keeps the
-  // quantization noise from accumulating into a bias.
+  // path: error feedback keeps the quantization noise from accumulating into
+  // a bias.
   SyntheticFeatures ds(128, 6, 2, 3, /*noise=*/0.15);
   DataLoader loader(ds, 16, 7);
-  AvgPipeTrainer avg(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), 2);
-  avg.set_sync_compression(int8_compression());
+  AvgPipeConfig config = update_rule_config(2);
+  config.sync_compression = int8_compression();
+  AvgPipe avg(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), config);
   double loss = 0.0;
   for (std::size_t epoch = 0; epoch < 10; ++epoch) {
     for (std::size_t i = 0; i + 1 < loader.batches_per_epoch(); i += 2) {

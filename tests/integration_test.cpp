@@ -133,7 +133,10 @@ TEST(IntegrationTest, StatisticalEfficiencyOrderingOnTinyTask) {
   runtime::SyncTrainer sync(sync_model, sgd(sync_model.parameters()));
   const std::size_t sync_epochs = run_epochs(sync);
 
-  core::AvgPipeTrainer avg(factory, sgd, 2);
+  core::AvgPipeConfig avg_config;  // N=2, one stage, whole-batch steps
+  avg_config.num_pipelines = 2;
+  avg_config.micro_batches = 1;
+  core::AvgPipe avg(factory, sgd, avg_config);
   const std::size_t avg_epochs = run_epochs(avg);
 
   nn::Sequential stale_model = factory(1234);

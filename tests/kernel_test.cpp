@@ -1,5 +1,5 @@
 // Parity and correctness suite for the performance layer: blocked GEMM vs
-// the reference loop, fused elastic / optimizer kernels vs their unfused
+// the reference loop, fused optimizer kernels vs their unfused
 // formulations, in-place op variants vs the allocating ones, the arena
 // allocator's recycling behaviour, and thread-pool determinism.
 
@@ -18,7 +18,6 @@
 #include "common/affinity.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "core/elastic.hpp"
 #include "nn/lstm.hpp"
 #include "optim/optimizer.hpp"
 #include "tensor/arena.hpp"
@@ -115,7 +114,7 @@ TEST(GemmDispatch, SmallProblemsStayExact) {
   EXPECT_EQ(c1, c2);
 }
 
-// -- fused elastic kernels ------------------------------------------------------
+// -- fused optimizer kernels ---------------------------------------------------
 
 std::vector<Variable> make_params(Rng& rng) {
   std::vector<Variable> params;
@@ -126,68 +125,6 @@ std::vector<Variable> make_params(Rng& rng) {
   }
   return params;
 }
-
-core::ParamSet clone_all(const std::vector<Variable>& params) {
-  core::ParamSet out;
-  for (const auto& p : params) out.push_back(p.value().clone());
-  return out;
-}
-
-TEST(FusedElastic, PullPushMatchesUnfused) {
-  Rng rng(7);
-  auto fused_params = make_params(rng);
-  auto unfused_params = fused_params;  // shallow copies; deep-clone below
-  std::vector<Variable> unfused;
-  for (auto& p : fused_params) {
-    unfused.emplace_back(p.value().clone(), true);
-  }
-  core::ParamSet reference;
-  for (const auto& p : fused_params) {
-    Tensor r(p.value().shape());
-    for (auto& v : r.data()) v = rng.normal(0.0, 1.0);
-    reference.push_back(std::move(r));
-  }
-  const double alpha = 0.25;
-
-  const core::ParamSet fused_update =
-      core::elastic_pull_push(fused_params, reference, alpha);
-
-  core::elastic_pull(unfused, reference, alpha);
-  const core::ParamSet unfused_update = core::difference(unfused, reference);
-
-  for (std::size_t i = 0; i < fused_params.size(); ++i) {
-    EXPECT_LE(fused_params[i].value().max_abs_diff(unfused[i].value()), 1e-12);
-    EXPECT_LE(fused_update[i].max_abs_diff(unfused_update[i]), 1e-12);
-  }
-}
-
-TEST(FusedElastic, PullAndAccumulateMatchesSnapshotPath) {
-  Rng rng(11);
-  auto params_a = make_params(rng);
-  std::vector<Variable> params_b;
-  for (auto& p : params_a) params_b.emplace_back(p.value().clone(), true);
-
-  core::ReferenceModel ref_a(clone_all(params_a));
-  core::ReferenceModel ref_b(clone_all(params_b));
-  const double alpha = 0.5;
-
-  // Fused path: pull directly against the live reference.
-  ref_a.pull_and_accumulate(params_a, alpha);
-  ref_a.apply_accumulated(1);
-
-  // Unfused path: snapshot, pull, diff, accumulate.
-  const core::ParamSet snap = ref_b.snapshot();
-  core::elastic_pull(params_b, snap, alpha);
-  ref_b.accumulate(core::difference(params_b, snap));
-  ref_b.apply_accumulated(1);
-
-  for (std::size_t i = 0; i < params_a.size(); ++i) {
-    EXPECT_LE(params_a[i].value().max_abs_diff(params_b[i].value()), 1e-12);
-    EXPECT_LE(ref_a.params()[i].max_abs_diff(ref_b.params()[i]), 1e-12);
-  }
-}
-
-// -- fused optimizer kernels ----------------------------------------------------
 
 TEST(FusedOptim, SgdMomentumWeightDecayMatchesUnfused) {
   Rng rng(13);
