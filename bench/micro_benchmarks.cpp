@@ -9,8 +9,9 @@
 ///
 ///   micro_benchmarks --json=BENCH_kernels.json [--kernels-only]
 ///
-/// The JSON records GFLOP/s and ns/op for the blocked GEMM vs the reference
-/// loop, fused vs unfused SGD kernels, and heap allocations per
+/// The JSON records the GEMM micro-kernel in use (`gemm_isa`), GFLOP/s and
+/// ns/op for the blocked GEMM vs the reference loop per shape and transpose
+/// form (`op`), fused vs unfused SGD kernels, and heap allocations per
 /// steady-state training step from the arena counters, and the checkpoint
 /// CRC-32 kernel's GB/s. The kernel suite also re-checks blocked-vs-reference
 /// parity (and the CRC check value and chaining identity) and exits non-zero
@@ -175,10 +176,12 @@ std::vector<Scalar> bench_vec(std::size_t n, Rng& rng) {
 
 struct GemmResult {
   std::size_t m, n, k;
+  bool trans_a, trans_b;
   double ref_ns, blocked_ns, ref_gflops, blocked_gflops, speedup, max_rel_err;
 };
 
-GemmResult bench_gemm(std::size_t m, std::size_t n, std::size_t k) {
+GemmResult bench_gemm(std::size_t m, std::size_t n, std::size_t k,
+                      bool trans_a, bool trans_b) {
   Rng rng(0xBE7C);
   const auto a = bench_vec(m * k, rng);
   const auto b = bench_vec(k * n, rng);
@@ -186,17 +189,17 @@ GemmResult bench_gemm(std::size_t m, std::size_t n, std::size_t k) {
   const double flops = 2.0 * static_cast<double>(m) * n * k;
   const int reps = std::max(3, static_cast<int>(2e8 / flops));
 
-  GemmResult r{m, n, k, 0, 0, 0, 0, 0, 0};
+  GemmResult r{m, n, k, trans_a, trans_b, 0, 0, 0, 0, 0, 0};
   r.ref_ns = time_ns(
       [&] {
         tensor::gemm_reference(a.data(), b.data(), c_ref.data(), m, n, k,
-                               false, false, false);
+                               trans_a, trans_b, false);
       },
       reps);
   r.blocked_ns = time_ns(
       [&] {
-        tensor::gemm_blocked(a.data(), b.data(), c_blk.data(), m, n, k, false,
-                             false, false);
+        tensor::gemm_blocked(a.data(), b.data(), c_blk.data(), m, n, k,
+                             trans_a, trans_b, false);
       },
       reps);
   r.ref_gflops = flops / r.ref_ns;
@@ -389,26 +392,42 @@ ArenaResult bench_arena_steady_state() {
           static_cast<double>(s.heap_allocs) / steps};
 }
 
+const char* gemm_op(bool trans_a, bool trans_b) {
+  static constexpr const char* kOps[] = {"NN", "NT", "TN", "TT"};
+  return kOps[(trans_a ? 2 : 0) + (trans_b ? 1 : 0)];
+}
+
 int run_kernel_suite(const std::string& json_path) {
-  const std::vector<std::array<std::size_t, 3>> shapes = {
-      {64, 64, 64}, {128, 128, 128}, {256, 256, 256}, {96, 257, 33}};
+  struct Shape {
+    std::size_t m, n, k;
+    bool trans_a, trans_b;
+  };
+  // The last three are the forms an MLP stage issues per micro-batch of 32
+  // at width 512: forward (NN), input gradient (NT), weight gradient (TN).
+  const std::vector<Shape> shapes = {
+      {64, 64, 64, false, false},    {128, 128, 128, false, false},
+      {256, 256, 256, false, false}, {96, 257, 33, false, false},
+      {32, 512, 512, false, false},  {32, 512, 512, false, true},
+      {512, 512, 32, true, false}};
+  std::printf("gemm micro-kernel: %s\n", tensor::gemm_isa());
   std::vector<GemmResult> gemms;
   bool parity_ok = true;
-  for (const auto& [m, n, k] : shapes) {
-    gemms.push_back(bench_gemm(m, n, k));
+  for (const auto& [m, n, k, trans_a, trans_b] : shapes) {
+    gemms.push_back(bench_gemm(m, n, k, trans_a, trans_b));
     const auto& g = gemms.back();
     // Tolerance mirrors tests/kernel_test.cpp: FMA reassociation accumulates
     // at most a few ulp per k-term.
     if (g.max_rel_err > 1e-13 * static_cast<double>(k + 1)) {
       parity_ok = false;
       std::fprintf(stderr,
-                   "PARITY FAIL gemm %zux%zux%zu: max_rel_err=%.3e\n", m, n,
-                   k, g.max_rel_err);
+                   "PARITY FAIL gemm %zux%zux%zu %s: max_rel_err=%.3e\n", m,
+                   n, k, gemm_op(trans_a, trans_b), g.max_rel_err);
     }
     std::printf(
-        "gemm %4zux%-4zux%-4zu ref %8.2f GFLOP/s  blocked %8.2f GFLOP/s  "
+        "gemm %4zux%-4zux%-4zu %s ref %8.2f GFLOP/s  blocked %8.2f GFLOP/s  "
         "speedup %5.2fx  max_rel_err %.2e\n",
-        m, n, k, g.ref_gflops, g.blocked_gflops, g.speedup, g.max_rel_err);
+        m, n, k, gemm_op(trans_a, trans_b), g.ref_gflops,
+        g.blocked_gflops, g.speedup, g.max_rel_err);
   }
   const std::vector<FusedResult> fused = {bench_fused_sgd()};
   for (const auto& f : fused) {
@@ -457,10 +476,12 @@ int run_kernel_suite(const std::string& json_path) {
   }
   out << "{\n  \"schema\": \"avgpipe-kernel-bench-v1\",\n";
   out << "  \"num_threads\": " << configured_num_threads() << ",\n";
+  out << "  \"gemm_isa\": \"" << tensor::gemm_isa() << "\",\n";
   out << "  \"gemm\": [\n";
   for (std::size_t i = 0; i < gemms.size(); ++i) {
     const auto& g = gemms[i];
     out << "    {\"m\": " << g.m << ", \"n\": " << g.n << ", \"k\": " << g.k
+        << ", \"op\": \"" << gemm_op(g.trans_a, g.trans_b) << "\""
         << ", \"ref_ns\": " << g.ref_ns << ", \"blocked_ns\": " << g.blocked_ns
         << ", \"ref_gflops\": " << g.ref_gflops
         << ", \"blocked_gflops\": " << g.blocked_gflops

@@ -70,8 +70,8 @@ Variable LSTM::forward(const Variable& x) {
     const auto xv = x.value().data();
     auto tv = x_t.data();
     for (std::size_t i = 0; i < b; ++i) {
-      std::copy(&xv[(i * s + t) * input_], &xv[(i * s + t + 1) * input_],
-                &tv[i * input_]);
+      std::copy(xv.data() + (i * s + t) * input_,
+                xv.data() + (i * s + t + 1) * input_, tv.data() + i * input_);
     }
     // Route gradients back to the input through a gather op.
     auto px = x.data();
@@ -101,8 +101,8 @@ Variable LSTM::forward(const Variable& x) {
   for (std::size_t t = 0; t < s; ++t) {
     const auto hv = outputs[t].value().data();
     for (std::size_t i = 0; i < b; ++i) {
-      std::copy(&hv[i * hidden_], &hv[(i + 1) * hidden_],
-                &ov[(i * s + t) * hidden_]);
+      std::copy(hv.data() + i * hidden_, hv.data() + (i + 1) * hidden_,
+                ov.data() + (i * s + t) * hidden_);
     }
   }
   std::vector<std::shared_ptr<tensor::detail::VarData>> parents;
@@ -116,8 +116,8 @@ Variable LSTM::forward(const Variable& x) {
           Tensor g({b, hid});
           auto gv = g.data();
           for (std::size_t i = 0; i < b; ++i) {
-            std::copy(&og[(i * s + t) * hid], &og[(i * s + t + 1) * hid],
-                      &gv[i * hid]);
+            std::copy(og.data() + (i * s + t) * hid,
+                      og.data() + (i * s + t + 1) * hid, gv.data() + i * hid);
           }
           parents[t]->accumulate_grad(g);
         }

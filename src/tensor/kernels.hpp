@@ -4,11 +4,17 @@
 /// High-performance compute kernels under the autograd ops.
 ///
 /// The centrepiece is a cache-blocked, panel-packed GEMM in the classic
-/// GotoBLAS/BLIS loop nest: op(B) is packed into KCxNR column panels and
-/// op(A) into MCxKC row panels (transposes are absorbed by the packing
-/// gathers, so the micro-kernel always streams contiguous memory), and an
-/// MRxNR register-tiled micro-kernel accumulates C tiles with fully
-/// unrolled inner loops the compiler auto-vectorizes. Row-panel blocks are
+/// GotoBLAS/BLIS loop nest: op(B) is packed into KCx16 column panels and
+/// op(A) into MCxKC row panels of 8-row strips (transposes are absorbed by
+/// the packing gathers, so the micro-kernel always streams contiguous
+/// memory), and an 8x16 register-tiled micro-kernel accumulates C tiles.
+/// The micro-kernel is picked once at startup from what the CPU supports:
+/// explicit AVX-512F intrinsics (16 zmm accumulators), the AVX2+FMA build
+/// of a portable 4x8 body run as four sub-tiles, or that body built for the
+/// baseline ISA. All three share one loop nest and one packing layout, and
+/// every C element sees the same operation sequence (zeroed accumulator,
+/// one multiply-add per k in ascending order within a KC panel, then store
+/// or add), so the two FMA kernels are bit-identical. Row-panel blocks are
 /// fanned out over the process-wide ThreadPool; each worker writes a
 /// disjoint set of C rows, so results are bit-identical for any thread
 /// count.
@@ -37,7 +43,22 @@ namespace detail {
 /// Fold `n` issued FLOPs into the calling thread's counter (ops.cpp's gemm
 /// dispatch; not meant for user code).
 void add_thread_flops(std::uint64_t n);
+
+/// The GEMM micro-kernels. The dispatcher picks the widest one the CPU
+/// supports; tests reach each one through gemm_blocked_isa.
+enum class GemmIsa { kPortable, kAvx2, kAvx512 };
+const char* to_string(GemmIsa isa);
+bool gemm_isa_supported(GemmIsa isa);
+
+/// gemm_blocked with the micro-kernel for `isa` (which must be supported).
+void gemm_blocked_isa(GemmIsa isa, const Scalar* a, const Scalar* b,
+                      Scalar* c, std::size_t m, std::size_t n, std::size_t k,
+                      bool trans_a, bool trans_b, bool accumulate);
 }  // namespace detail
+
+/// Name of the micro-kernel gemm_blocked runs on this machine: "avx512",
+/// "avx2" or "portable".
+const char* gemm_isa();
 
 /// The pre-optimisation scalar GEMM (unblocked i-p-j loops). Kept as the
 /// parity/benchmark reference. C (+)= op(A) * op(B).

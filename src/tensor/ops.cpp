@@ -416,7 +416,8 @@ Variable slice_cols(const Variable& x, std::size_t lo, std::size_t hi) {
   const auto xv = x.value().data();
   auto ov = out.data();
   for (std::size_t r = 0; r < rows; ++r) {
-    std::copy(&xv[r * cols + lo], &xv[r * cols + hi], &ov[r * w]);
+    std::copy(xv.data() + r * cols + lo, xv.data() + r * cols + hi,
+              ov.data() + r * w);
   }
   auto px = x.data();
   return Variable::make_op(
@@ -425,7 +426,8 @@ Variable slice_cols(const Variable& x, std::size_t lo, std::size_t hi) {
         auto gv = g.data();
         const auto og = o.grad.data();
         for (std::size_t r = 0; r < rows; ++r) {
-          std::copy(&og[r * w], &og[(r + 1) * w], &gv[r * cols + lo]);
+          std::copy(og.data() + r * w, og.data() + (r + 1) * w,
+                    gv.data() + r * cols + lo);
         }
         px->accumulate_grad(g);
       });
@@ -439,7 +441,7 @@ Variable slice_rows(const Variable& x, std::size_t lo, std::size_t hi) {
   const std::size_t n = hi - lo;
   Tensor out = Tensor::uninitialized({n, cols});
   const auto xv = x.value().data();
-  std::copy(&xv[lo * cols], &xv[hi * cols], out.data().data());
+  std::copy(xv.data() + lo * cols, xv.data() + hi * cols, out.data().data());
   auto px = x.data();
   return Variable::make_op(
       std::move(out), {x}, [px, lo, rows, cols, n](VarData& o) {
@@ -654,7 +656,8 @@ Variable embedding(const Variable& weight, const std::vector<int>& indices) {
     const auto idx = static_cast<std::size_t>(indices[i]);
     AVGPIPE_CHECK(indices[i] >= 0 && idx < v,
                   "embedding index " << indices[i] << " out of vocab " << v);
-    std::copy(&wv[idx * d], &wv[(idx + 1) * d], &ov[i * d]);
+    std::copy(wv.data() + idx * d, wv.data() + (idx + 1) * d,
+              ov.data() + i * d);
   }
   auto pw = weight.data();
   return Variable::make_op(std::move(out), {weight}, [pw, indices, d](VarData& o) {

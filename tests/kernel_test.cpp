@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -112,6 +113,112 @@ TEST(GemmDispatch, SmallProblemsStayExact) {
   tensor::gemm_reference(a.data(), b.data(), c2.data(), m, n, k, false, false,
                          false);
   EXPECT_EQ(c1, c2);
+}
+
+// -- per-ISA micro-kernels -------------------------------------------------------
+
+// The blocked GEMM's per-element operation order: for each KC-deep panel a
+// zeroed accumulator takes std::fma(op(A)[i][p], op(B)[p][j], acc) for p
+// ascending, then C = acc (first panel, not accumulating) or C += acc.
+constexpr std::size_t kOracleKc = 256;
+
+void gemm_fma_oracle(const Scalar* a, const Scalar* b, Scalar* c,
+                     std::size_t m, std::size_t n, std::size_t k, bool trans_a,
+                     bool trans_b, bool accumulate) {
+  if (k == 0 && !accumulate) std::fill(c, c + m * n, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t pc = 0; pc < k; pc += kOracleKc) {
+        Scalar acc = 0.0;
+        for (std::size_t p = pc; p < std::min(k, pc + kOracleKc); ++p) {
+          const Scalar av = trans_a ? a[p * m + i] : a[i * k + p];
+          const Scalar bv = trans_b ? b[j * k + p] : b[p * n + j];
+          acc = std::fma(av, bv, acc);
+        }
+        Scalar& out = c[i * n + j];
+        out = (pc == 0 && !accumulate) ? acc : out + acc;
+      }
+    }
+  }
+}
+
+std::vector<tensor::detail::GemmIsa> supported_gemm_isas() {
+  using tensor::detail::GemmIsa;
+  std::vector<GemmIsa> isas;
+  for (const GemmIsa isa :
+       {GemmIsa::kPortable, GemmIsa::kAvx2, GemmIsa::kAvx512}) {
+    if (tensor::detail::gemm_isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+TEST(GemmMicroKernels, DispatchNamesASupportedKernel) {
+  const std::string selected = tensor::gemm_isa();
+  bool found = false;
+  for (const auto isa : supported_gemm_isas()) {
+    found = found || selected == tensor::detail::to_string(isa);
+  }
+  EXPECT_TRUE(found) << selected;
+  EXPECT_TRUE(
+      tensor::detail::gemm_isa_supported(tensor::detail::GemmIsa::kPortable));
+}
+
+TEST(GemmMicroKernels, FmaKernelsMatchFmaOracleBitExactPortableWithinTolerance) {
+  using tensor::detail::GemmIsa;
+  // Both sides of the 8x16 tile edges, the MC=64 row block and the KC=256
+  // panel boundary; the wide case crosses the NC=1024 column block.
+  std::vector<GemmCase> shapes;
+  for (const std::size_t m : {1, 7, 8, 9, 17, 64, 65}) {
+    for (const std::size_t n : {1, 15, 16, 17, 40}) {
+      for (const std::size_t k : {1, 255, 256, 257, 520}) {
+        shapes.push_back({m, n, k});
+      }
+    }
+  }
+  shapes.push_back({3, 1030, 5});
+  const auto isas = supported_gemm_isas();
+  Rng rng(0x0F3A);
+  for (const auto& [m, n, k] : shapes) {
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
+    const auto c0 = random_vec(m * n, rng);
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        for (const bool accumulate : {false, true}) {
+          auto c_fma = c0;
+          gemm_fma_oracle(a.data(), b.data(), c_fma.data(), m, n, k, trans_a,
+                          trans_b, accumulate);
+          auto c_ref = c0;
+          tensor::gemm_reference(a.data(), b.data(), c_ref.data(), m, n, k,
+                                 trans_a, trans_b, accumulate);
+          for (const GemmIsa isa : isas) {
+            auto c = c0;
+            tensor::detail::gemm_blocked_isa(isa, a.data(), b.data(),
+                                             c.data(), m, n, k, trans_a,
+                                             trans_b, accumulate);
+            const auto where = [&] {
+              return ::testing::Message()
+                     << tensor::detail::to_string(isa) << " m=" << m
+                     << " n=" << n << " k=" << k << " ta=" << trans_a
+                     << " tb=" << trans_b << " acc=" << accumulate;
+            };
+            if (isa == GemmIsa::kPortable) {
+              for (std::size_t i = 0; i < m * n; ++i) {
+                const double tol = 1e-13 * static_cast<double>(k + 1) *
+                                   std::max(1.0, std::abs(c_ref[i]));
+                ASSERT_NEAR(c[i], c_ref[i], tol) << where() << " i=" << i;
+              }
+            } else {
+              ASSERT_EQ(std::memcmp(c.data(), c_fma.data(),
+                                    c.size() * sizeof(Scalar)),
+                        0)
+                  << where();
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // -- fused optimizer kernels ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "data/synthetic.hpp"
@@ -228,7 +229,7 @@ TEST(PipelineRuntimeChannelTest, SteadyStateSendsAreZeroCopy) {
   for (int i = 0; i < 4; ++i) runtime.train_batch(batch, 4);  // warm up
 
   std::vector<std::uint64_t> acquires, heap_allocs;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 8; ++i) {
     tensor::arena::reset_stats();
     runtime.train_batch(batch, 4);
     const auto s = tensor::arena::stats();
@@ -240,12 +241,19 @@ TEST(PipelineRuntimeChannelTest, SteadyStateSendsAreZeroCopy) {
   }
   // The arena's free lists are thread-local, so a buffer handed across a
   // stage link dies on the consumer's thread and the producer re-allocates:
-  // a small constant per-step heap cost. It must be flat (not growing) and
-  // a small fraction of total acquires — a deep copy per micro-batch would
-  // multiply it.
-  EXPECT_LE(heap_allocs.back(), heap_allocs.front())
-      << "heap allocations growing across steady-state steps";
+  // a small constant per-step heap cost. Which thread frees a buffer first
+  // depends on timing, so a step can allocate fewer buffers (a free landed
+  // on the producer's own list) and the next one buffer more to make up for
+  // it. No step may sit more than one buffer above the window's median — a
+  // leak of one allocation per step would put the last steps three or more
+  // above it — and every step stays a small fraction of total acquires — a
+  // deep copy per micro-batch would multiply it.
+  std::vector<std::uint64_t> sorted = heap_allocs;
+  std::sort(sorted.begin(), sorted.end());
+  const std::uint64_t median = sorted[sorted.size() / 2];
   for (std::size_t i = 0; i < heap_allocs.size(); ++i) {
+    EXPECT_LE(heap_allocs[i], median + 1)
+        << "step " << i << " heap allocations growing across steps";
     EXPECT_LE(heap_allocs[i], acquires[0] / 10)
         << "step " << i << " heap-allocating: send path copies?";
   }
