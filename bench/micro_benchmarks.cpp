@@ -11,19 +11,23 @@
 ///
 /// The JSON records the GEMM micro-kernel in use (`gemm_isa`), GFLOP/s and
 /// ns/op for the blocked GEMM vs the reference loop per shape and transpose
-/// form (`op`), fused vs unfused SGD kernels, and heap allocations per
-/// steady-state training step from the arena counters, and the checkpoint
-/// CRC-32 kernel's GB/s. The kernel suite also re-checks blocked-vs-reference
-/// parity (and the CRC check value and chaining identity) and exits non-zero
-/// on a mismatch, so CI's perf-smoke job doubles as a correctness gate.
+/// form (`op`), fused vs unfused SGD kernels, ns/element of the vector
+/// tanh/exp kernels vs the libm loop, heap allocations per steady-state
+/// training step from the arena counters, and the checkpoint CRC-32 kernel's
+/// GB/s. The kernel suite also re-checks blocked-vs-reference parity, the
+/// vector kernels' ulp bound against libm, and the CRC check value and
+/// chaining identity, and exits non-zero on a failure, so CI's perf-smoke job
+/// doubles as a correctness gate.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -366,6 +370,58 @@ CrcResult bench_crc32() {
   return r;
 }
 
+struct VecMathResult {
+  std::string name;          ///< "tanh" / "exp"
+  std::size_t n;             ///< span length timed
+  double libm_ns_per_elem;   ///< scalar std:: loop
+  double kernel_ns_per_elem; ///< dispatched span kernel
+  double speedup;
+  std::uint64_t max_ulp;     ///< against libm over the timed inputs
+};
+
+/// Bound the perf-smoke gate holds the span kernels to (tests/kernel_test.cpp
+/// checks the same bound over wider sweeps).
+constexpr std::uint64_t kVecMathMaxUlp = 4;
+
+std::uint64_t ulp_distance(Scalar a, Scalar b) {
+  if (a == b || (std::isnan(a) && std::isnan(b))) return 0;
+  const auto ordered = [](Scalar v) {
+    std::int64_t i = 0;
+    std::memcpy(&i, &v, sizeof(i));
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return static_cast<std::uint64_t>(d < 0 ? -d : d);
+}
+
+/// ns/element of vec_tanh / vec_exp against the std:: loop they replaced,
+/// on one 32768-element span (256 KB: the attention-score and FF-activation
+/// sizes of the BERT workload are in this range).
+VecMathResult bench_vecmath(bool use_exp) {
+  const std::size_t n = 32768;
+  Rng rng(use_exp ? 0xE4B : 0x7A4);
+  auto x = bench_vec(n, rng);
+  for (auto& v : x) v *= 4.0;
+  std::vector<Scalar> y_libm(n), y(n);
+  const auto libm = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      y_libm[i] = use_exp ? std::exp(x[i]) : std::tanh(x[i]);
+    }
+  };
+  const auto kernel = [&] {
+    (use_exp ? tensor::vec_exp : tensor::vec_tanh)(x.data(), y.data(), n);
+  };
+  const double elems = static_cast<double>(n);
+  VecMathResult r{use_exp ? "exp" : "tanh", n, 0, 0, 0, 0};
+  r.libm_ns_per_elem = time_ns(libm, 50) / elems;
+  r.kernel_ns_per_elem = time_ns(kernel, 50) / elems;
+  r.speedup = r.libm_ns_per_elem / r.kernel_ns_per_elem;
+  for (std::size_t i = 0; i < n; ++i) {
+    r.max_ulp = std::max(r.max_ulp, ulp_distance(y[i], y_libm[i]));
+  }
+  return r;
+}
+
 struct ArenaResult {
   double acquires_per_step, heap_allocs_per_step;
 };
@@ -456,6 +512,22 @@ int run_kernel_suite(const std::string& json_path) {
         c.name.c_str(), c.quant_gbps, c.quant_ref_gbps, c.dequant_gbps,
         c.dequant_ref_gbps, c.wire_ratio, c.max_err);
   }
+  std::vector<VecMathResult> vecmath;
+  for (const bool use_exp : {false, true}) {
+    vecmath.push_back(bench_vecmath(use_exp));
+    const auto& v = vecmath.back();
+    if (v.max_ulp > kVecMathMaxUlp) {
+      parity_ok = false;
+      std::fprintf(stderr, "ULP BOUND FAIL vec %s: max_ulp=%llu > %llu\n",
+                   v.name.c_str(), static_cast<unsigned long long>(v.max_ulp),
+                   static_cast<unsigned long long>(kVecMathMaxUlp));
+    }
+    std::printf(
+        "vec %-4s n=%zu libm %6.2f ns/elem  kernel %6.2f ns/elem  speedup "
+        "%5.2fx  max_ulp %llu\n",
+        v.name.c_str(), v.n, v.libm_ns_per_elem, v.kernel_ns_per_elem,
+        v.speedup, static_cast<unsigned long long>(v.max_ulp));
+  }
   const CrcResult crc = bench_crc32();
   if (!crc.check_ok || !crc.chain_ok) {
     parity_ok = false;
@@ -509,6 +581,16 @@ int run_kernel_suite(const std::string& json_path) {
         << ", \"max_err\": " << c.max_err
         << ", \"parity_ok\": " << (c.parity_ok ? "true" : "false") << "}"
         << (i + 1 < codecs.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"vecmath\": [\n";
+  for (std::size_t i = 0; i < vecmath.size(); ++i) {
+    const auto& v = vecmath[i];
+    out << "    {\"name\": \"" << v.name << "\", \"n\": " << v.n
+        << ", \"libm_ns_per_elem\": " << v.libm_ns_per_elem
+        << ", \"kernel_ns_per_elem\": " << v.kernel_ns_per_elem
+        << ", \"speedup\": " << v.speedup
+        << ", \"max_ulp\": " << v.max_ulp << "}"
+        << (i + 1 < vecmath.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"crc32\": {\"bytes\": " << crc.bytes
       << ", \"gbps\": " << crc.gbps

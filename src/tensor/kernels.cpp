@@ -235,14 +235,7 @@ MicroKernel micro_kernel_for(detail::GemmIsa isa) {
   }
 }
 
-detail::GemmIsa pick_isa() {
-  for (const auto isa : {detail::GemmIsa::kAvx512, detail::GemmIsa::kAvx2}) {
-    if (detail::gemm_isa_supported(isa)) return isa;
-  }
-  return detail::GemmIsa::kPortable;
-}
-
-const detail::GemmIsa selected_isa = pick_isa();
+const detail::GemmIsa selected_isa = detail::widest_supported_isa();
 const MicroKernel micro_kernel = micro_kernel_for(selected_isa);
 
 void gemm_blocked_with(MicroKernel kernel, const Scalar* a, const Scalar* b,
@@ -307,6 +300,13 @@ bool gemm_isa_supported(GemmIsa isa) {
     default:
       return false;
   }
+}
+
+GemmIsa widest_supported_isa() {
+  for (const auto isa : {GemmIsa::kAvx512, GemmIsa::kAvx2}) {
+    if (gemm_isa_supported(isa)) return isa;
+  }
+  return GemmIsa::kPortable;
 }
 
 void gemm_blocked_isa(GemmIsa isa, const Scalar* a, const Scalar* b,

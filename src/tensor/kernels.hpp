@@ -44,16 +44,22 @@ namespace detail {
 /// dispatch; not meant for user code).
 void add_thread_flops(std::uint64_t n);
 
-/// The GEMM micro-kernels. The dispatcher picks the widest one the CPU
-/// supports; tests reach each one through gemm_blocked_isa.
+/// The instruction sets the GEMM micro-kernels and the vector math kernels
+/// are built for. The dispatchers pick the widest one the CPU supports;
+/// tests reach each build through gemm_blocked_isa / vec_*_isa.
 enum class GemmIsa { kPortable, kAvx2, kAvx512 };
 const char* to_string(GemmIsa isa);
 bool gemm_isa_supported(GemmIsa isa);
+GemmIsa widest_supported_isa();
 
 /// gemm_blocked with the micro-kernel for `isa` (which must be supported).
 void gemm_blocked_isa(GemmIsa isa, const Scalar* a, const Scalar* b,
                       Scalar* c, std::size_t m, std::size_t n, std::size_t k,
                       bool trans_a, bool trans_b, bool accumulate);
+
+/// vec_tanh / vec_exp with the build for `isa` (which must be supported).
+void vec_tanh_isa(GemmIsa isa, const Scalar* x, Scalar* y, std::size_t n);
+void vec_exp_isa(GemmIsa isa, const Scalar* x, Scalar* y, std::size_t n);
 }  // namespace detail
 
 /// Name of the micro-kernel gemm_blocked runs on this machine: "avx512",
@@ -71,6 +77,13 @@ void gemm_reference(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
 void gemm_blocked(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
                   std::size_t n, std::size_t k, bool trans_a, bool trans_b,
                   bool accumulate);
+
+/// y[i] = tanh(x[i]) and y[i] = exp(x[i]) for i < n (vecmath.cpp): a fixed
+/// range reduction and polynomial, within 4 ulp of libm, with the same bits
+/// on every ISA. `y` may equal `x` but must not otherwise overlap it. Every
+/// transcendental in the tensor ops runs through these two.
+void vec_tanh(const Scalar* x, Scalar* y, std::size_t n);
+void vec_exp(const Scalar* x, Scalar* y, std::size_t n);
 
 /// Problem-size threshold (in multiply-adds, m*n*k) below which the packing
 /// overhead of the blocked kernel is not worth it and `gemm` dispatches to

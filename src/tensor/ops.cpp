@@ -190,78 +190,117 @@ Variable add_bias_(const Variable& x, const Variable& bias) {
 // -- activations --------------------------------------------------------------
 
 namespace {
-/// Shared scaffold for unary elementwise ops with derivative expressed in
-/// terms of (input value, output value). When `in_place`, the output aliases
-/// (and overwrites) x's value, so `dydx` must not depend on the input value.
-Variable unary_op(const Variable& x, Scalar (*fwd)(Scalar),
-                  Scalar (*dydx)(Scalar /*x*/, Scalar /*y*/),
-                  bool in_place = false) {
-  Tensor out = in_place ? x.value() : Tensor::uninitialized(x.shape());
+/// The output tensor of an activation: a fresh buffer, or x's own value when
+/// the op runs in place (then backward must not read the input value).
+Tensor activation_out(const Variable& x, bool in_place, const char* op) {
+  if (!in_place) return Tensor::uninitialized(x.shape());
+  check_inplace_ok(x, op);
+  return x.value();  // alias: overwritten in place
+}
+
+Variable relu_impl(const Variable& x, bool in_place) {
+  Tensor out = activation_out(x, in_place, "relu_");
   const auto xv = x.value().data();
   auto ov = out.data();
-  for (std::size_t i = 0; i < ov.size(); ++i) ov[i] = fwd(xv[i]);
+  for (std::size_t i = 0; i < ov.size(); ++i) ov[i] = xv[i] > 0.0 ? xv[i] : 0.0;
   auto px = x.data();
   Tensor saved = out;  // alias; safe because ops never mutate values
-  return Variable::make_op(std::move(out), {x}, [px, saved, dydx](VarData& o) {
+  return Variable::make_op(std::move(out), {x}, [px, saved](VarData& o) {
     Tensor g = Tensor::uninitialized(px->value.shape());
     auto gv = g.data();
     const auto og = o.grad.data();
-    const auto xv2 = px->value.data();
     const auto yv = saved.data();
     for (std::size_t i = 0; i < gv.size(); ++i) {
-      gv[i] = og[i] * dydx(xv2[i], yv[i]);
+      gv[i] = og[i] * (yv[i] > 0.0 ? 1.0 : 0.0);
     }
     px->accumulate_grad(g);
   });
 }
 
-Scalar relu_fwd(Scalar v) { return v > 0.0 ? v : 0.0; }
-Scalar relu_dy(Scalar, Scalar y) { return y > 0.0 ? 1.0 : 0.0; }
-Scalar tanh_fwd(Scalar v) { return std::tanh(v); }
-Scalar tanh_dy(Scalar, Scalar y) { return 1.0 - y * y; }
-Scalar sigmoid_fwd(Scalar v) { return 1.0 / (1.0 + std::exp(-v)); }
-Scalar sigmoid_dy(Scalar, Scalar y) { return y * (1.0 - y); }
+Variable tanh_impl(const Variable& x, bool in_place) {
+  Tensor out = activation_out(x, in_place, "tanh_op_");
+  vec_tanh(x.value().data().data(), out.data().data(), out.numel());
+  auto px = x.data();
+  Tensor saved = out;  // alias
+  return Variable::make_op(std::move(out), {x}, [px, saved](VarData& o) {
+    Tensor g = Tensor::uninitialized(px->value.shape());
+    auto gv = g.data();
+    const auto og = o.grad.data();
+    const auto yv = saved.data();
+    for (std::size_t i = 0; i < gv.size(); ++i) {
+      gv[i] = og[i] * (1.0 - yv[i] * yv[i]);
+    }
+    px->accumulate_grad(g);
+  });
+}
+
+Variable sigmoid_impl(const Variable& x, bool in_place) {
+  Tensor out = activation_out(x, in_place, "sigmoid_");
+  const auto xv = x.value().data();
+  auto ov = out.data();
+  for (std::size_t i = 0; i < ov.size(); ++i) ov[i] = -xv[i];
+  vec_exp(ov.data(), ov.data(), ov.size());
+  for (std::size_t i = 0; i < ov.size(); ++i) ov[i] = 1.0 / (1.0 + ov[i]);
+  auto px = x.data();
+  Tensor saved = out;  // alias
+  return Variable::make_op(std::move(out), {x}, [px, saved](VarData& o) {
+    Tensor g = Tensor::uninitialized(px->value.shape());
+    auto gv = g.data();
+    const auto og = o.grad.data();
+    const auto yv = saved.data();
+    for (std::size_t i = 0; i < gv.size(); ++i) {
+      gv[i] = og[i] * (yv[i] * (1.0 - yv[i]));
+    }
+    px->accumulate_grad(g);
+  });
+}
+
+// GELU, tanh approximation: 0.5 x (1 + tanh(u)) with
+// u = sqrt(2/pi) (x + 0.044715 x^3).
+constexpr Scalar kGeluC = 0.7978845608028654;  // sqrt(2/pi)
+
+/// Writes u(x[i]) into `t`, then tanh(u) over the span.
+void gelu_tanh(std::span<const Scalar> x, std::span<Scalar> t) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const Scalar v = x[i];
+    t[i] = kGeluC * (v + 0.044715 * v * v * v);
+  }
+  vec_tanh(t.data(), t.data(), t.size());
+}
 }  // namespace
 
-Variable relu(const Variable& x) { return unary_op(x, relu_fwd, relu_dy); }
-
-Variable relu_(const Variable& x) {
-  check_inplace_ok(x, "relu_");
-  return unary_op(x, relu_fwd, relu_dy, /*in_place=*/true);
-}
-
-Variable tanh_op(const Variable& x) { return unary_op(x, tanh_fwd, tanh_dy); }
-
-Variable tanh_op_(const Variable& x) {
-  check_inplace_ok(x, "tanh_op_");
-  return unary_op(x, tanh_fwd, tanh_dy, /*in_place=*/true);
-}
-
-Variable sigmoid(const Variable& x) {
-  return unary_op(x, sigmoid_fwd, sigmoid_dy);
-}
-
-Variable sigmoid_(const Variable& x) {
-  check_inplace_ok(x, "sigmoid_");
-  return unary_op(x, sigmoid_fwd, sigmoid_dy, /*in_place=*/true);
-}
+Variable relu(const Variable& x) { return relu_impl(x, false); }
+Variable relu_(const Variable& x) { return relu_impl(x, true); }
+Variable tanh_op(const Variable& x) { return tanh_impl(x, false); }
+Variable tanh_op_(const Variable& x) { return tanh_impl(x, true); }
+Variable sigmoid(const Variable& x) { return sigmoid_impl(x, false); }
+Variable sigmoid_(const Variable& x) { return sigmoid_impl(x, true); }
 
 Variable gelu(const Variable& x) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))
-  // Derivative needs the input value, so there is no in-place variant.
-  return unary_op(
-      x,
-      [](Scalar v) {
-        const Scalar c = 0.7978845608028654;  // sqrt(2/pi)
-        return 0.5 * v * (1.0 + std::tanh(c * (v + 0.044715 * v * v * v)));
-      },
-      [](Scalar v, Scalar) {
-        const Scalar c = 0.7978845608028654;
-        const Scalar u = c * (v + 0.044715 * v * v * v);
-        const Scalar t = std::tanh(u);
-        const Scalar du = c * (1.0 + 3.0 * 0.044715 * v * v);
-        return 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du;
-      });
+  // The derivative needs the input value, so there is no in-place variant.
+  // Backward recomputes tanh(u) instead of keeping it alive until then.
+  Tensor out = Tensor::uninitialized(x.shape());
+  const auto xv = x.value().data();
+  auto ov = out.data();
+  gelu_tanh(xv, ov);
+  for (std::size_t i = 0; i < ov.size(); ++i) {
+    ov[i] = 0.5 * xv[i] * (1.0 + ov[i]);
+  }
+  auto px = x.data();
+  return Variable::make_op(std::move(out), {x}, [px](VarData& o) {
+    Tensor g = Tensor::uninitialized(px->value.shape());
+    auto gv = g.data();
+    const auto og = o.grad.data();
+    const auto xv2 = px->value.data();
+    gelu_tanh(xv2, gv);
+    for (std::size_t i = 0; i < gv.size(); ++i) {
+      const Scalar v = xv2[i];
+      const Scalar t = gv[i];
+      const Scalar du = kGeluC * (1.0 + 3.0 * 0.044715 * v * v);
+      gv[i] = og[i] * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du);
+    }
+    px->accumulate_grad(g);
+  });
 }
 
 // -- linear algebra -----------------------------------------------------------
@@ -490,25 +529,35 @@ Variable concat_rows(const std::vector<Variable>& xs) {
 
 // -- normalisation ------------------------------------------------------------
 
+namespace {
+/// out = the softmax of each row of x, both [rows, cols] row-major. The max
+/// shift runs per row, the exponentials in one span call over the whole
+/// buffer. A -inf entry gives exactly 0; a NaN anywhere in a row makes the
+/// whole row NaN.
+void softmax_rows_into(const Scalar* x, Scalar* out, std::size_t rows,
+                       std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Scalar* row = x + r * cols;
+    Scalar mx = row[0];
+    for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
+    for (std::size_t c = 0; c < cols; ++c) out[r * cols + c] = row[c] - mx;
+  }
+  vec_exp(out, out, rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    Scalar* orow = out + r * cols;
+    Scalar z = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) z += orow[c];
+    const Scalar inv_z = 1.0 / z;
+    for (std::size_t c = 0; c < cols; ++c) orow[c] *= inv_z;
+  }
+}
+}  // namespace
+
 Variable softmax_rows(const Variable& x) {
   std::size_t rows = 0, cols = 0;
   rows_cols(x.value(), rows, cols);
   Tensor out = Tensor::uninitialized(x.shape());
-  const auto xv = x.value().data();
-  auto ov = out.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const Scalar* row = &xv[r * cols];
-    Scalar mx = row[0];
-    for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
-    Scalar z = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const Scalar e = std::exp(row[c] - mx);
-      ov[r * cols + c] = e;
-      z += e;
-    }
-    const Scalar inv_z = 1.0 / z;
-    for (std::size_t c = 0; c < cols; ++c) ov[r * cols + c] *= inv_z;
-  }
+  softmax_rows_into(x.value().data().data(), out.data().data(), rows, cols);
   auto px = x.data();
   Tensor saved = out;  // alias
   return Variable::make_op(
@@ -695,21 +744,10 @@ Variable softmax_cross_entropy(const Variable& logits,
   AVGPIPE_CHECK(targets.size() == n,
                 "targets size " << targets.size() << " != rows " << n);
   Tensor probs = Tensor::uninitialized({n, c});
-  const auto lv = logits.value().data();
   auto pv = probs.data();
+  softmax_rows_into(logits.value().data().data(), pv.data(), n, c);
   Scalar loss = 0.0;
   for (std::size_t r = 0; r < n; ++r) {
-    const Scalar* row = &lv[r * c];
-    Scalar mx = row[0];
-    for (std::size_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
-    Scalar z = 0.0;
-    for (std::size_t j = 0; j < c; ++j) {
-      const Scalar e = std::exp(row[j] - mx);
-      pv[r * c + j] = e;
-      z += e;
-    }
-    const Scalar inv_z = 1.0 / z;
-    for (std::size_t j = 0; j < c; ++j) pv[r * c + j] *= inv_z;
     const auto t = static_cast<std::size_t>(targets[r]);
     AVGPIPE_CHECK(targets[r] >= 0 && t < c,
                   "target " << targets[r] << " out of range " << c);

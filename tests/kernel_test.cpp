@@ -1,10 +1,12 @@
 // Parity and correctness suite for the performance layer: blocked GEMM vs
-// the reference loop, fused optimizer kernels vs their unfused
+// the reference loop, the vector tanh/exp kernels vs libm and across ISAs,
+// fused optimizer kernels vs their unfused
 // formulations, in-place op variants vs the allocating ones, the arena
 // allocator's recycling behaviour, and thread-pool determinism.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -217,6 +219,188 @@ TEST(GemmMicroKernels, FmaKernelsMatchFmaOracleBitExactPortableWithinTolerance) 
           }
         }
       }
+    }
+  }
+}
+
+// -- vector tanh / exp ----------------------------------------------------------
+
+using SpanFn = void (*)(const Scalar*, Scalar*, std::size_t);
+
+/// Distance in representable doubles between two same-signed finite values
+/// (or equal infinities), counting across the subnormal range.
+std::uint64_t ulp_distance(Scalar a, Scalar b) {
+  if (a == b) return 0;
+  const auto ordered = [](Scalar v) {
+    std::int64_t i = 0;
+    std::memcpy(&i, &v, sizeof(i));
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return static_cast<std::uint64_t>(d < 0 ? -d : d);
+}
+
+/// Dense sweeps of [lo, hi], plus +-m * 2^e for e in [-100, 10] with m
+/// stepping through [1, 2).
+std::vector<Scalar> sweep_inputs(Scalar lo, Scalar hi) {
+  std::vector<Scalar> xs;
+  const std::size_t steps = 1 << 19;
+  for (std::size_t i = 0; i <= steps; ++i) {
+    xs.push_back(lo + (hi - lo) * static_cast<Scalar>(i) /
+                          static_cast<Scalar>(steps));
+  }
+  for (int e = -100; e <= 10; ++e) {
+    for (int j = 0; j < 256; ++j) {
+      const Scalar m = std::ldexp(1.0 + j / 256.0, e);
+      xs.push_back(m);
+      xs.push_back(-m);
+    }
+  }
+  return xs;
+}
+
+std::uint64_t max_ulp_vs(SpanFn fn, Scalar (*libm)(Scalar),
+                         const std::vector<Scalar>& xs, Scalar& worst_x) {
+  std::vector<Scalar> y(xs.size());
+  fn(xs.data(), y.data(), xs.size());
+  std::uint64_t worst = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint64_t d = ulp_distance(y[i], libm(xs[i]));
+    if (d > worst) {
+      worst = d;
+      worst_x = xs[i];
+    }
+  }
+  return worst;
+}
+
+TEST(VecMath, TanhWithinFourUlpOfLibm) {
+  Scalar worst_x = 0.0;
+  const std::uint64_t ulps = max_ulp_vs(
+      tensor::vec_tanh, [](Scalar v) { return std::tanh(v); },
+      sweep_inputs(-25.0, 25.0), worst_x);
+  EXPECT_LE(ulps, 4u) << "at x=" << worst_x;
+}
+
+TEST(VecMath, ExpWithinFourUlpOfLibm) {
+  // The sweep runs into both the overflow and the subnormal range.
+  Scalar worst_x = 0.0;
+  const std::uint64_t ulps = max_ulp_vs(
+      tensor::vec_exp, [](Scalar v) { return std::exp(v); },
+      sweep_inputs(-750.0, 712.0), worst_x);
+  EXPECT_LE(ulps, 4u) << "at x=" << worst_x;
+}
+
+TEST(VecMath, EveryIsaBitIdenticalToPortableAcrossVectorTails) {
+  using tensor::detail::GemmIsa;
+  Rng rng(0x7A4E);
+  for (const std::size_t n : {0, 1, 7, 8, 9, 63, 64, 65}) {
+    std::vector<Scalar> x(n);
+    for (auto& v : x) v = rng.normal(0.0, 8.0);
+    if (n > 3) {  // specials in the vector body, not only the tail
+      x[1] = std::numeric_limits<Scalar>::quiet_NaN();
+      x[2] = -std::numeric_limits<Scalar>::infinity();
+      x[3] = -0.0;
+    }
+    for (const bool use_exp : {false, true}) {
+      const auto run = [&](GemmIsa isa) {
+        std::vector<Scalar> y(n + 1, 42.0);  // the sentinel must survive
+        if (use_exp) {
+          tensor::detail::vec_exp_isa(isa, x.data(), y.data(), n);
+        } else {
+          tensor::detail::vec_tanh_isa(isa, x.data(), y.data(), n);
+        }
+        EXPECT_EQ(y[n], 42.0);
+        return y;
+      };
+      const auto portable = run(GemmIsa::kPortable);
+      for (const GemmIsa isa : supported_gemm_isas()) {
+        const auto y = run(isa);
+        EXPECT_EQ(std::memcmp(y.data(), portable.data(), n * sizeof(Scalar)),
+                  0)
+            << tensor::detail::to_string(isa) << (use_exp ? " exp" : " tanh")
+            << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(VecMath, InPlaceMatchesOutOfPlace) {
+  Rng rng(0x1A7E);
+  std::vector<Scalar> x(100);
+  for (auto& v : x) v = rng.normal(0.0, 4.0);
+  for (const SpanFn fn : {tensor::vec_tanh, tensor::vec_exp}) {
+    std::vector<Scalar> y(x.size());
+    fn(x.data(), y.data(), x.size());
+    std::vector<Scalar> z = x;
+    fn(z.data(), z.data(), z.size());
+    EXPECT_EQ(y, z);
+  }
+}
+
+TEST(VecMath, SpecialInputs) {
+  constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  constexpr Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  constexpr Scalar kMinSub = std::numeric_limits<Scalar>::denorm_min();
+  constexpr Scalar kMinNormal = std::numeric_limits<Scalar>::min();
+  const auto tanh1 = [](Scalar v) {
+    tensor::vec_tanh(&v, &v, 1);
+    return v;
+  };
+  const auto exp1 = [](Scalar v) {
+    tensor::vec_exp(&v, &v, 1);
+    return v;
+  };
+  // Signed zeros keep their sign.
+  EXPECT_EQ(tanh1(0.0), 0.0);
+  EXPECT_FALSE(std::signbit(tanh1(0.0)));
+  EXPECT_EQ(tanh1(-0.0), 0.0);
+  EXPECT_TRUE(std::signbit(tanh1(-0.0)));
+  EXPECT_EQ(exp1(0.0), 1.0);
+  EXPECT_EQ(exp1(-0.0), 1.0);
+  // Subnormals: tanh(x) = x, exp(x) = 1.
+  for (const Scalar v : {kMinSub, -kMinSub, kMinNormal / 3, -kMinNormal / 3}) {
+    EXPECT_EQ(tanh1(v), v);
+    EXPECT_EQ(exp1(v), 1.0);
+  }
+  // Infinities and saturation.
+  EXPECT_EQ(tanh1(kInf), 1.0);
+  EXPECT_EQ(tanh1(-kInf), -1.0);
+  EXPECT_EQ(tanh1(30.0), 1.0);
+  EXPECT_EQ(tanh1(-30.0), -1.0);
+  EXPECT_EQ(exp1(kInf), kInf);
+  EXPECT_EQ(exp1(-kInf), 0.0);
+  // Overflow to inf, underflow through the subnormals to 0.
+  EXPECT_EQ(exp1(709.78), std::exp(709.78));
+  EXPECT_EQ(exp1(709.79), kInf);
+  EXPECT_EQ(exp1(1000.0), kInf);
+  EXPECT_LE(ulp_distance(exp1(-740.0), std::exp(-740.0)), 1u);
+  EXPECT_EQ(exp1(-745.1), kMinSub);
+  EXPECT_EQ(exp1(-745.2), 0.0);
+  EXPECT_EQ(exp1(-1000.0), 0.0);
+  // NaN in, NaN out: a min/max saturation would turn these into +-1 or 0.
+  for (const Scalar v : {kNaN, -kNaN}) {
+    EXPECT_TRUE(std::isnan(tanh1(v)));
+    EXPECT_TRUE(std::isnan(exp1(v)));
+  }
+}
+
+TEST(VecMath, SoftmaxRowsKeepsMaskedZerosAndPoisonedRows) {
+  constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  constexpr Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  Tensor x({3, 4});
+  const Scalar vals[] = {0.5, -kInf, 1.5, -kInf,   // masked entries
+                         1.0, 2.0,   kNaN, 3.0,    // bad input
+                         kNaN, 0.0,  1.0, 2.0};    // bad input in front
+  std::copy(std::begin(vals), std::end(vals), x.data().begin());
+  const Tensor y = tensor::softmax_rows(Variable(x, false)).value();
+  EXPECT_EQ(y.at(0, 1), 0.0);
+  EXPECT_EQ(y.at(0, 3), 0.0);
+  EXPECT_NEAR(y.at(0, 0) + y.at(0, 2), 1.0, 1e-15);
+  EXPECT_NEAR(y.at(0, 2) / y.at(0, 0), std::exp(1.0), 1e-14);
+  for (const std::size_t r : {1, 2}) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      EXPECT_TRUE(std::isnan(y.at(r, c))) << "row " << r << " col " << c;
     }
   }
 }
