@@ -25,6 +25,12 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
                  AvgPipeConfig config)
     : config_(std::move(config)), make_optimizer_(make_optimizer) {
   AVGPIPE_CHECK(config_.num_pipelines >= 1, "need at least one pipeline");
+  // The sync queues must hold lag + 1 in-flight rounds and apply tokens (see
+  // reference_loop). sync_lag only applies in async mode; sync mode is lag 0.
+  const std::size_t lag = config_.async_sync ? config_.sync_lag : 0;
+  AVGPIPE_CHECK(lag < kSyncQueueCapacity,
+                "sync_lag " << lag << " must be below the sync queue "
+                            << "capacity " << kSyncQueueCapacity);
   faults_ = config_.faults != nullptr ? config_.faults : fault::env_plan();
   if (faults_ != nullptr) {
     for (const auto& c : faults_->crashes) {
@@ -176,11 +182,12 @@ void AvgPipe::replica_loop(std::size_t i) {
     } catch (const std::exception& e) {
       res.error = e.what();
     }
-    if (res.ok && job->do_pull) {
+    if (res.ok) {
       // Policy local sync (elastic's steps ❷–❸, or a BSP-family weight
       // clone) on the replica's own thread, against the latest snapshot the
-      // reference process has published — possibly stale by up to sync_lag
-      // applies, never blocking on one.
+      // reference process has published — fresh at lag 0 (the driver waited
+      // for the previous apply), possibly stale by up to sync_lag applies
+      // otherwise, never blocking on one.
       const Seconds t0 =
           r.trace_buf != nullptr ? config_.tracer->wall_now() : 0;
       const std::shared_ptr<const ParamSet> snap = snapshot_handle();
@@ -221,10 +228,15 @@ void AvgPipe::reference_loop() {
   // fused sweep touches each reference weight once per batch instead of once
   // per round, and the broadcast snapshot (a full clone) is rebuilt once. An
   // apply token is still sent per round, so the driver's bounded-lag
-  // handshake is unchanged. In sync mode (and async with sync_lag = 0) the
-  // driver waits for every apply, the queue never holds more than one round,
-  // every batch has size 1, and the schedule of pulls/applies — hence the
-  // parameter trajectory — is bit-identical to the unbatched loop.
+  // handshake is unchanged. At lag 0 (sync mode) the driver waits for every
+  // apply, the queue never holds more than one round, every batch has size
+  // 1, and the schedule of pulls/applies — hence the parameter trajectory —
+  // is bit-identical to the unbatched loop.
+  //
+  // Apply tokens are sent while reference_mutex_ is held, so a full
+  // applied_queue_ would block this thread with the mutex held and hang the
+  // next replica pull; the constructor bounds sync_lag below
+  // kSyncQueueCapacity so the queue never fills.
   pin_current_thread(pin_policy_from_env(), pin_total_slots_ - 1,
                      pin_total_slots_);
   while (auto round = update_queue_.recv()) {
@@ -401,10 +413,10 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
 
   // Step ❶: each alive pipeline trains on its batch on its persistent
   // worker thread (its runtime is internally threaded; replicas run
-  // concurrently). In async mode the worker also runs its own elastic
-  // pull/push (❷–❸) before reporting back. A runtime failure is contained
-  // to its pipeline: the worker reports it and the driver detaches the
-  // pipeline below instead of propagating.
+  // concurrently), then runs its own policy local sync (❷–❸) and reports
+  // the update back. A runtime failure is contained to its pipeline: the
+  // worker reports it and the driver detaches the pipeline below instead of
+  // propagating.
   std::vector<double> losses(replicas_.size(), 0.0);
   std::vector<std::string> errors(replicas_.size());
   std::vector<char> completed(replicas_.size(), 0);
@@ -415,7 +427,6 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
     ReplicaJob job;
     job.batch = &batches[i];
     job.alpha = alpha_;
-    job.do_pull = config_.async_sync;
     job.do_begin = policy_->needs_begin();
     replicas_[i]->jobs->send(std::move(job));
   }
@@ -426,7 +437,7 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
     if (res->ok) {
       losses[i] = res->loss;
       completed[i] = 1;
-      if (config_.async_sync) round.push_back(std::move(res->update));
+      round.push_back(std::move(res->update));
     } else {
       errors[i] = std::move(res->error);
     }
@@ -456,39 +467,15 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
     AVGPIPE_THROW("every pipeline failed at step " << step << ": " << first);
   }
 
-  if (!config_.async_sync) {
-    // Synchronous policy local sync over the survivors: pull each replica
-    // toward the published broadcast snapshot (identical to the live
-    // reference state here — the previous apply was waited for below), ship
-    // the round.
-    const std::shared_ptr<const ParamSet> snap = snapshot_handle();
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (!health_[i].alive) continue;
-      const Seconds t0 =
-          driver_trace_ != nullptr ? config_.tracer->wall_now() : 0;
-      auto params = replicas_[i]->model.parameters();
-      ParamSet update = policy_->local_sync(params, *snap, alpha_);
-      if (compression_.enabled()) {
-        const SyncCodec::Stats stats =
-            replicas_[i]->push_codec.transmit(update);
-        record_sync_bytes(driver_trace_, i, stats);
-      }
-      round.push_back(std::move(update));
-      if (driver_trace_ != nullptr) {
-        trace::TraceEvent ev;
-        ev.kind = trace::EventKind::kElasticPull;
-        ev.pipeline = static_cast<std::uint32_t>(i);
-        ev.t_begin = t0;
-        ev.t_end = config_.tracer->wall_now();
-        driver_trace_->record(ev);
-      }
-    }
+  // A round in which every pipeline failed (and restore_on_failure re-attached
+  // them all) carries no update: there is nothing to apply or wait for.
+  if (!round.empty()) {
+    update_queue_.send(std::move(round));
+    ++outstanding_applies_;
   }
-  update_queue_.send(std::move(round));
-  ++outstanding_applies_;
-  // Steps ❹–❺ bounded-lag handshake: synchronous mode waits for this
-  // iteration's apply so the next pull sees fresh weights; async mode lets
-  // up to sync_lag applies trail behind training.
+  // Steps ❹–❺ bounded-lag handshake: synchronous mode is lag 0 — it waits
+  // for this iteration's apply so the next pull sees fresh weights; async
+  // mode lets up to sync_lag applies trail behind training.
   wait_applies(config_.async_sync ? config_.sync_lag : 0);
   if (driver_trace_ != nullptr) {
     trace::TraceEvent ev;

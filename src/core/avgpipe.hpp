@@ -6,7 +6,10 @@
 /// `AvgPipe` runs N parallel pipelines, each a threaded
 /// `runtime::PipelineRuntime` over its own model replica, plus an
 /// asynchronous reference-model process fed through a message queue (paper
-/// Figure 6). One `train_iteration` consumes N batches. It is also the
+/// Figure 6). One `train_iteration` consumes N batches. Each replica's
+/// persistent worker thread trains its batch and runs the policy local sync;
+/// synchronous and asynchronous sync differ only in how many reference
+/// applies the driver lets trail behind (0 or `sync_lag`). It is also the
 /// update-rule trainer of the statistical-efficiency experiments: built with
 /// `{boundaries = {}, micro_batches = 1, async_sync = false}` each replica
 /// trains its whole batch as one step, so only the update rule matters.
@@ -36,21 +39,24 @@ struct AvgPipeConfig {
   schedule::Kind kind = schedule::Kind::kAdvanceForward;
   std::size_t advance_num = 0;  ///< 0 -> K-1
   /// Asynchronous elastic sync (paper §3.2's message-queue design taken off
-  /// the critical path): each replica's elastic pull/push runs on that
-  /// replica's persistent worker thread against the latest *published*
-  /// reference snapshot, and the driver no longer waits for the reference
-  /// apply every iteration — it only blocks once more than `sync_lag`
-  /// reference applies are in flight. With sync_lag = 0 the schedule of
-  /// pulls and applies is identical to synchronous mode, so the parameter
-  /// trajectory is bit-identical; sync_lag >= 1 trades bounded staleness
-  /// (replicas may pull against a reference that is up to sync_lag applies
-  /// old) for overlap of the reference process with the next iteration's
-  /// training.
+  /// the critical path). Every replica's pull/push runs on that replica's
+  /// persistent worker thread against the latest *published* reference
+  /// snapshot; this flag only sets how many reference applies the driver
+  /// lets trail behind training. `false` means a lag of 0: the driver waits
+  /// for every apply, so each pull sees fresh weights. `true` lets up to
+  /// `sync_lag` applies stay in flight, trading bounded staleness (a pull
+  /// may see a reference up to sync_lag applies old) for overlap of the
+  /// reference process with the next iteration's training; sync_lag = 0
+  /// is then the same as `false`.
   bool async_sync = false;
-  std::size_t sync_lag = 1;  ///< max reference applies in flight (async)
+  /// Max reference applies in flight when `async_sync` (ignored otherwise);
+  /// then it must be below AvgPipe::kSyncQueueCapacity (checked at
+  /// construction).
+  std::size_t sync_lag = 1;
   /// Optional tracer (non-owning, must outlive the AvgPipe): every stage
   /// worker of every replica records wall-clock spans tagged with its
-  /// pipeline index, the driver records the elastic pulls (❷–❸), and the
+  /// pipeline index, each replica worker records its elastic pulls (❷–❸),
+  /// the driver records membership, checkpoint and sync-lag events, and the
   /// reference process records apply spans plus a staleness counter (how
   /// many local updates were accumulated but not yet applied, ❹–❺).
   trace::Tracer* tracer = nullptr;
@@ -87,6 +93,10 @@ struct AvgPipeConfig {
 /// batches per iteration, one per pipeline.
 class AvgPipe : public runtime::TrainerBase {
  public:
+  /// Capacity of the round and apply-token queues to the reference process.
+  /// Up to sync_lag + 1 rounds are in flight, so sync_lag must stay below it.
+  static constexpr std::size_t kSyncQueueCapacity = 64;
+
   /// \param factory builds one model replica; called N+1 times (replicas +
   ///        evaluation copy) and synchronised to identical initial weights.
   /// \param make_optimizer builds each stage's local optimizer — any
@@ -163,7 +173,7 @@ class AvgPipe : public runtime::TrainerBase {
   /// iterations (workers are parked then); the replica must be alive.
   ParamSet replica_snapshot(std::size_t i) const;
 
-  /// Drain all in-flight reference applies (no-op in sync mode, where the
+  /// Drain all in-flight reference applies (no-op at lag 0, where the
   /// driver never runs ahead). Driver thread only.
   void synchronize();
 
@@ -205,27 +215,27 @@ class AvgPipe : public runtime::TrainerBase {
   struct ReplicaJob {
     const data::Batch* batch = nullptr;
     double alpha = 0;
-    bool do_pull = false;   ///< async mode: run the policy local_sync on-thread
     bool do_begin = false;  ///< BSP/BMUF: reset from the broadcast pre-train
   };
   struct ReplicaResult {
     bool ok = false;
     double loss = 0;
     std::string error;
-    ParamSet update;  ///< filled when the job asked for the pull
+    ParamSet update;  ///< the policy local_sync output when `ok`
   };
   struct Replica {
     nn::Sequential model;
     std::unique_ptr<runtime::PipelineRuntime> runtime;
     // Persistent worker thread (replaces a thread spawn per iteration):
-    // consumes ReplicaJobs, trains, optionally runs the elastic pull/push.
+    // consumes ReplicaJobs, trains, runs the policy local sync.
     std::unique_ptr<SpscChannel<ReplicaJob>> jobs;
     std::unique_ptr<SpscChannel<ReplicaResult>> results;
     std::thread thread;
     trace::TraceBuffer* trace_buf = nullptr;  ///< worker-side elastic spans
     // Compressor of this replica's push stream (update ParamSets), with its
-    // EF residuals. Touched by the worker thread in async mode and by the
-    // driver in sync mode — one owner per configuration, never both.
+    // EF residuals. Owned by the worker thread while it runs; the driver
+    // touches it only while the worker is parked or stopped (capture,
+    // restore, rejoin).
     SyncCodec push_codec;
   };
 
@@ -282,8 +292,8 @@ class AvgPipe : public runtime::TrainerBase {
   /// Named external RNG streams captured/restored with checkpoints.
   std::vector<std::pair<std::string, Rng*>> rngs_;
 
-  // Tracing buffers: driver-thread spans (elastic pull) and reference-
-  // process spans; both lazily created from config_.tracer.
+  // Tracing buffers: driver-thread events (membership, checkpoints, sync
+  // lag) and reference-process spans; both created from config_.tracer.
   trace::TraceBuffer* driver_trace_ = nullptr;
   trace::TraceBuffer* reference_trace_ = nullptr;
 
@@ -300,8 +310,8 @@ class AvgPipe : public runtime::TrainerBase {
   SyncCodec broadcast_codec_ GUARDED_BY(reference_mutex_);
   common::Mutex reference_mutex_;
   std::shared_ptr<const ParamSet> latest_snapshot_ GUARDED_BY(reference_mutex_);
-  Channel<std::vector<ParamSet>> update_queue_{64};
-  Channel<int> applied_queue_{64};
+  Channel<std::vector<ParamSet>> update_queue_{kSyncQueueCapacity};
+  Channel<int> applied_queue_{kSyncQueueCapacity};
   std::size_t outstanding_applies_ = 0;  ///< driver-side in-flight rounds
   std::thread reference_thread_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -321,50 +322,33 @@ TEST(AvgPipeSystemTest, AlphaDefaultsToOneOverN) {
 
 // -- async elastic sync -----------------------------------------------------------------
 
-TEST(AvgPipeAsyncTest, LagZeroMatchesSyncBitExact) {
-  // sync_lag = 0 means the driver waits for every reference apply before the
-  // next iteration — the async machinery (worker-thread pulls, round-batched
-  // apply queue) must then reproduce the synchronous trajectory exactly.
-  SyntheticFeatures ds(64, 6, 2, 3);
-  DataLoader loader(ds, 12, 1);
+struct LagOneSchedule {
+  schedule::Kind kind;
+  std::size_t advance_num;  ///< 0 -> K-1 (ignored by AFAB and 1F1B)
+  const char* name;
+};
 
-  AvgPipeConfig sync_cfg;
-  sync_cfg.num_pipelines = 2;
-  sync_cfg.micro_batches = 3;
-  sync_cfg.boundaries = {2};
-  AvgPipeConfig async_cfg = sync_cfg;
-  async_cfg.async_sync = true;
-  async_cfg.sync_lag = 0;
+class AvgPipeLagOneTest : public ::testing::TestWithParam<LagOneSchedule> {};
 
-  AvgPipe sync_sys(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), sync_cfg);
-  AvgPipe async_sys(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), async_cfg);
-
-  for (std::size_t iter = 0; iter < 4; ++iter) {
-    std::vector<Batch> batches{loader.batch(iter, 0), loader.batch(iter, 1)};
-    const double sync_loss = sync_sys.train_iteration(batches);
-    const double async_loss = async_sys.train_iteration(batches);
-    EXPECT_DOUBLE_EQ(sync_loss, async_loss) << "iter " << iter;
-  }
-  const ParamSet a = sync_sys.reference_snapshot();
-  const ParamSet b = async_sys.reference_snapshot();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(a[i].max_abs_diff(b[i]), 1e-12) << "tensor " << i;
-  }
-}
-
-TEST(AvgPipeAsyncTest, LagOneStaysOnSyncTrajectory) {
+TEST_P(AvgPipeLagOneTest, StaysOnSyncTrajectory) {
   // With sync_lag = 1 the replicas may pull a one-round-stale reference; the
-  // trajectories are no longer bit-identical but must stay within EASGD's
-  // staleness tolerance and converge to the same quality.
+  // trajectories need not be bit-identical but must stay within EASGD's
+  // staleness tolerance and converge to the same quality, on every schedule.
   SyntheticFeatures ds(128, 6, 2, 5, /*noise=*/0.15);
   DataLoader loader(ds, 16, 3);
 
   AvgPipeConfig sync_cfg;
   sync_cfg.num_pipelines = 2;
-  sync_cfg.micro_batches = 4;
-  sync_cfg.boundaries = {3};
-  sync_cfg.kind = schedule::Kind::kAdvanceForward;
+  sync_cfg.micro_batches = 8;
+  sync_cfg.boundaries = {2, 4};  // K = 3 stages
+  sync_cfg.kind = GetParam().kind;
+  sync_cfg.advance_num = GetParam().advance_num;
+  if (sync_cfg.kind == schedule::Kind::kAdvanceForward) {
+    // An advance of K-1 builds the 1F1B stream again and one of M or more
+    // the AFAB stream; AFP must sit strictly between them.
+    ASSERT_GT(sync_cfg.advance_num, sync_cfg.boundaries.size());
+    ASSERT_LT(sync_cfg.advance_num, sync_cfg.micro_batches);
+  }
   AvgPipeConfig async_cfg = sync_cfg;
   async_cfg.async_sync = true;
   async_cfg.sync_lag = 1;
@@ -387,6 +371,41 @@ TEST(AvgPipeAsyncTest, LagOneStaysOnSyncTrajectory) {
   // evaluated model reflects every dispatched round.
   EXPECT_GT(runtime::evaluate_accuracy(async_sys.eval_model(), loader, 0, 4),
             0.9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, AvgPipeLagOneTest,
+    ::testing::Values(
+        LagOneSchedule{schedule::Kind::kAfab, 0, "AFAB"},
+        LagOneSchedule{schedule::Kind::kOneFOneB, 0, "1F1B"},
+        LagOneSchedule{schedule::Kind::kAdvanceForward, 3, "AFP_advance3"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(AvgPipeAsyncTest, SyncLagMustFitTheSyncQueues) {
+  // Up to sync_lag + 1 rounds and apply tokens are in flight; a lag the
+  // queues cannot hold would park the reference thread on a full token queue
+  // while it holds the reference mutex, hanging the next pull.
+  AvgPipeConfig config;
+  config.num_pipelines = 2;
+  config.micro_batches = 2;
+  config.boundaries = {2};
+  config.async_sync = true;
+  config.sync_lag = AvgPipe::kSyncQueueCapacity;
+  EXPECT_THROW(AvgPipe(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), config),
+               Error);
+
+  // The largest accepted lag runs past a full queue's worth of rounds and
+  // drains cleanly.
+  config.sync_lag = AvgPipe::kSyncQueueCapacity - 1;
+  AvgPipe system(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), config);
+  SyntheticFeatures ds(64, 4, 2, 3);
+  DataLoader loader(ds, 8, 1);
+  for (std::size_t iter = 0; iter < 70; ++iter) {
+    const double loss =
+        system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
+    EXPECT_TRUE(std::isfinite(loss)) << "iter " << iter;
+  }
+  system.synchronize();
 }
 
 TEST(AvgPipeAsyncTest, TracesSyncLagCounterAndOffCriticalPathPulls) {
@@ -506,6 +525,69 @@ TEST(AvgPipeElasticTest, LoneSurvivorMatchesSinglePipelineTrainer) {
   ASSERT_EQ(sys_ref.size(), lone_ref.size());
   for (std::size_t i = 0; i < sys_ref.size(); ++i) {
     EXPECT_LT(sys_ref[i].max_abs_diff(lone_ref[i]), 1e-9) << "tensor " << i;
+  }
+}
+
+TEST(AvgPipeElasticTest, MidIterationFailureSurvivorPullsWithPreFailureAlpha) {
+  // A pipeline that dies inside an iteration is detached only after every
+  // worker has reported, and each survivor's local sync ran on its own thread
+  // with the alpha of the iteration's start (1/N, not 1/N_alive). With N = 2
+  // and a kill at step 0, the survivor trains W0 to w and pulls halfway back:
+  // its replica and the reference both land on (W0 + w) / 2. Only afterwards
+  // does alpha rebalance to default_alpha(1). Lag 0 and async lag 1 agree.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  const Batch b0 = loader.batch(0, 0);
+
+  AvgPipeConfig config;
+  config.num_pipelines = 2;
+  config.micro_batches = 3;
+  config.boundaries = {2};
+  config.sync_compression = SyncCompression{};  // exact transport
+
+  // w: the survivor's trained weights, from a lone pipeline (alpha 0, so its
+  // reference takes the trained replica unchanged).
+  AvgPipeConfig lone_config = config;
+  lone_config.num_pipelines = 1;
+  AvgPipe lone(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), lone_config);
+  lone.train_iteration({b0});
+  const ParamSet trained = lone.reference_snapshot();
+
+  for (const bool async_sync : {false, true}) {
+    SCOPED_TRACE(async_sync ? "async lag 1" : "lag 0");
+    fault::FaultPlan plan;
+    fault::WorkerKill kill;
+    kill.pipeline = 1;
+    kill.step = 0;
+    plan.kills.push_back(kill);
+    // The runtime learns its pipeline index (which the kill matches) from
+    // set_tracer, so the run needs a tracer.
+    trace::Tracer tracer;
+    AvgPipeConfig cfg = config;
+    cfg.faults = &plan;
+    cfg.tracer = &tracer;
+    cfg.async_sync = async_sync;
+    cfg.sync_lag = 1;
+    AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
+    const ParamSet initial = system.reference_snapshot();
+
+    system.train_iteration({b0, loader.batch(0, 1)});
+    EXPECT_FALSE(system.pipeline_alive(1));
+    EXPECT_DOUBLE_EQ(system.alpha(), default_alpha(1));
+    system.synchronize();
+    const ParamSet ref = system.reference_snapshot();
+    const ParamSet survivor = system.replica_snapshot(0);
+    ASSERT_EQ(ref.size(), trained.size());
+    double moved = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      Tensor mid = initial[i].clone();
+      mid.axpy_(1.0, trained[i]);
+      mid.scale_(0.5);
+      EXPECT_LT(ref[i].max_abs_diff(mid), 1e-12) << "tensor " << i;
+      EXPECT_LT(survivor[i].max_abs_diff(mid), 1e-12) << "tensor " << i;
+      moved = std::max(moved, trained[i].max_abs_diff(initial[i]));
+    }
+    EXPECT_GT(moved, 1e-3);  // w differs from W0, so the midpoint is telling
   }
 }
 

@@ -60,7 +60,11 @@ struct TempDir {
 //   - corrupted checkpoints only ever cost fallbacks, never a crash;
 //   - the collected trace replays clean through the happens-before checker
 //     (crash epochs keep aborted batches from tripping the scope checks).
-TEST(RecoverySoakTest, RandomizedKillRestoreCyclesPreserveInvariants) {
+// The soak runs at lag 0 and on the async path with sync_lag 1: a kill that
+// takes out every pipeline in one round must not ship an empty round there.
+class RecoverySoakTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RecoverySoakTest, RandomizedKillRestoreCyclesPreserveInvariants) {
   const std::size_t kIters = 36;
   Rng chaos(20260809);
 
@@ -89,6 +93,8 @@ TEST(RecoverySoakTest, RandomizedKillRestoreCyclesPreserveInvariants) {
   cfg.restore_on_failure = true;
   cfg.faults = &plan;
   cfg.tracer = &tracer;
+  cfg.async_sync = GetParam();
+  cfg.sync_lag = 1;
   AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
 
   SyntheticFeatures ds(64, 6, 2, 3);
@@ -139,6 +145,12 @@ TEST(RecoverySoakTest, RandomizedKillRestoreCyclesPreserveInvariants) {
   for (const auto& v : report.violations) details += v.what + "\n";
   EXPECT_TRUE(report.ok) << report.summary() << "\n" << details;
 }
+
+INSTANTIATE_TEST_SUITE_P(SyncModes, RecoverySoakTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "AsyncLag1"
+                                                          : "Lag0");
+                         });
 
 }  // namespace
 }  // namespace avgpipe
