@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file affinity.hpp
-/// Optional core pinning for stage threads and elastic-sync workers.
+/// Optional core pinning for stage threads and the reference process.
 ///
-/// The threaded runtime gives every pipeline stage its own thread plus one
-/// replica worker per pipeline and one reference-process thread. Left to the
+/// The threaded runtime gives every pipeline stage its own thread (which
+/// also runs that stage's elastic sync) plus one reference-process thread.
+/// Left to the
 /// OS scheduler these migrate freely, which costs cache warmth on the
 /// compute-bound calibrated workloads. AVGPIPE_PIN_THREADS opts into a
 /// static thread→core layout:

@@ -48,12 +48,12 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
 
   // Thread-placement plan: N*K stage threads issue kernels concurrently, so
   // each gets a fair share of the global pool unless AVGPIPE_STAGE_THREADS
-  // overrides; the pin-slot layout additionally covers the N replica workers
-  // and the reference thread.
+  // overrides; the pin-slot layout additionally covers the reference
+  // thread.
   const std::size_t num_stages = config_.boundaries.size() + 1;
   stage_workers_ = stage_workers_from_env(config_.num_pipelines * num_stages);
-  pin_total_slots_ =
-      config_.num_pipelines * num_stages + config_.num_pipelines + 1;
+  pin_total_slots_ = config_.num_pipelines * num_stages + 1;
+  ring_size_ = lag + 1;
 
   // Build replicas with identical initial weights: replica 0's init is the
   // source of truth, copied into every other replica and the eval model.
@@ -77,39 +77,36 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
                      ? *config_.sync_compression
                      : sync_compression_from_env(SyncCompression{});
   broadcast_codec_ = SyncCodec(compression_);
-  for (auto& replica : replicas_) replica->push_codec = SyncCodec(compression_);
-  // The initial publish is transmission #1 of the broadcast stream (the
-  // reference thread isn't running yet, so this is single-threaded — the
-  // justification for asserting the reference capability here).
-  common::RoleGuard ref_role(reference_capability());
-  ParamSet initial_broadcast = policy_->make_broadcast(*reference_);
-  if (compression_.enabled()) broadcast_codec_.transmit(initial_broadcast);
-  latest_snapshot_ =
-      std::make_shared<const ParamSet>(std::move(initial_broadcast));
-
-  // Each replica gets its own pipeline runtime over its own parameters and a
-  // persistent worker thread driving it.
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    replicas_[i]->runtime = make_runtime(i);
+  {
+    // The initial publish is transmission #1 of the broadcast stream (the
+    // reference thread isn't running yet, so this is single-threaded — the
+    // justification for asserting the reference capability here).
+    common::MutexLock lock(reference_mutex_);
+    common::RoleGuard ref_role(reference_capability());
+    publish_broadcast();
   }
+
+  // Each replica gets its own pipeline runtime over its own parameters; its
+  // stage threads run the sync hooks.
+  for (std::size_t i = 0; i < replicas_.size(); ++i) start_runtime(i);
   if (config_.tracer != nullptr) {
     driver_trace_ = config_.tracer->create_buffer();
     reference_trace_ = config_.tracer->create_buffer();
   }
-  for (std::size_t i = 0; i < replicas_.size(); ++i) start_worker(i);
 
   reference_thread_ = std::thread([this] { reference_loop(); });
 }
 
-std::unique_ptr<runtime::PipelineRuntime> AvgPipe::make_runtime(
-    std::size_t i) {
+void AvgPipe::start_runtime(std::size_t i) {
+  Replica& r = *replicas_[i];
   auto rt = std::make_unique<runtime::PipelineRuntime>(
-      replicas_[i]->model, config_.boundaries, make_optimizer_,
+      r.model, config_.boundaries, make_optimizer_,
       runtime::cross_entropy_loss(), config_.kind, config_.advance_num);
-  if (config_.tracer != nullptr) rt->set_tracer(config_.tracer, i);
+  rt->set_tracer(config_.tracer);
+  rt->set_pipeline_index(i);
   rt->set_faults(faults_);
   rt->set_stage_workers(stage_workers_);
-  rt->set_thread_slots(i * (config_.boundaries.size() + 1), pin_total_slots_);
+  rt->set_thread_slots(i * rt->num_stages(), pin_total_slots_);
   if (config_.sync.kind == SyncPolicyKind::kXPipe &&
       config_.sync.prediction_lookahead != 0.0) {
     runtime::PredictionConfig pc;
@@ -117,102 +114,113 @@ std::unique_ptr<runtime::PipelineRuntime> AvgPipe::make_runtime(
     pc.beta = config_.sync.prediction_beta;
     rt->set_weight_prediction(pc);
   }
-  return rt;
+  using Hook = runtime::PipelineRuntime::StageHook;
+  const auto hook = [this, i](bool begin) -> Hook {
+    return [this, i, begin](std::size_t stage, trace::TraceBuffer* trace) {
+      stage_sync(i, stage, trace, begin);
+    };
+  };
+  rt->set_stage_hooks(policy_->needs_begin() ? hook(true) : Hook{},
+                      hook(false));
+  // Stage parameter lists are consecutive runs of the model's (partition).
+  r.stages.assign(rt->num_stages(), StageSync{});
+  std::size_t first = 0;
+  for (std::size_t k = 0; k < r.stages.size(); ++k) {
+    StageSync& s = r.stages[k];
+    s.first = first;
+    s.params = rt->stage_parameters(k);
+    first += s.params.size();
+    for (std::size_t slot = 0; slot < ring_size_; ++slot) {
+      s.ring.push_back(uninitialized_like(s.params));
+    }
+    s.push_codec = SyncCodec(compression_);
+  }
+  AVGPIPE_CHECK(first == r.model.parameters().size(),
+                "stage shards do not cover the model");
+  r.runtime = std::move(rt);
 }
 
 AvgPipe::~AvgPipe() {
-  // Stop the replica workers first (no further rounds can be produced), then
+  // Join every stage thread first (no further rounds can be produced), then
   // let the reference thread drain any in-flight rounds over the closed
   // queue before joining it.
-  for (std::size_t i = 0; i < replicas_.size(); ++i) stop_worker(i);
+  for (auto& replica : replicas_) replica->runtime.reset();
   update_queue_.close();
   applied_queue_.close();
   if (reference_thread_.joinable()) reference_thread_.join();
 }
 
-void AvgPipe::start_worker(std::size_t i) {
-  auto& r = *replicas_[i];
-  r.jobs = std::make_unique<SpscChannel<ReplicaJob>>(2);
-  r.results = std::make_unique<SpscChannel<ReplicaResult>>(2);
-  r.thread = std::thread([this, i] { replica_loop(i); });
-}
-
-void AvgPipe::stop_worker(std::size_t i) {
-  auto& r = *replicas_[i];
-  if (r.jobs != nullptr) r.jobs->close();
-  if (r.thread.joinable()) r.thread.join();
-}
-
 AVGPIPE_HOT_PATH
-void AvgPipe::replica_loop(std::size_t i) {
-  auto& r = *replicas_[i];
-  // Elastic-sync worker slot: after every replica's stage threads. Pinning
-  // is a no-op unless AVGPIPE_PIN_THREADS is set and the layout fits.
-  const std::size_t num_stages = config_.boundaries.size() + 1;
-  pin_current_thread(pin_policy_from_env(),
-                     config_.num_pipelines * num_stages + i, pin_total_slots_);
-  while (auto job = r.jobs->recv()) {
-    if (config_.tracer != nullptr && r.trace_buf == nullptr) {
-      r.trace_buf = config_.tracer->create_buffer();
-    }
-    ReplicaResult res;
-    if (job->do_begin) {
-      // BSP/BMUF round start: reset this replica from the latest broadcast
-      // the reference process has published (fresh in sync mode — the driver
-      // waited for the previous apply — and up to sync_lag applies stale in
-      // async mode, the only staleness the BSP family admits).
-      const Seconds t0 =
-          r.trace_buf != nullptr ? config_.tracer->wall_now() : 0;
-      const std::shared_ptr<const ParamSet> snap = snapshot_handle();
-      auto params = r.model.parameters();
-      policy_->begin_round(params, *snap);
-      if (r.trace_buf != nullptr) {
-        trace::TraceEvent ev;
-        ev.kind = trace::EventKind::kPolicyBroadcast;
-        ev.pipeline = static_cast<std::uint32_t>(i);
-        ev.t_begin = t0;
-        ev.t_end = config_.tracer->wall_now();
-        r.trace_buf->record(ev);
-      }
-    }
-    try {
-      res.loss =
-          r.runtime->train_batch(*job->batch, config_.micro_batches).loss;
-      res.ok = true;
-    } catch (const std::exception& e) {
-      res.error = e.what();
-    }
-    if (res.ok) {
-      // Policy local sync (elastic's steps ❷–❸, or a BSP-family weight
-      // clone) on the replica's own thread, against the latest snapshot the
-      // reference process has published — fresh at lag 0 (the driver waited
-      // for the previous apply), possibly stale by up to sync_lag applies
-      // otherwise, never blocking on one.
-      const Seconds t0 =
-          r.trace_buf != nullptr ? config_.tracer->wall_now() : 0;
-      const std::shared_ptr<const ParamSet> snap = snapshot_handle();
-      auto params = r.model.parameters();
-      res.update = policy_->local_sync(params, *snap, job->alpha);
-      if (compression_.enabled()) {
-        const SyncCodec::Stats stats = r.push_codec.transmit(res.update);
-        record_sync_bytes(r.trace_buf, i, stats);
-      }
-      if (r.trace_buf != nullptr) {
-        trace::TraceEvent ev;
-        ev.kind = trace::EventKind::kElasticPull;
-        ev.pipeline = static_cast<std::uint32_t>(i);
-        ev.t_begin = t0;
-        ev.t_end = config_.tracer->wall_now();
-        r.trace_buf->record(ev);
-      }
-    }
-    r.results->send(std::move(res));
+void AvgPipe::stage_sync(std::size_t i, std::size_t stage,
+                         trace::TraceBuffer* trace, bool begin) {
+  // Both hooks read the latest snapshot the reference process has published
+  // — fresh at lag 0 (the driver waited for the previous apply), up to
+  // sync_lag applies stale otherwise (for BSP/BMUF's reset, the only
+  // staleness that family admits), never blocking on an apply. The local
+  // sync is elastic's steps ❷–❸, or a BSP-family weight copy.
+  StageSync& s = replicas_[i]->stages[stage];
+  const Seconds t0 = trace != nullptr ? config_.tracer->wall_now() : 0;
+  // Ring invariant: round t writes slot t mod (lag + 1). The driver let at
+  // most `lag` applies trail behind before submitting round t, so round
+  // t - lag - 1, the slot's previous user, has been applied, and the
+  // reference thread dropped its handles before acknowledging it.
+  ParamSet& out = s.ring[ring_slot_];
+  for (std::size_t j = 0; !begin && j < out.size(); ++j) {
+    AVGPIPE_CHECK(out[j].use_count() == 1,
+                  "update ring slot " << ring_slot_ << " of pipeline " << i
+                                      << " stage " << stage
+                                      << " is held by an unapplied round");
   }
+  std::shared_ptr<const ParamSet> snap = snapshot_handle();
+  const auto shard = std::span<const tensor::Tensor>(*snap).subspan(
+      s.first, s.params.size());
+  if (begin) {
+    policy_->begin_round(s.params, shard);
+  } else {
+    policy_->local_sync(s.params, shard, alpha_, out);
+  }
+  release_snapshot(snap);
+  if (!begin) {
+    record_sync_bytes(trace, i, stage, s.push_codec.transmit(out));
+  }
+  if (trace == nullptr) return;
+  trace::TraceEvent ev;
+  ev.kind = begin ? trace::EventKind::kPolicyBroadcast
+                  : trace::EventKind::kElasticPull;
+  ev.pipeline = static_cast<std::uint32_t>(i);
+  ev.stage = static_cast<std::uint32_t>(stage);
+  ev.t_begin = t0;
+  ev.t_end = config_.tracer->wall_now();
+  trace->record(ev);
 }
 
 std::shared_ptr<const ParamSet> AvgPipe::snapshot_handle() {
   common::MutexLock lock(reference_mutex_);
   return latest_snapshot_;
+}
+
+void AvgPipe::release_snapshot(std::shared_ptr<const ParamSet>& snap) {
+  common::MutexLock lock(reference_mutex_);
+  snap.reset();
+}
+
+AVGPIPE_HOT_PATH
+void AvgPipe::publish_broadcast() {
+  // Pulls may still read the current snapshot, so the broadcast goes into
+  // the one it replaced. Handles are taken and dropped under
+  // reference_mutex_ (held here), so a use count of 1 means no pull reads
+  // that one any more and the mutex orders their reads before this rewrite.
+  if (spare_snapshot_ == nullptr || spare_snapshot_.use_count() != 1) {
+    // First two publishes, or a pull still reads the spare: its holder
+    // keeps it alive until the pull ends.
+    // LINT_ALLOW(hot-path-alloc): publish into a fresh snapshot instead.
+    spare_snapshot_ =
+        std::make_shared<ParamSet>(uninitialized_like(reference_->params()));
+  }
+  policy_->make_broadcast(*reference_, *spare_snapshot_);
+  record_sync_bytes(reference_trace_, 0, 0,
+                    broadcast_codec_.transmit(*spare_snapshot_));
+  std::swap(latest_snapshot_, spare_snapshot_);
 }
 
 AVGPIPE_HOT_PATH
@@ -226,21 +234,21 @@ void AvgPipe::reference_loop() {
   // several rounds may already be queued when this thread wakes. Drain them
   // all and apply the batch in one critical section — the elastic policy's
   // fused sweep touches each reference weight once per batch instead of once
-  // per round, and the broadcast snapshot (a full clone) is rebuilt once. An
-  // apply token is still sent per round, so the driver's bounded-lag
-  // handshake is unchanged. At lag 0 (sync mode) the driver waits for every
-  // apply, the queue never holds more than one round, every batch has size
-  // 1, and the schedule of pulls/applies — hence the parameter trajectory —
-  // is bit-identical to the unbatched loop.
+  // per round, and the broadcast is rebuilt once. An apply token is still
+  // sent per round, so the driver's bounded-lag handshake is unchanged. At
+  // lag 0 (sync mode) the driver waits for every apply, the queue never
+  // holds more than one round, every batch has size 1, and the schedule of
+  // pulls/applies — hence the parameter trajectory — is bit-identical to
+  // the unbatched loop.
   //
   // Apply tokens are sent while reference_mutex_ is held, so a full
   // applied_queue_ would block this thread with the mutex held and hang the
-  // next replica pull; the constructor bounds sync_lag below
+  // next stage pull; the constructor bounds sync_lag below
   // kSyncQueueCapacity so the queue never fills.
   pin_current_thread(pin_policy_from_env(), pin_total_slots_ - 1,
                      pin_total_slots_);
+  std::vector<std::vector<ParamSet>> rounds;
   while (auto round = update_queue_.recv()) {
-    std::vector<std::vector<ParamSet>> rounds;
     rounds.push_back(std::move(*round));
     while (auto more = update_queue_.try_recv()) {
       rounds.push_back(std::move(*more));
@@ -266,14 +274,11 @@ void AvgPipe::reference_loop() {
     const Seconds t0 =
         reference_trace_ != nullptr ? config_.tracer->wall_now() : 0;
     policy_->apply_rounds(*reference_, rounds);
-    ParamSet broadcast = policy_->make_broadcast(*reference_);
-    if (compression_.enabled()) {
-      const SyncCodec::Stats stats = broadcast_codec_.transmit(broadcast);
-      record_sync_bytes(reference_trace_, 0, stats);
-    }
-    // LINT_ALLOW(hot-path-alloc): the snapshot handle is published by design
-    // as a fresh shared_ptr so replica pulls never block on the apply.
-    latest_snapshot_ = std::make_shared<const ParamSet>(std::move(broadcast));
+    const std::size_t applied = rounds.size();
+    // Drop the rounds' handles onto the stage rings before acknowledging
+    // them: an acknowledged slot is free for reuse (see stage_sync).
+    rounds.clear();
+    publish_broadcast();
     if (reference_trace_ != nullptr) {
       trace::TraceEvent ev;
       ev.kind = trace::EventKind::kReferenceApply;
@@ -284,10 +289,10 @@ void AvgPipe::reference_loop() {
       batch.kind = trace::EventKind::kCounter;
       batch.counter = trace::CounterId::kSyncBatch;
       batch.t_begin = batch.t_end = ev.t_end;
-      batch.value = static_cast<double>(rounds.size());
+      batch.value = static_cast<double>(applied);
       reference_trace_->record(batch);
     }
-    for (std::size_t r = 0; r < rounds.size(); ++r) applied_queue_.send(1);
+    for (std::size_t r = 0; r < applied; ++r) applied_queue_.send(1);
   }
 }
 
@@ -314,6 +319,7 @@ void AvgPipe::rebalance_alpha() {
 }
 
 void AvgPipe::record_sync_bytes(trace::TraceBuffer* buf, std::size_t pipeline,
+                                std::size_t stage,
                                 const SyncCodec::Stats& stats) {
   if (buf == nullptr) return;
   const Seconds now = config_.tracer->wall_now();
@@ -321,6 +327,7 @@ void AvgPipe::record_sync_bytes(trace::TraceBuffer* buf, std::size_t pipeline,
   wire.kind = trace::EventKind::kCounter;
   wire.counter = trace::CounterId::kSyncBytes;
   wire.pipeline = static_cast<std::uint32_t>(pipeline);
+  wire.stage = static_cast<std::uint32_t>(stage);
   wire.t_begin = wire.t_end = now;
   wire.bytes = stats.wire_bytes;
   wire.value = static_cast<double>(stats.wire_bytes);
@@ -355,10 +362,9 @@ void AvgPipe::detach_pipeline(std::size_t i, const std::string& reason) {
   health_[i].alive = false;
   ++health_[i].failures;
   health_[i].last_error = reason;
-  // Tear the worker and runtime down (threads join) — the "process" is
-  // gone. The reference model simply keeps averaging over the survivors:
-  // the mean-of-replicas invariant re-establishes at the next apply.
-  stop_worker(i);
+  // Tear the runtime down (stage threads join) — the "process" is gone.
+  // The reference model simply keeps averaging over the survivors: the
+  // mean-of-replicas invariant re-establishes at the next apply.
   replicas_[i]->runtime.reset();
   rebalance_alpha();
   record_membership_event(trace::EventKind::kPipelineCrash, i);
@@ -380,9 +386,7 @@ void AvgPipe::rejoin_pipeline(std::size_t i) {
     params[j].value().copy_from(ref[j]);
     params[j].zero_grad();  // drop partial sums from the crashed batch
   }
-  replicas_[i]->runtime = make_runtime(i);
-  replicas_[i]->push_codec.reset_residuals();  // a real restart loses them
-  start_worker(i);
+  start_runtime(i);  // fresh push codecs: a real restart loses residuals
   health_[i].alive = true;
   health_[i].last_error.clear();
   rebalance_alpha();
@@ -411,36 +415,41 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
   AVGPIPE_CHECK(alive_pipelines() >= 1, "no pipeline left alive");
   const long step = iteration_++;
 
-  // Step ❶: each alive pipeline trains on its batch on its persistent
-  // worker thread (its runtime is internally threaded; replicas run
-  // concurrently), then runs its own policy local sync (❷–❸) and reports
-  // the update back. A runtime failure is contained to its pipeline: the
-  // worker reports it and the driver detaches the pipeline below instead of
-  // propagating.
+  // Step ❶: every alive pipeline's batch is dispatched to its stage threads
+  // at once (replicas train concurrently); each stage then runs its own
+  // policy local sync (❷–❸) on its shard right after its update. A runtime
+  // failure is contained to its pipeline: its wait throws and the driver
+  // detaches the pipeline below instead of propagating.
+  ring_slot_ = static_cast<std::size_t>(step) % ring_size_;
   std::vector<double> losses(replicas_.size(), 0.0);
   std::vector<std::string> errors(replicas_.size());
   std::vector<char> completed(replicas_.size(), 0);
-  std::vector<ParamSet> round;
-  round.reserve(replicas_.size());
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!health_[i].alive) continue;
-    ReplicaJob job;
-    job.batch = &batches[i];
-    job.alpha = alpha_;
-    job.do_begin = policy_->needs_begin();
-    replicas_[i]->jobs->send(std::move(job));
-  }
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (!health_[i].alive) continue;
-    auto res = replicas_[i]->results->recv();
-    AVGPIPE_CHECK(res.has_value(), "replica worker stopped");
-    if (res->ok) {
-      losses[i] = res->loss;
-      completed[i] = 1;
-      round.push_back(std::move(res->update));
-    } else {
-      errors[i] = std::move(res->error);
+    try {
+      replicas_[i]->runtime->submit(batches[i], config_.micro_batches);
+      completed[i] = 1;  // until wait() says otherwise
+    } catch (const std::exception& e) {
+      errors[i] = e.what();
     }
+  }
+  std::vector<ParamSet> round;
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    if (!completed[i]) continue;
+    try {
+      losses[i] = replicas_[i]->runtime->wait().loss;
+    } catch (const std::exception& e) {
+      errors[i] = e.what();
+      completed[i] = 0;
+      continue;
+    }
+    // The pipeline's update is its stages' ring slots, shared not copied.
+    ParamSet update;
+    for (const StageSync& s : replicas_[i]->stages) {
+      update.insert(update.end(), s.ring[ring_slot_].begin(),
+                    s.ring[ring_slot_].end());
+    }
+    round.push_back(std::move(update));
   }
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!health_[i].alive) continue;
@@ -448,8 +457,8 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
       health_[i].last_ok_step = step;  // heartbeat
     } else {
       detach_pipeline(i, errors[i]);
-      // Escalation beyond the elastic detach: any contained worker failure
-      // (a thrown runtime error, the robust_recv peer-unresponsive deadline)
+      // Escalation beyond the elastic detach: any contained failure (a
+      // thrown runtime error, the robust_recv peer-unresponsive deadline)
       // re-attaches immediately from durable state instead of waiting for an
       // operator rejoin. The lost work is this pipeline's batch; its next
       // pull re-couples it to the survivors' average.
@@ -548,8 +557,9 @@ void AvgPipe::register_rng(const std::string& name, Rng* rng) {
 
 ckpt::TrainState AvgPipe::capture_state() {
   // The apply drain *is* the capture barrier: after synchronize() the
-  // reference has folded every shipped round, every worker is parked between
-  // jobs, and the driver owns all parameter and optimizer tensors.
+  // reference has folded every shipped round, every stage thread is parked
+  // between batches, and the driver owns all parameter and optimizer
+  // tensors.
   synchronize();
   ckpt::TrainState state;
   state.step = iteration_;
@@ -573,7 +583,12 @@ ckpt::TrainState AvgPipe::capture_state() {
     if (p.alive) {
       p.params = replica_snapshot(i);
       p.stages = replicas_[i]->runtime->export_stage_state();
-      p.residuals = clone_set(replicas_[i]->push_codec.residuals());
+      // The pipeline's push residuals are its shards' in stage order.
+      for (const StageSync& s : replicas_[i]->stages) {
+        for (const auto& r : s.push_codec.residuals()) {
+          p.residuals.push_back(r.clone());
+        }
+      }
     }
     state.pipelines.push_back(std::move(p));
   }
@@ -596,15 +611,23 @@ void AvgPipe::restore_pipeline(std::size_t i, const ckpt::PipelineState& p,
     params[j].zero_grad();  // a crashed batch may have left partial sums
   }
   const bool was_dead = !health_[i].alive;
-  if (was_dead) replicas_[i]->runtime = make_runtime(i);
+  if (was_dead) start_runtime(i);
   replicas_[i]->runtime->import_stage_state(p.stages);
-  if (codec_match) {
-    replicas_[i]->push_codec.set_residuals(clone_set(p.residuals));
-  } else {
-    replicas_[i]->push_codec.reset_residuals();
+  // The checkpoint holds the pipeline's residuals as one list (empty before
+  // the first lossy push); each shard takes its own run of it.
+  const bool residuals = codec_match && !p.residuals.empty();
+  AVGPIPE_CHECK(!residuals || p.residuals.size() == params.size(),
+                "restore: pipeline " << i << " has " << p.residuals.size()
+                                     << " push residuals for "
+                                     << params.size() << " parameters");
+  for (StageSync& s : replicas_[i]->stages) {
+    ParamSet shard;
+    for (std::size_t j = 0; residuals && j < s.params.size(); ++j) {
+      shard.push_back(p.residuals[s.first + j].clone());
+    }
+    s.push_codec.set_residuals(std::move(shard));
   }
   if (was_dead) {
-    start_worker(i);
     health_[i].alive = true;
     health_[i].last_error.clear();
     rebalance_alpha();
@@ -642,7 +665,7 @@ void AvgPipe::restore_state(const ckpt::TrainState& state) {
     }
     policy_->import_state(clone_set(state.policy_state));
     latest_snapshot_ =
-        std::make_shared<const ParamSet>(clone_set(state.broadcast));
+        std::make_shared<ParamSet>(clone_set(state.broadcast));
     if (codec_match) {
       broadcast_codec_.set_residuals(clone_set(state.broadcast_residual));
     } else {

@@ -6,16 +6,19 @@
 /// `AvgPipe` runs N parallel pipelines, each a threaded
 /// `runtime::PipelineRuntime` over its own model replica, plus an
 /// asynchronous reference-model process fed through a message queue (paper
-/// Figure 6). One `train_iteration` consumes N batches. Each replica's
-/// persistent worker thread trains its batch and runs the policy local sync;
-/// synchronous and asynchronous sync differ only in how many reference
-/// applies the driver lets trail behind (0 or `sync_lag`). It is also the
+/// Figure 6). One `train_iteration` consumes N batches. The reference model
+/// is co-partitioned with the pipeline (paper §3): each stage thread runs
+/// the policy local sync over its own parameter shard right after its
+/// optimizer update, writing into reused buffers; synchronous and
+/// asynchronous sync differ only in how many reference applies the driver
+/// lets trail behind (0 or `sync_lag`). It is also the
 /// update-rule trainer of the statistical-efficiency experiments: built with
 /// `{boundaries = {}, micro_batches = 1, async_sync = false}` each replica
 /// trains its whole batch as one step, so only the update rule matters.
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "ckpt/state.hpp"
@@ -39,15 +42,15 @@ struct AvgPipeConfig {
   schedule::Kind kind = schedule::Kind::kAdvanceForward;
   std::size_t advance_num = 0;  ///< 0 -> K-1
   /// Asynchronous elastic sync (paper §3.2's message-queue design taken off
-  /// the critical path). Every replica's pull/push runs on that replica's
-  /// persistent worker thread against the latest *published* reference
-  /// snapshot; this flag only sets how many reference applies the driver
-  /// lets trail behind training. `false` means a lag of 0: the driver waits
-  /// for every apply, so each pull sees fresh weights. `true` lets up to
-  /// `sync_lag` applies stay in flight, trading bounded staleness (a pull
-  /// may see a reference up to sync_lag applies old) for overlap of the
-  /// reference process with the next iteration's training; sync_lag = 0
-  /// is then the same as `false`.
+  /// the critical path). Every stage's pull/push runs on that stage's thread
+  /// against the latest *published* reference snapshot; this flag only sets
+  /// how many reference applies the driver lets trail behind training.
+  /// `false` means a lag of 0: the driver waits for every apply, so each
+  /// pull sees fresh weights. `true` lets up to `sync_lag` applies stay in
+  /// flight, trading bounded staleness (a pull may see a reference up to
+  /// sync_lag applies old, and two stages of one replica may see different
+  /// applies) for overlap of the reference process with the next
+  /// iteration's training; sync_lag = 0 is then the same as `false`.
   bool async_sync = false;
   /// Max reference applies in flight when `async_sync` (ignored otherwise);
   /// then it must be below AvgPipe::kSyncQueueCapacity (checked at
@@ -55,7 +58,7 @@ struct AvgPipeConfig {
   std::size_t sync_lag = 1;
   /// Optional tracer (non-owning, must outlive the AvgPipe): every stage
   /// worker of every replica records wall-clock spans tagged with its
-  /// pipeline index, each replica worker records its elastic pulls (❷–❸),
+  /// pipeline index, including its shard's elastic pulls (❷–❸),
   /// the driver records membership, checkpoint and sync-lag events, and the
   /// reference process records apply spans plus a staleness counter (how
   /// many local updates were accumulated but not yet applied, ❹–❺).
@@ -170,7 +173,7 @@ class AvgPipe : public runtime::TrainerBase {
   ParamSet broadcast_snapshot();
 
   /// Snapshot of replica `i`'s live weights. Driver thread only, between
-  /// iterations (workers are parked then); the replica must be alive.
+  /// iterations (stage threads are parked then); the replica must be alive.
   ParamSet replica_snapshot(std::size_t i) const;
 
   /// Drain all in-flight reference applies (no-op at lag 0, where the
@@ -211,58 +214,54 @@ class AvgPipe : public runtime::TrainerBase {
   ckpt::CheckpointDir::LoadResult restore_latest_checkpoint();
 
  private:
-  /// One iteration's work order for a replica worker thread.
-  struct ReplicaJob {
-    const data::Batch* batch = nullptr;
-    double alpha = 0;
-    bool do_begin = false;  ///< BSP/BMUF: reset from the broadcast pre-train
-  };
-  struct ReplicaResult {
-    bool ok = false;
-    double loss = 0;
-    std::string error;
-    ParamSet update;  ///< the policy local_sync output when `ok`
+  /// One stage's co-partitioned sync state. Touched by that stage's thread
+  /// during a batch and by the driver only between batches.
+  struct StageSync {
+    std::size_t first = 0;  ///< shard = parameters [first, first + size)
+    std::vector<tensor::Variable> params;  ///< the stage's weights
+    /// lag + 1 reused update shards; round t writes slot t mod (lag + 1).
+    std::vector<ParamSet> ring;
+    SyncCodec push_codec;  ///< this shard's push stream and EF residuals
   };
   struct Replica {
     nn::Sequential model;
     std::unique_ptr<runtime::PipelineRuntime> runtime;
-    // Persistent worker thread (replaces a thread spawn per iteration):
-    // consumes ReplicaJobs, trains, runs the policy local sync.
-    std::unique_ptr<SpscChannel<ReplicaJob>> jobs;
-    std::unique_ptr<SpscChannel<ReplicaResult>> results;
-    std::thread thread;
-    trace::TraceBuffer* trace_buf = nullptr;  ///< worker-side elastic spans
-    // Compressor of this replica's push stream (update ParamSets), with its
-    // EF residuals. Owned by the worker thread while it runs; the driver
-    // touches it only while the worker is parked or stopped (capture,
-    // restore, rejoin).
-    SyncCodec push_codec;
+    std::vector<StageSync> stages;
   };
 
   void reference_loop();
-  /// Replica worker main. Runs concurrently with the reference process and
-  /// must never hold the reference capability — every reference interaction
-  /// goes through the published snapshot handle or the message queues.
-  void replica_loop(std::size_t i) EXCLUDES(reference_capability());
-  void start_worker(std::size_t i);
-  void stop_worker(std::size_t i);
+  /// Write the policy broadcast into the snapshot stage pulls read.
+  void publish_broadcast()
+      REQUIRES(reference_mutex_, reference_capability());
+  /// Stage hook of pipeline `i` over its stage's shard: BSP/BMUF's reset
+  /// before the batch (`begin`), else the local sync after the update.
+  /// Runs concurrently with the reference process, so it must never hold
+  /// the reference capability: it reads only the published snapshot.
+  void stage_sync(std::size_t i, std::size_t stage,
+                  trace::TraceBuffer* trace, bool begin)
+      EXCLUDES(reference_capability());
+  /// Build replica `i`'s runtime, wired to the stage hooks, and its
+  /// per-stage sync state with fresh push codecs.
+  void start_runtime(std::size_t i);
   /// The most recent reference snapshot published by the reference process.
   std::shared_ptr<const ParamSet> snapshot_handle();
+  /// Drop a pull's snapshot handle under reference_mutex_, ordering the
+  /// pull's reads before a later publish_broadcast rewrites it in place.
+  void release_snapshot(std::shared_ptr<const ParamSet>& snap);
   /// Block until at most `limit` reference applies remain in flight.
   void wait_applies(std::size_t limit);
-  std::unique_ptr<runtime::PipelineRuntime> make_runtime(std::size_t i);
   void rebalance_alpha();
   /// Crash/rejoin marker plus an alive-pipelines counter sample.
   void record_membership_event(trace::EventKind kind, std::size_t pipeline);
   /// kSyncBytes/kSyncBytesRaw counter pair from one codec transmission.
   void record_sync_bytes(trace::TraceBuffer* buf, std::size_t pipeline,
-                         const SyncCodec::Stats& stats);
+                         std::size_t stage, const SyncCodec::Stats& stats);
   /// Apply the plan's crash_at_step / rejoin_at_step records due at
   /// `iteration_`.
   void apply_scheduled_faults();
   /// Bring pipeline `i` to the checkpointed per-pipeline state `p` (weights,
   /// optimizer slots, predictors, and — when `codec_match` — the push
-  /// codec's EF residuals); doubles as a rejoin when `i` is detached.
+  /// codecs' EF residuals); doubles as a rejoin when `i` is detached.
   void restore_pipeline(std::size_t i, const ckpt::PipelineState& p,
                         bool codec_match);
   /// Failure escalation: re-attach just-detached pipeline `i` with its
@@ -275,9 +274,9 @@ class AvgPipe : public runtime::TrainerBase {
   std::unique_ptr<SyncPolicy> policy_;
   SyncCompression compression_;  ///< resolved config/env compression mode
   // Thread-placement plan shared by every replica runtime: replica i's K
-  // stage threads occupy pin slots [i*K, (i+1)*K), then the N replica
-  // workers, then the reference thread — pinned only under
-  // AVGPIPE_PIN_THREADS. stage_workers_ is each stage thread's share of the
+  // stage threads occupy pin slots [i*K, (i+1)*K), then the reference
+  // thread takes slot N*K — pinned only under AVGPIPE_PIN_THREADS.
+  // stage_workers_ is each stage thread's share of the
   // global kernel pool (AVGPIPE_STAGE_THREADS, defaulting to a fair split
   // over all N*K concurrent stage threads).
   std::size_t stage_workers_ = 1;
@@ -285,6 +284,12 @@ class AvgPipe : public runtime::TrainerBase {
   const fault::FaultPlan* faults_ = nullptr;
   double alpha_ = 0.5;
   long iteration_ = 0;  ///< driver step index (train_iteration count)
+  /// Ring slots per stage: lag + 1, lag being sync_lag under async_sync.
+  std::size_t ring_size_ = 1;
+  /// Ring slot this iteration's stages write. Like alpha_, written by the
+  /// driver before it submits and read by stage threads after their start
+  /// recv, so the start channel orders the two.
+  std::size_t ring_slot_ = 0;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<fault::PipelineHealth> health_;  ///< one per pipeline
   runtime::OptimizerFactory make_optimizer_;   ///< kept for rejoins
@@ -301,15 +306,17 @@ class AvgPipe : public runtime::TrainerBase {
   // local updates (steps ❹–❺) — batching the round into a single message
   // keeps membership bookkeeping with the driver and lets rounds queue up
   // behind each other under sync_lag without an expected-count handshake.
-  // After every apply the reference thread publishes a fresh snapshot
-  // (latest_snapshot_) that replica pulls read without blocking on the
-  // apply itself.
+  // A round's updates are handles onto the stage rings, not copies. After
+  // every apply the reference thread publishes the broadcast into
+  // latest_snapshot_, which stage pulls read through a shared handle.
   std::unique_ptr<ReferenceModel> reference_ PT_GUARDED_BY(reference_mutex_);
   /// Compressor of the broadcast stream. Reference-thread state: shares
   /// reference_'s serialisation (reference_mutex_ plus the apply drain).
   SyncCodec broadcast_codec_ GUARDED_BY(reference_mutex_);
   common::Mutex reference_mutex_;
-  std::shared_ptr<const ParamSet> latest_snapshot_ GUARDED_BY(reference_mutex_);
+  std::shared_ptr<ParamSet> latest_snapshot_ GUARDED_BY(reference_mutex_);
+  /// The snapshot latest_snapshot_ replaced; the next publish reuses it.
+  std::shared_ptr<ParamSet> spare_snapshot_ GUARDED_BY(reference_mutex_);
   Channel<std::vector<ParamSet>> update_queue_{kSyncQueueCapacity};
   Channel<int> applied_queue_{kSyncQueueCapacity};
   std::size_t outstanding_applies_ = 0;  ///< driver-side in-flight rounds

@@ -14,21 +14,45 @@ ParamSet clone_values(const std::vector<tensor::Variable>& params) {
   return out;
 }
 
+ParamSet uninitialized_like(std::span<const tensor::Tensor> like) {
+  ParamSet out;
+  out.reserve(like.size());
+  for (const auto& t : like) {
+    out.push_back(tensor::Tensor::uninitialized(t.shape()));
+  }
+  return out;
+}
+
+ParamSet uninitialized_like(std::span<const tensor::Variable> like) {
+  ParamSet out;
+  out.reserve(like.size());
+  for (const auto& p : like) {
+    out.push_back(tensor::Tensor::uninitialized(p.value().shape()));
+  }
+  return out;
+}
+
 void add_scaled(ParamSet& dst, const ParamSet& src, double scale) {
   AVGPIPE_CHECK(dst.size() == src.size(), "param set size mismatch");
   for (std::size_t i = 0; i < dst.size(); ++i) dst[i].axpy_(scale, src[i]);
 }
 
+void difference_into(std::span<const tensor::Variable> params,
+                     std::span<const tensor::Tensor> reference,
+                     std::span<tensor::Tensor> out) {
+  AVGPIPE_CHECK(params.size() == reference.size() &&
+                    params.size() == out.size(),
+                "param set size mismatch");
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    out[i].copy_from(params[i].value());
+    out[i].axpy_(-1.0, reference[i]);
+  }
+}
+
 ParamSet difference(const std::vector<tensor::Variable>& params,
                     const ParamSet& reference) {
-  AVGPIPE_CHECK(params.size() == reference.size(), "param set size mismatch");
-  ParamSet out;
-  out.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    tensor::Tensor d = params[i].value().clone();
-    d.axpy_(-1.0, reference[i]);
-    out.push_back(std::move(d));
-  }
+  ParamSet out = uninitialized_like(params);
+  difference_into(params, reference, out);
   return out;
 }
 
@@ -49,8 +73,8 @@ double default_alpha(std::size_t num_pipelines) {
   return 1.0 / static_cast<double>(num_pipelines);
 }
 
-void elastic_pull(std::vector<tensor::Variable>& params,
-                  const ParamSet& reference, double alpha) {
+void elastic_pull(std::span<tensor::Variable> params,
+                  std::span<const tensor::Tensor> reference, double alpha) {
   AVGPIPE_CHECK(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
   AVGPIPE_CHECK(params.size() == reference.size(), "param set size mismatch");
   for (std::size_t i = 0; i < params.size(); ++i) {

@@ -20,6 +20,7 @@
 /// corresponding weights in parallel models". α defaults to 1/N (the paper's
 /// empirical choice, after Crossbow).
 
+#include <span>
 #include <vector>
 
 #include "tensor/autograd.hpp"
@@ -30,9 +31,17 @@ using ParamSet = std::vector<tensor::Tensor>;
 
 /// Deep-copy the values of a parameter list.
 ParamSet clone_values(const std::vector<tensor::Variable>& params);
+/// Uninitialised tensors shaped like `like`, for callers that overwrite
+/// every element (write-into buffers).
+ParamSet uninitialized_like(std::span<const tensor::Tensor> like);
+ParamSet uninitialized_like(std::span<const tensor::Variable> like);
 
 /// Elementwise ops over parameter sets (shapes must match pairwise).
 void add_scaled(ParamSet& dst, const ParamSet& src, double scale);
+/// out = params − reference, written into caller-owned tensors.
+void difference_into(std::span<const tensor::Variable> params,
+                     std::span<const tensor::Tensor> reference,
+                     std::span<tensor::Tensor> out);
 ParamSet difference(const std::vector<tensor::Variable>& params,
                     const ParamSet& reference);
 double max_abs_diff(const ParamSet& a, const ParamSet& b);
@@ -41,8 +50,8 @@ double max_abs_diff(const ParamSet& a, const ParamSet& b);
 double default_alpha(std::size_t num_pipelines);
 
 /// Step ❷: pull live parameters toward a reference snapshot.
-void elastic_pull(std::vector<tensor::Variable>& params,
-                  const ParamSet& reference, double alpha);
+void elastic_pull(std::span<tensor::Variable> params,
+                  std::span<const tensor::Tensor> reference, double alpha);
 
 /// The reference model (steps ❹–❺). Not thread-safe by itself; the
 /// asynchronous system in avgpipe.hpp serialises access through a queue,

@@ -56,7 +56,7 @@ SyncCompression sync_compression_from_env(SyncCompression configured);
 /// One direction of one compressed stream: applies the codec round trip to
 /// each transmitted ParamSet and carries that stream's EF residuals.
 /// Not thread-safe; each instance has a single owning thread at a time
-/// (a replica worker / the driver, or the reference thread).
+/// (a stage thread / the driver, or the reference thread).
 class SyncCodec {
  public:
   struct Stats {

@@ -44,8 +44,17 @@ SyncPolicyConfig degenerate_config(SyncPolicyKind kind) {
   return cfg;
 }
 
-void SyncPolicy::begin_round(std::vector<tensor::Variable>& /*params*/,
-                             const ParamSet& /*broadcast*/) const {}
+void SyncPolicy::begin_round(std::span<tensor::Variable> /*params*/,
+                             std::span<const tensor::Tensor> /*broadcast*/)
+    const {}
+
+ParamSet SyncPolicy::local_sync(std::span<tensor::Variable> params,
+                                std::span<const tensor::Tensor> broadcast,
+                                double alpha) const {
+  ParamSet out = uninitialized_like(params);
+  local_sync(params, broadcast, alpha, out);
+  return out;
+}
 
 void SyncPolicy::import_state(std::vector<tensor::Tensor> state) {
   AVGPIPE_CHECK(state.empty(), "policy '" << name() << "' is stateless but "
@@ -53,8 +62,18 @@ void SyncPolicy::import_state(std::vector<tensor::Tensor> state) {
                                           << " state tensors were restored");
 }
 
+void SyncPolicy::make_broadcast(const ReferenceModel& reference,
+                                ParamSet& out) const {
+  const ParamSet& params = reference.params();
+  AVGPIPE_CHECK(out.size() == params.size(),
+                "broadcast/reference size mismatch");
+  for (std::size_t i = 0; i < params.size(); ++i) out[i].copy_from(params[i]);
+}
+
 ParamSet SyncPolicy::make_broadcast(const ReferenceModel& reference) const {
-  return reference.snapshot();
+  ParamSet out = uninitialized_like(reference.params());
+  make_broadcast(reference, out);
+  return out;
 }
 
 void SyncPolicy::apply_rounds(ReferenceModel& reference,
@@ -93,11 +112,11 @@ class ElasticPolicy : public SyncPolicy {
   using SyncPolicy::SyncPolicy;
   std::string name() const override { return "elastic"; }
 
-  ParamSet local_sync(std::vector<tensor::Variable>& params,
-                      const ParamSet& broadcast,
-                      double alpha) const override {
+  void local_sync(std::span<tensor::Variable> params,
+                  std::span<const tensor::Tensor> broadcast, double alpha,
+                  std::span<tensor::Tensor> out) const override {
     elastic_pull(params, broadcast, alpha);
-    return difference(params, broadcast);
+    difference_into(params, broadcast, out);
   }
 
   void apply_round(ReferenceModel& reference,
@@ -125,8 +144,8 @@ class BspPolicy : public SyncPolicy {
 
   bool needs_begin() const override { return true; }
 
-  void begin_round(std::vector<tensor::Variable>& params,
-                   const ParamSet& broadcast) const override {
+  void begin_round(std::span<tensor::Variable> params,
+                   std::span<const tensor::Tensor> broadcast) const override {
     AVGPIPE_CHECK(params.size() == broadcast.size(),
                   "replica/broadcast size mismatch");
     for (std::size_t i = 0; i < params.size(); ++i) {
@@ -134,15 +153,16 @@ class BspPolicy : public SyncPolicy {
     }
   }
 
-  ParamSet local_sync(std::vector<tensor::Variable>& params,
-                      const ParamSet& /*broadcast*/,
-                      double /*alpha*/) const override {
+  void local_sync(std::span<tensor::Variable> params,
+                  std::span<const tensor::Tensor> /*broadcast*/,
+                  double /*alpha*/,
+                  std::span<tensor::Tensor> out) const override {
     // Ship the trained weights; the replica itself is untouched (it restarts
     // from the next broadcast anyway).
-    ParamSet out;
-    out.reserve(params.size());
-    for (const auto& p : params) out.push_back(p.value().clone());
-    return out;
+    AVGPIPE_CHECK(params.size() == out.size(), "replica/update size mismatch");
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      out[i].copy_from(params[i].value());
+    }
   }
 
   void apply_round(ReferenceModel& reference,
@@ -173,11 +193,10 @@ class BmufPolicy : public BspPolicy {
     momentum_.filter_apply(reference.mutable_params(), mean_);
   }
 
-  ParamSet make_broadcast(const ReferenceModel& reference) const
+  void make_broadcast(const ReferenceModel& reference, ParamSet& out) const
       REQUIRES(reference_capability()) override {
-    ParamSet out = reference.snapshot();
+    SyncPolicy::make_broadcast(reference, out);
     if (config_.nesterov_restart) momentum_.add_restart_offset(out);
-    return out;
   }
 
   const optim::BlockMomentum& momentum() const

@@ -8,18 +8,24 @@
 /// averaging and BMUF) and XPipe's weight prediction attack the same
 /// staleness problem from different angles. A `SyncPolicy` factors the rule
 /// out of `AvgPipe` so all of them run on the identical
-/// replica/reference machinery — same worker threads, same message queues,
+/// replica/reference machinery — same stage threads, same message queues,
 /// same fault handling — and differ only in four hooks:
 ///
-///   begin_round(params, broadcast)   replica, before training a batch
-///   local_sync(params, broadcast)    replica, after training a batch
-///   apply_round(reference, round)    reference process, once per round
-///   make_broadcast(reference)        reference process, after each apply
+///   begin_round(shard, broadcast)        stage, before training a batch
+///   local_sync(shard, broadcast, out)    stage, after its optimizer update
+///   apply_round(reference, round)        reference process, once per round
+///   make_broadcast(reference, out)       reference process, after each apply
+///
+/// The replica side is co-partitioned with the pipeline (paper §3): each
+/// stage thread runs the hooks over its own *shard* — the stage's parameters
+/// and the matching slices of the broadcast and of the round's update — and
+/// writes into caller-owned buffers, so a steady-state round allocates
+/// nothing. Whole-model calls pass the full lists.
 ///
 /// Concurrency contract (enforced by constness, documented in DESIGN.md §13):
-/// the replica-side hooks are called concurrently from the per-replica worker
-/// threads and must not mutate policy state — they are `const` and operate
-/// only on the replica's own parameters plus an immutable broadcast snapshot.
+/// the replica-side hooks are called concurrently from the N·K stage threads
+/// on disjoint shards and must not mutate policy state — they are `const`
+/// and operate only on their shard plus an immutable broadcast snapshot.
 /// The reference-side hooks own all mutable policy state (e.g. BMUF's block
 /// momentum) and are serialised by the caller: under `reference_mutex_` in
 /// `AvgPipe`. `make_broadcast` is const but reads reference-side state, so it
@@ -45,6 +51,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,22 +108,30 @@ class SyncPolicy {
   const SyncPolicyConfig& config() const { return config_; }
   virtual std::string name() const = 0;
 
-  // -- replica side: called concurrently from replica worker threads; must
-  //    not touch policy state (const) -----------------------------------------
+  // -- replica side: called concurrently from the stage threads, one shard
+  //    each; must not touch policy state (const) ------------------------------
 
   /// Whether replicas must be reset from the broadcast before each round.
   virtual bool needs_begin() const { return false; }
 
-  /// Reset `params` from the round's broadcast (BSP/BMUF). Default: no-op.
-  virtual void begin_round(std::vector<tensor::Variable>& params,
-                           const ParamSet& broadcast) const;
+  /// Reset the shard `params` from its slice of the round's broadcast
+  /// (BSP/BMUF). Default: no-op.
+  virtual void begin_round(std::span<tensor::Variable> params,
+                           std::span<const tensor::Tensor> broadcast) const;
 
-  /// Post-training step on the replica: transform `params` (elastic pull)
-  /// and return this replica's contribution to the round (elastic update or
-  /// a clone of the trained weights).
-  virtual ParamSet local_sync(std::vector<tensor::Variable>& params,
-                              const ParamSet& broadcast,
-                              double alpha) const = 0;
+  /// Post-training step on a shard: transform `params` (elastic pull) and
+  /// write the shard's contribution to the round into `out` (elastic update
+  /// or a copy of the trained weights). `out` is caller-owned, shaped like
+  /// `params`, and fully overwritten.
+  virtual void local_sync(std::span<tensor::Variable> params,
+                          std::span<const tensor::Tensor> broadcast,
+                          double alpha,
+                          std::span<tensor::Tensor> out) const = 0;
+
+  /// Whole-model form of `local_sync` returning a freshly allocated update.
+  ParamSet local_sync(std::span<tensor::Variable> params,
+                      std::span<const tensor::Tensor> broadcast,
+                      double alpha) const;
 
   // -- reference side: serialised by the caller, which asserts that
   //    serialisation by holding `reference_capability()` ----------------------
@@ -138,11 +153,17 @@ class SyncPolicy {
                             const std::vector<std::vector<ParamSet>>& rounds)
       REQUIRES(reference_capability());
 
-  /// The snapshot replicas pull/reset against next round — also what a
-  /// rejoining pipeline restores from, so a policy with reference-side state
-  /// (BMUF) bakes its reconstruction (the Nesterov restart point) in here.
-  /// Const but reads reference-side state, hence the shared serialisation.
-  virtual ParamSet make_broadcast(const ReferenceModel& reference) const
+  /// Write the snapshot replicas pull/reset against next round into `out`
+  /// (shaped like the reference) — also what a rejoining pipeline restores
+  /// from, so a policy with reference-side state (BMUF) bakes its
+  /// reconstruction (the Nesterov restart point) in here. Const but reads
+  /// reference-side state, hence the shared serialisation.
+  virtual void make_broadcast(const ReferenceModel& reference,
+                              ParamSet& out) const
+      REQUIRES(reference_capability());
+
+  /// Value-returning form of `make_broadcast`.
+  ParamSet make_broadcast(const ReferenceModel& reference) const
       REQUIRES(reference_capability());
 
   // -- durable state (checkpoint layer, src/ckpt) -----------------------------

@@ -189,10 +189,21 @@ std::string PipelineRuntime::failure_message() const {
   return failure_;
 }
 
-void PipelineRuntime::set_tracer(trace::Tracer* tracer,
-                                 std::size_t pipeline_index) {
-  tracer_ = tracer;
-  trace_pipeline_ = static_cast<std::uint32_t>(pipeline_index);
+void PipelineRuntime::set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+
+void PipelineRuntime::set_pipeline_index(std::size_t index) {
+  pipeline_index_ = static_cast<std::uint32_t>(index);
+}
+
+void PipelineRuntime::set_stage_hooks(StageHook begin, StageHook end) {
+  begin_hook_ = std::move(begin);
+  end_hook_ = std::move(end);
+}
+
+std::vector<tensor::Variable> PipelineRuntime::stage_parameters(
+    std::size_t k) const {
+  AVGPIPE_CHECK(k < stages_.size(), "stage out of range");
+  return stages_[k]->module.parameters();
 }
 
 void PipelineRuntime::set_faults(const fault::FaultPlan* plan) {
@@ -226,7 +237,7 @@ void PipelineRuntime::record_span(Stage& stage, trace::EventKind kind,
   if (stage.trace_buf == nullptr) return;
   trace::TraceEvent ev;
   ev.kind = kind;
-  ev.pipeline = trace_pipeline_;
+  ev.pipeline = pipeline_index_;
   ev.stage = static_cast<std::uint32_t>(stage.index);
   ev.batch = instr.batch;
   ev.micro_batch = instr.micro_batch;
@@ -241,7 +252,7 @@ void PipelineRuntime::record_counter(Stage& stage, trace::CounterId id,
   trace::TraceEvent ev;
   ev.kind = trace::EventKind::kCounter;
   ev.counter = id;
-  ev.pipeline = trace_pipeline_;
+  ev.pipeline = pipeline_index_;
   ev.stage = static_cast<std::uint32_t>(stage.index);
   ev.t_begin = ev.t_end = tracer_->wall_now();
   ev.value = value;
@@ -293,7 +304,7 @@ void PipelineRuntime::faulty_send(Stage& stage, Ch& ch, T msg,
     const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
     int attempt = 0;
     Seconds retry = 0;
-    while (faults_->should_drop(static_cast<int>(trace_pipeline_),
+    while (faults_->should_drop(static_cast<int>(pipeline_index_),
                                 static_cast<int>(stage.index), step, key,
                                 attempt, &retry)) {
       ++attempt;
@@ -369,10 +380,20 @@ void PipelineRuntime::worker_loop(Stage& stage) {
     // channels instead.
     const schedule::Instr* current = nullptr;
     try {
+      if (begin_hook_) begin_hook_(stage.index, stage.trace_buf);
       begin_prediction(stage, step);
       for (const auto& instr : stage.program) {
         current = &instr;
         run_instr(stage, instr, step);
+      }
+      if (end_hook_) {
+        // Flushed schedules end every stage's program with its update, so
+        // the hook sees this batch's committed weights.
+        AVGPIPE_CHECK(
+            stage.program.back().kind == schedule::OpKind::kUpdate,
+            "stage program does not end with its update");
+        current = nullptr;
+        end_hook_(stage.index, stage.trace_buf);
       }
     } catch (const std::exception& e) {
       if (dynamic_cast<const PeerUnresponsiveError*>(&e) != nullptr) {
@@ -420,7 +441,7 @@ AVGPIPE_HOT_PATH
 void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
                                 long step) {
   if (faults_active_ &&
-      faults_->should_kill(static_cast<int>(trace_pipeline_),
+      faults_->should_kill(static_cast<int>(pipeline_index_),
                            static_cast<int>(stage.index), step,
                            instr.micro_batch)) {
     // Arbitrary-point crash: die before the instruction runs, leaving any
@@ -434,7 +455,7 @@ void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
   }
   const double slow =
       faults_active_
-          ? faults_->straggler_factor(static_cast<int>(trace_pipeline_),
+          ? faults_->straggler_factor(static_cast<int>(pipeline_index_),
                                       static_cast<int>(stage.index), step)
           : 1.0;
   const auto w0 = std::chrono::steady_clock::now();
@@ -588,7 +609,7 @@ void PipelineRuntime::begin_prediction(Stage& stage, long step) {
   if (stage.trace_buf != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::EventKind::kWeightPrediction;
-    ev.pipeline = trace_pipeline_;
+    ev.pipeline = pipeline_index_;
     ev.stage = static_cast<std::uint32_t>(stage.index);
     ev.batch = static_cast<std::int32_t>(step);
     ev.t_begin = t0;
@@ -636,7 +657,15 @@ void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr) {
 
 BatchStats PipelineRuntime::train_batch(const data::Batch& batch,
                                         std::size_t micro_batches) {
+  submit(batch, micro_batches);
+  return wait();
+}
+
+void PipelineRuntime::submit(const data::Batch& batch,
+                             std::size_t micro_batches) {
   AVGPIPE_CHECK(!stopping_, "runtime already stopped");
+  AVGPIPE_CHECK(in_flight_micro_batches_ == 0,
+                "submit with a batch already in flight");
   if (failed()) {
     AVGPIPE_THROW("pipeline permanently failed: " << failure_message());
   }
@@ -651,17 +680,23 @@ BatchStats PipelineRuntime::train_batch(const data::Batch& batch,
       AVGPIPE_THROW("pipeline failed: " << failure_message());
     }
   }
-  {
-    // The driver thread is the one producer of the stage-0 feed link (no
-    // batch is in flight, so no other thread touches input_'s send side).
-    common::RoleGuard feed_role(input_->producer_role());
-    for (std::size_t i = 0; i < micro.size(); ++i) {
-      // A closed (failed) channel drops the message; the failure surfaces at
-      // the done barrier below.
-      input_->send(ActMessage{static_cast<int>(i), std::move(micro[i].inputs),
-                              std::move(micro[i].targets)});
-    }
+  in_flight_micro_batches_ = micro_batches;
+  // The driver thread is the one producer of the stage-0 feed link (no
+  // batch is in flight, so no other thread touches input_'s send side).
+  common::RoleGuard feed_role(input_->producer_role());
+  for (std::size_t i = 0; i < micro.size(); ++i) {
+    // A closed (failed) channel drops the message; the failure surfaces at
+    // the done barrier in wait(). The feed holds M messages, so this never
+    // parks.
+    input_->send(ActMessage{static_cast<int>(i), std::move(micro[i].inputs),
+                            std::move(micro[i].targets)});
   }
+}
+
+BatchStats PipelineRuntime::wait() {
+  const std::size_t micro_batches = in_flight_micro_batches_;
+  AVGPIPE_CHECK(micro_batches > 0, "wait without a submitted batch");
+  in_flight_micro_batches_ = 0;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     auto d = done_->recv();
     if (!d.has_value()) {

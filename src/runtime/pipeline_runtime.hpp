@@ -91,14 +91,33 @@ class PipelineRuntime {
   PipelineRuntime(const PipelineRuntime&) = delete;
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
 
-  /// Train on one batch sliced into `micro_batches`; blocks until the
-  /// optimizer step of every stage has been applied.
+  /// Train on one batch sliced into `micro_batches`: submit, then wait.
   ///
   /// Throws avgpipe::Error if any stage worker fails (uncaught exception,
-  /// injected fault, or unresponsive peer); the message carries the failing
-  /// stage index and instruction. A failed runtime is permanently dead:
-  /// every later train_batch rethrows the stored failure.
+  /// injected fault, unresponsive peer, or a throwing stage hook); the
+  /// message carries the failing stage index and instruction. A failed
+  /// runtime is permanently dead: every later batch rethrows the stored
+  /// failure.
   BatchStats train_batch(const data::Batch& batch, std::size_t micro_batches);
+  /// Dispatch one batch to the stage threads without blocking, so one
+  /// driver thread can run several pipelines at once. One batch at a time.
+  void submit(const data::Batch& batch, std::size_t micro_batches);
+  /// Block until the submitted batch finished on every stage (its optimizer
+  /// step and end hook included).
+  BatchStats wait();
+
+  /// A stage hook gets its stage index and that stage's trace buffer (null
+  /// when untraced).
+  using StageHook =
+      std::function<void(std::size_t stage, trace::TraceBuffer* trace)>;
+  /// Run `begin` on each stage thread before the stage's first instruction
+  /// of every batch and `end` after its last one, the optimizer update.
+  /// Both run inside the batch's failure scope: a throw fails the batch.
+  /// Either may be empty. Must be called before the first batch.
+  void set_stage_hooks(StageHook begin, StageHook end);
+
+  /// Stage k's parameters (handles sharing the model's), in model order.
+  std::vector<tensor::Variable> stage_parameters(std::size_t k) const;
 
   /// Whether a stage worker has failed (see train_batch).
   bool failed() const { return failed_.load(std::memory_order_acquire); }
@@ -131,11 +150,13 @@ class PipelineRuntime {
   std::size_t peak_stash(std::size_t stage) const;
 
   /// Attach a tracer: stage workers then record wall-clock compute spans,
-  /// recv-wait spans and channel-occupancy counters, tagged with
-  /// `pipeline_index` (the replica number under core::AvgPipe). Must be
-  /// called before the first train_batch; the tracer must outlive this
-  /// runtime.
-  void set_tracer(trace::Tracer* tracer, std::size_t pipeline_index = 0);
+  /// recv-wait spans and channel-occupancy counters, tagged with the
+  /// pipeline index. Must be called before the first train_batch; the
+  /// tracer must outlive this runtime.
+  void set_tracer(trace::Tracer* tracer);
+  /// The replica number under core::AvgPipe (default 0), which fault-plan
+  /// records match and trace events carry. Set before the first batch.
+  void set_pipeline_index(std::size_t index);
 
   /// Attach a fault plan (nullptr to clear): worker loops then consult its
   /// step-windowed records — straggler sleeps after ops, deterministic send
@@ -165,8 +186,8 @@ class PipelineRuntime {
   /// Core-pinning slot layout for this runtime's stage threads under
   /// AVGPIPE_PIN_THREADS: stage k pins to slot `first_slot + k` of
   /// `total_slots`. Defaults to [0, num_stages) — core::AvgPipe widens the
-  /// layout across its replicas and sync threads. Must be called before the
-  /// first train_batch.
+  /// layout across its replicas and the reference thread. Must be called
+  /// before the first train_batch.
   void set_thread_slots(std::size_t first_slot, std::size_t total_slots);
 
   /// Bounded per-link capacity of the stage-to-stage channels for a batch of
@@ -306,10 +327,15 @@ class PipelineRuntime {
   bool assert_link_slack_ = false;
   bool stopping_ = false;
 
-  // Tracing (optional): written before the first batch, read by workers
-  // after a start-channel recv, so the channel provides the ordering.
+  // Tracing (optional), pipeline index and stage hooks: written before the
+  // first batch, read by workers after a start-channel recv, so the channel
+  // provides the ordering.
   trace::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_pipeline_ = 0;
+  std::uint32_t pipeline_index_ = 0;
+  StageHook begin_hook_;
+  StageHook end_hook_;
+  /// Micro-batches of the submitted batch (0: none in flight). Driver-only.
+  std::size_t in_flight_micro_batches_ = 0;
 
   // Weight prediction (optional): written before the first batch, read by
   // workers after a start-channel recv (channel provides the ordering).

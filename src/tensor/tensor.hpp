@@ -140,6 +140,8 @@ class Tensor {
 
   /// True if both tensors alias the same storage.
   bool aliases(const Tensor& other) const { return storage_ == other.storage_; }
+  /// Number of Tensor handles sharing this storage (1 = sole owner).
+  long use_count() const { return storage_.use_count(); }
 
   // -- whole-tensor operations (detached; no autograd) -------------------------
 

@@ -1,6 +1,7 @@
 #include "trace/happens_before.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -38,8 +39,7 @@ const char* kind_tag(EventKind kind) {
 
 std::string describe(const TraceEvent& e) {
   std::ostringstream os;
-  os << kind_tag(e.kind) << " p" << e.pipeline;
-  if (e.kind != EventKind::kElasticPull) os << "/s" << e.stage;
+  os << kind_tag(e.kind) << " p" << e.pipeline << "/s" << e.stage;
   if (e.batch >= 0) os << " b" << e.batch << ".m" << e.micro_batch;
   os << " @[" << e.t_begin << ", " << e.t_end << "]";
   return os.str();
@@ -82,7 +82,7 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
 
   // ---- partition the trace into protocol events and processes ------------
   // A "process" is one vector-clock component: a (pipeline, stage) worker,
-  // or a pipeline's elastic-pull context.
+  // or that stage's elastic-pull context.
   std::vector<std::size_t> idx;  // indices of protocol events, trace order
   std::unordered_map<std::uint64_t, std::size_t> proc_of;  // key -> proc id
   std::unordered_set<std::uint32_t> pipelines;
@@ -99,7 +99,7 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
     if (inserted) {
       std::ostringstream os;
       if (pull) {
-        os << "pull(p" << pipeline << ")";
+        os << "pull(p" << pipeline << "/s" << stage << ")";
       } else {
         os << "p" << pipeline << "/s" << stage;
       }
@@ -121,7 +121,7 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
         break;
       case EventKind::kElasticPull:
         idx.push_back(i);
-        intern_proc(e.pipeline, 0, true);
+        intern_proc(e.pipeline, e.stage, true);
         pipelines.insert(e.pipeline);
         break;
       case EventKind::kCounter:
@@ -141,8 +141,9 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
   std::vector<std::vector<std::size_t>> by_proc(proc_names.size());
   for (const auto i : idx) {
     const TraceEvent& e = events[i];
-    const bool pull = e.kind == EventKind::kElasticPull;
-    by_proc[intern_proc(e.pipeline, pull ? 0 : e.stage, pull)].push_back(i);
+    by_proc[intern_proc(e.pipeline, e.stage,
+                        e.kind == EventKind::kElasticPull)]
+        .push_back(i);
   }
 
   // ---- crash epochs -------------------------------------------------------
@@ -339,8 +340,8 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
 
   for (const auto i : idx) {
     const TraceEvent& e = events[i];
-    const bool pull = e.kind == EventKind::kElasticPull;
-    const std::size_t p = intern_proc(e.pipeline, pull ? 0 : e.stage, pull);
+    const std::size_t p =
+        intern_proc(e.pipeline, e.stage, e.kind == EventKind::kElasticPull);
     auto& vc = proc_clock[p];
     if (e.kind == EventKind::kForward && e.stage > 0) {
       const auto it =
@@ -366,71 +367,62 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
   }
 
   // ---- 4. grad applied before elastic pull -------------------------------
-  // The pipeline's j-th pull must follow the j-th optimizer update of every
-  // one of its stages (paper §3.2 ❷: push/pull happens on batch
-  // boundaries, after the local commit). Pull spans carry no batch tag, so
-  // the pairing is by occurrence index.
+  // The reference is co-partitioned with the pipeline (paper §3), so every
+  // stage pulls its own shard: the j-th pull on (pipeline, stage) must
+  // follow the j-th optimizer update of that same stage (§3.2 ❷: push/pull
+  // happens on batch boundaries, after the local commit). Stages are not
+  // ordered against each other — a stage may pull before a peer stage has
+  // updated. Pull spans carry no batch tag, so the pairing is by occurrence
+  // index.
   //
   // Crash recovery breaks that index pairing legitimately: a mid-batch death
-  // aborts a batch whose updates never commit, and a pipeline restored from
-  // a checkpoint re-enters the *same* round that detached it with a pull but
-  // no committed batch of its own. On a pipeline with crash epochs the
-  // strict pairing is therefore replaced by the weaker-but-sound rule:
-  // every pull must follow the latest update committed so far *in its own
-  // epoch* (a pull preceding all of its epoch's updates is the recovery
-  // pull, exempt by design).
+  // aborts a batch whose updates never commit on some stages, and a
+  // pipeline restored from a checkpoint re-enters the *same* round that
+  // detached it. On a pipeline with crash epochs the strict pairing is
+  // therefore replaced, per stage, by the weaker-but-sound rule: every pull
+  // must follow the latest update its stage committed so far *in its own
+  // epoch* (a pull preceding all of its epoch's updates is exempt).
   {
-    std::unordered_map<std::uint32_t, std::vector<std::size_t>> pulls;
-    std::unordered_map<std::uint32_t,
-                       std::unordered_map<std::uint32_t,
-                                          std::vector<std::size_t>>>
-        updates;  // pipeline -> stage -> event indices, trace order
+    using StageKey = std::pair<std::uint32_t, std::uint32_t>;
+    std::map<StageKey, std::vector<std::size_t>> pulls;
+    std::map<StageKey, std::vector<std::size_t>> updates;  // trace order
     for (const auto i : idx) {
       const TraceEvent& e = events[i];
       if (e.kind == EventKind::kElasticPull) {
-        pulls[e.pipeline].push_back(i);
+        pulls[{e.pipeline, e.stage}].push_back(i);
       } else if (e.kind == EventKind::kUpdate) {
-        updates[e.pipeline][e.stage].push_back(i);
+        updates[{e.pipeline, e.stage}].push_back(i);
       }
     }
-    for (const auto& [pipeline, plist] : pulls) {
-      const auto uit = updates.find(pipeline);
+    static const std::vector<std::size_t> kNone;
+    for (const auto& [key, plist] : pulls) {
+      const auto [pipeline, stage] = key;
+      const auto uit = updates.find(key);
+      const auto& ulist = uit == updates.end() ? kNone : uit->second;
       const bool crashed = crash_times.count(pipeline) != 0;
+      const std::size_t p = intern_proc(pipeline, stage, /*pull=*/true);
       for (std::size_t j = 0; j < plist.size(); ++j) {
         const TraceEvent& pe = events[plist[j]];
-        if (uit == updates.end()) {
-          if (!crashed) {
-            violate("elastic pull without any optimizer update on pipeline " +
-                    std::to_string(pipeline) + ": " + describe(pe));
-          }
+        std::size_t ui = 0;
+        if (crashed) {
+          // Latest update before this pull (indices are t_begin-ordered);
+          // an edge is required only when it belongs to the pull's epoch.
+          const auto nxt =
+              std::upper_bound(ulist.begin(), ulist.end(), plist[j]);
+          if (nxt == ulist.begin()) continue;
+          ui = *(nxt - 1);
+          if (epoch_of(events[ui]) != epoch_of(pe)) continue;
+        } else if (ulist.size() <= j) {
+          violate("elastic pull " + std::to_string(j) + " of p" +
+                  std::to_string(pipeline) + "/s" + std::to_string(stage) +
+                  " has no matching update on its stage: " + describe(pe));
           continue;
+        } else {
+          ui = ulist[j];
         }
-        const std::size_t p =
-            intern_proc(pe.pipeline, 0, /*pull=*/true);
-        for (const auto& [stage, ulist] : uit->second) {
-          if (crashed) {
-            // Latest update before this pull (indices are t_begin-ordered);
-            // an edge is required only when it belongs to the pull's epoch.
-            const auto nxt =
-                std::upper_bound(ulist.begin(), ulist.end(), plist[j]);
-            if (nxt == ulist.begin()) continue;
-            const std::size_t ui = *(nxt - 1);
-            if (epoch_of(events[ui]) != epoch_of(pe)) continue;
-            check_edge(events[ui], pe, "elastic round", ui);
-            const auto cit = clock_of.find(ui);
-            if (cit != clock_of.end()) join(proc_clock[p], cit->second);
-            continue;
-          }
-          if (ulist.size() <= j) {
-            violate("elastic pull " + std::to_string(j) + " of pipeline " +
-                    std::to_string(pipeline) + " has no matching update on s" +
-                    std::to_string(stage) + ": " + describe(pe));
-            continue;
-          }
-          check_edge(events[ulist[j]], pe, "elastic round", ulist[j]);
-          const auto cit = clock_of.find(ulist[j]);
-          if (cit != clock_of.end()) join(proc_clock[p], cit->second);
-        }
+        check_edge(events[ui], pe, "elastic round", ui);
+        const auto cit = clock_of.find(ui);
+        if (cit != clock_of.end()) join(proc_clock[p], cit->second);
       }
     }
   }

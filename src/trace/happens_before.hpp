@@ -7,9 +7,9 @@
 /// The verify:: model checker proves properties of the *protocol*; this
 /// checker validates that a *recorded run* actually followed it. Every
 /// cross-stage message induces a happens-before edge — F(k, b, mb) before
-/// F(k+1, b, mb), B(k+1, b, mb) before B(k, b, mb), and every stage's j-th
-/// Update before the pipeline's j-th ElasticPull (paper §3.2: a replica
-/// pulls the reference only after committing its own batch). The checker
+/// F(k+1, b, mb), B(k+1, b, mb) before B(k, b, mb), and each stage's j-th
+/// Update before that stage's j-th ElasticPull (paper §3.2: a stage pulls
+/// its shard of the reference only after committing its batch). The checker
 /// assigns per-pipeline vector clocks over (pipeline, stage) processes,
 /// joins them along the message edges, and flags:
 ///   - micro-batch reordering within a stage (per batch, forwards and

@@ -62,10 +62,11 @@ enum class EventKind : std::uint8_t {
   kPipelineCrash,
   kPipelineRejoin,
   // Sync-policy spans (src/core/sync_policy.hpp). kPolicyBroadcast covers a
-  // replica resetting to the reference broadcast at round start (BSP/BMUF);
-  // kWeightPrediction covers a stage applying XPipe-style predicted weights
-  // at batch dispatch. kElasticPull doubles as the generic local-sync span
-  // for every policy (the replica-side pull/push step ❷–❸).
+  // stage resetting its shard to the reference broadcast at round start
+  // (BSP/BMUF); kWeightPrediction covers a stage applying XPipe-style
+  // predicted weights at batch dispatch. kElasticPull doubles as the generic
+  // local-sync span for every policy (a stage's pull/push step ❷–❸ on its
+  // shard).
   kPolicyBroadcast,
   kWeightPrediction,
   // Durability spans (src/ckpt). kCheckpoint covers a round-boundary state

@@ -445,12 +445,14 @@ TEST(AvgPipeAsyncTest, TracesSyncLagCounterAndOffCriticalPathPulls) {
     if (ev.kind == trace::EventKind::kElasticPull) ++pulls;
     if (ev.kind == trace::EventKind::kReferenceApply) ++applies;
   }
-  // One lag sample per iteration; one pull per alive replica per iteration
-  // (recorded by the replica worker threads, not the driver). The reference
-  // thread drains queued rounds into one batch with one apply span, so the
-  // batch sizes sum to the rounds dispatched and there are 1..iters applies.
+  // One lag sample per iteration; one pull per stage of every alive replica
+  // per iteration (recorded by the stage threads, not the driver). The
+  // reference thread drains queued rounds into one batch with one apply
+  // span, so the batch sizes sum to the rounds dispatched and there are
+  // 1..iters applies.
+  const std::size_t stages = config.boundaries.size() + 1;
   EXPECT_EQ(lag_samples, iters);
-  EXPECT_EQ(pulls, 2 * iters);
+  EXPECT_EQ(pulls, config.num_pipelines * stages * iters);
   EXPECT_EQ(batched_rounds, static_cast<double>(iters));
   EXPECT_GE(applies, 1u);
   EXPECT_LE(applies, iters);
@@ -530,8 +532,8 @@ TEST(AvgPipeElasticTest, LoneSurvivorMatchesSinglePipelineTrainer) {
 
 TEST(AvgPipeElasticTest, MidIterationFailureSurvivorPullsWithPreFailureAlpha) {
   // A pipeline that dies inside an iteration is detached only after every
-  // worker has reported, and each survivor's local sync ran on its own thread
-  // with the alpha of the iteration's start (1/N, not 1/N_alive). With N = 2
+  // pipeline has reported, and each survivor's local sync ran on its stage
+  // threads with the alpha of the iteration's start (1/N, not 1/N_alive). With N = 2
   // and a kill at step 0, the survivor trains W0 to w and pulls halfway back:
   // its replica and the reference both land on (W0 + w) / 2. Only afterwards
   // does alpha rebalance to default_alpha(1). Lag 0 and async lag 1 agree.
@@ -560,12 +562,8 @@ TEST(AvgPipeElasticTest, MidIterationFailureSurvivorPullsWithPreFailureAlpha) {
     kill.pipeline = 1;
     kill.step = 0;
     plan.kills.push_back(kill);
-    // The runtime learns its pipeline index (which the kill matches) from
-    // set_tracer, so the run needs a tracer.
-    trace::Tracer tracer;
     AvgPipeConfig cfg = config;
     cfg.faults = &plan;
-    cfg.tracer = &tracer;
     cfg.async_sync = async_sync;
     cfg.sync_lag = 1;
     AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
@@ -746,7 +744,10 @@ TEST(SyncCompressionTest, Int8TracesBytesMovedAndRatio) {
   EXPECT_LT(analysis.compression_ratio(), 8.0);  // can't beat 8 B -> 1 B
 }
 
-TEST(SyncCompressionTest, OffModeRecordsNoSyncByteCounters) {
+TEST(SyncCompressionTest, OffModeCountsRawBytesOfEveryPushAndBroadcast) {
+  // Uncompressed sync still counts its bytes when traced: at lag 0 every
+  // iteration moves N pushes and one broadcast of every f64 parameter,
+  // wire == raw.
   trace::Tracer tracer;
   AvgPipeConfig config;
   config.num_pipelines = 2;
@@ -758,12 +759,18 @@ TEST(SyncCompressionTest, OffModeRecordsNoSyncByteCounters) {
 
   SyntheticFeatures ds(64, 4, 2, 3);
   DataLoader loader(ds, 8, 1);
-  system.train_iteration({loader.batch(0, 0), loader.batch(0, 1)});
-  system.synchronize();
+  const std::size_t iters = 3;
+  for (std::size_t iter = 0; iter < iters; ++iter) {
+    system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
+  }
 
+  std::uint64_t params = 0;
+  for (const auto& t : system.replica_snapshot(0)) params += t.numel();
   trace::TraceAnalysis analysis(tracer.collect());
-  EXPECT_EQ(analysis.sync_bytes(), 0u);
-  EXPECT_EQ(analysis.sync_bytes_raw(), 0u);
+  const std::uint64_t expected = iters * (config.num_pipelines + 1) * params *
+                                 sizeof(tensor::Scalar);
+  EXPECT_EQ(analysis.sync_bytes(), expected);
+  EXPECT_EQ(analysis.sync_bytes_raw(), expected);
   EXPECT_DOUBLE_EQ(analysis.compression_ratio(), 1.0);
 }
 
@@ -863,6 +870,32 @@ TEST(AvgPipeElasticTest, FaultPlanDrivesCrashAndRejoinBySteps) {
   const auto recoveries = analysis.recoveries();
   ASSERT_EQ(recoveries.size(), 1u);
   EXPECT_TRUE(recoveries[0].rejoined);
+}
+
+TEST(AvgPipeElasticTest, UntracedKillFindsItsPipeline) {
+  // Fault plans address pipelines by index whether or not the run is
+  // traced: killing pipeline 0 detaches pipeline 0 and nothing else.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  fault::FaultPlan plan;
+  fault::WorkerKill kill;
+  kill.pipeline = 0;
+  kill.step = 0;
+  plan.kills.push_back(kill);
+  AvgPipeConfig config;
+  config.num_pipelines = 2;
+  config.micro_batches = 2;
+  config.boundaries = {2};
+  config.faults = &plan;
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), config);
+
+  const double loss =
+      system.train_iteration({loader.batch(0, 0), loader.batch(0, 1)});
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_FALSE(system.pipeline_alive(0));
+  EXPECT_TRUE(system.pipeline_alive(1));
+  EXPECT_NE(system.health(0).last_error.find("injected worker kill"),
+            std::string::npos);
 }
 
 TEST(AvgPipeElasticTest, DetachingEveryPipelineMakesTrainingThrow) {

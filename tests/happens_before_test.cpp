@@ -215,6 +215,51 @@ TEST(HappensBeforeTest, DetectsPullBeforeUpdate) {
   EXPECT_TRUE(any_violation_contains(r, "elastic round")) << r.summary();
 }
 
+TEST(HappensBeforeTest, DetectsStagePullBeforeItsOwnUpdate) {
+  // Stage 0 updates before stage 1 pulls, but stage 1 pulls before its own
+  // update: the pairing is per stage, so this is still a violation.
+  const std::vector<TraceEvent> events{
+      span(EventKind::kUpdate, 0, 0, 0, -1, 0.0, 1.0),
+      span(EventKind::kElasticPull, 0, 0, -1, -1, 1.0, 2.0),
+      span(EventKind::kElasticPull, 0, 1, -1, -1, 2.0, 3.0),
+      span(EventKind::kUpdate, 0, 1, 0, -1, 4.0, 5.0),
+  };
+  const HbReport r = check_happens_before(events);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(any_violation_contains(r, "elastic round")) << r.summary();
+}
+
+TEST(HappensBeforeTest, AcceptsStagePullBeforePeerStageUpdate) {
+  // Co-partitioned sync: stage 1 pulls its shard right after its own update,
+  // which may well precede stage 0's update of the same batch.
+  const std::vector<TraceEvent> events{
+      span(EventKind::kUpdate, 0, 1, 0, -1, 0.0, 1.0),
+      span(EventKind::kElasticPull, 0, 1, -1, -1, 1.0, 2.0),
+      span(EventKind::kUpdate, 0, 0, 0, -1, 3.0, 4.0),
+      span(EventKind::kElasticPull, 0, 0, -1, -1, 4.0, 5.0),
+  };
+  const HbReport r = check_happens_before(events);
+  EXPECT_TRUE(r.ok) << (r.violations.empty() ? r.summary()
+                                             : r.violations[0].what);
+  EXPECT_EQ(r.processes, 4u);  // two stages, each with its pull context
+}
+
+TEST(HappensBeforeTest, DetectsPerStagePullUpdateCountMismatch) {
+  // Three pulls against two updates in total would pair up pipeline-wide;
+  // per stage, stage 1's second pull has no update of its own.
+  const std::vector<TraceEvent> events{
+      span(EventKind::kUpdate, 0, 0, 0, -1, 0.0, 1.0),
+      span(EventKind::kElasticPull, 0, 0, -1, -1, 1.0, 2.0),
+      span(EventKind::kUpdate, 0, 1, 0, -1, 2.0, 3.0),
+      span(EventKind::kElasticPull, 0, 1, -1, -1, 3.0, 4.0),
+      span(EventKind::kElasticPull, 0, 1, -1, -1, 5.0, 6.0),
+  };
+  const HbReport r = check_happens_before(events);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(any_violation_contains(r, "of p0/s1 has no matching update"))
+      << r.summary();
+}
+
 TEST(HappensBeforeTest, DetectsPullWithoutMatchingUpdate) {
   const std::vector<TraceEvent> events{
       span(EventKind::kForward, 0, 0, 0, 0, 0.0, 1.0),

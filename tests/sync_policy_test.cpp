@@ -9,6 +9,7 @@
 #include "core/scenario_matrix.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
+#include "tensor/arena.hpp"
 #include "test_util.hpp"
 #include "trace/analysis.hpp"
 
@@ -47,6 +48,37 @@ TEST(SyncPolicyTest, FactoryBuildsEveryKindWithMatchingName) {
     auto policy = make_sync_policy(config);
     EXPECT_EQ(policy->kind(), kind);
     EXPECT_EQ(policy->name(), to_string(kind));
+  }
+}
+
+TEST(SyncPolicyTest, ShardHooksAndBroadcastWriteIntoAllocateNothing) {
+  // The stage-side hooks and the write-into broadcast run every round on
+  // the hot path: once their buffers exist they must not touch the arena.
+  nn::Sequential model = nn::make_mlp(4, 8, 2, 2, 1234);
+  auto params = model.parameters();
+  for (const SyncPolicyKind kind : all_sync_policies()) {
+    SCOPED_TRACE(to_string(kind));
+    SyncPolicyConfig cfg;
+    cfg.kind = kind;
+    const auto policy = make_sync_policy(cfg);
+    ReferenceModel reference(clone_values(params));
+    common::RoleGuard role(reference_capability());  // single-threaded
+    // One round first, so BMUF's block momentum exists.
+    ParamSet broadcast = policy->make_broadcast(reference);
+    policy->apply_round(reference,
+                        {policy->local_sync(params, broadcast, 0.5)});
+
+    // A shard: the second half of the parameter list.
+    const std::size_t first = params.size() / 2;
+    const std::span<Variable> shard = std::span<Variable>(params).subspan(first);
+    const std::span<const Tensor> from =
+        std::span<const Tensor>(broadcast).subspan(first);
+    ParamSet out = uninitialized_like(shard);
+    const std::uint64_t before = tensor::arena::stats().acquires;
+    policy->begin_round(shard, from);
+    policy->local_sync(shard, from, 0.5, out);
+    policy->make_broadcast(reference, broadcast);
+    EXPECT_EQ(tensor::arena::stats().acquires - before, 0u);
   }
 }
 
@@ -313,12 +345,14 @@ TEST(SyncPolicyTraceTest, BeginPoliciesEmitPolicyBroadcastSpans) {
       batched_rounds += ev.value;
     }
   }
-  // One broadcast reset per alive replica per iteration; the local-sync and
-  // reference-apply counting of the elastic protocol is policy-independent.
-  // The reference thread drains queued rounds into one apply span, so the
-  // batch sizes sum to the rounds dispatched and there are 1..iters applies.
-  EXPECT_EQ(broadcasts, 2 * iters);
-  EXPECT_EQ(pulls, 2 * iters);
+  // One broadcast reset per stage of every alive replica per iteration; the
+  // local-sync and reference-apply counting of the elastic protocol is
+  // policy-independent. The reference thread drains queued rounds into one
+  // apply span, so the batch sizes sum to the rounds dispatched and there
+  // are 1..iters applies.
+  const std::size_t shards = cfg.num_pipelines * (cfg.boundaries.size() + 1);
+  EXPECT_EQ(broadcasts, shards * iters);
+  EXPECT_EQ(pulls, shards * iters);
   EXPECT_EQ(batched_rounds, static_cast<double>(iters));
   EXPECT_GE(applies, 1u);
   EXPECT_LE(applies, iters);
