@@ -13,11 +13,13 @@
 /// ns/op for the blocked GEMM vs the reference loop per shape and transpose
 /// form (`op`), fused vs unfused SGD kernels, ns/element of the vector
 /// tanh/exp kernels vs the libm loop, heap allocations per steady-state
-/// training step from the arena counters, and the checkpoint CRC-32 kernel's
-/// GB/s. The kernel suite also re-checks blocked-vs-reference parity, the
-/// vector kernels' ulp bound against libm, and the CRC check value and
-/// chaining identity, and exits non-zero on a failure, so CI's perf-smoke job
-/// doubles as a correctness gate.
+/// training step from the arena counters, the checkpoint CRC-32 kernel's
+/// GB/s, a strided NT GEMM (the attention score GEMM reading q and k in
+/// place) against the same GEMM on packed copies, and the attention node's
+/// forward+backward at bert_ckpt's shape. The kernel suite also re-checks
+/// blocked-vs-reference parity, the vector kernels' ulp bound against libm,
+/// and the CRC check value and chaining identity, and exits non-zero on a
+/// failure, so CI's perf-smoke job doubles as a correctness gate.
 
 #include <benchmark/benchmark.h>
 
@@ -448,6 +450,65 @@ ArenaResult bench_arena_steady_state() {
           static_cast<double>(s.heap_allocs) / steps};
 }
 
+/// bert_ckpt's attention shape: micro-batch 8, sequence 32, d_model 64 in
+/// 4 heads.
+constexpr std::size_t kAttnBatch = 8, kAttnSeq = 32, kAttnModel = 64,
+                      kAttnHeads = 4;
+
+struct StridedGemmResult {
+  std::size_t m, n, k, ld;
+  double strided_ns, packed_ns, strided_gflops;
+};
+
+/// The attention score GEMM, S x S x Dh NT, reading q and k in place from
+/// the packed [rows, 3D] projection (lda = ldb = 3D), against the same GEMM
+/// on contiguous per-head copies.
+StridedGemmResult bench_strided_gemm() {
+  const std::size_t m = kAttnSeq, n = kAttnSeq, k = kAttnModel / kAttnHeads;
+  const std::size_t ld = 3 * kAttnModel;
+  Rng rng(0x57D);
+  const auto qkv = bench_vec(kAttnSeq * ld, rng);
+  std::vector<Scalar> q(m * k), kt(n * k);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::copy_n(qkv.begin() + i * ld, k, q.begin() + i * k);
+    std::copy_n(qkv.begin() + i * ld + kAttnModel, k, kt.begin() + i * k);
+  }
+  std::vector<Scalar> c_strided(m * n), c_packed(m * n);
+  const double flops = 2.0 * static_cast<double>(m) * n * k;
+  StridedGemmResult r{m, n, k, ld, 0, 0, 0};
+  r.strided_ns = time_ns(
+      [&] {
+        tensor::gemm(qkv.data(), qkv.data() + kAttnModel, c_strided.data(), m,
+                     n, k, false, true, false, {.lda = ld, .ldb = ld});
+      },
+      2000);
+  r.packed_ns = time_ns(
+      [&] {
+        tensor::gemm(q.data(), kt.data(), c_packed.data(), m, n, k, false,
+                     true, false);
+      },
+      2000);
+  r.strided_gflops = flops / r.strided_ns;
+  return r;
+}
+
+/// Forward+backward of one tensor::multi_head_attention node at bert_ckpt's
+/// shape, in training mode without dropout (as bert_ckpt runs it).
+double bench_attention_fwd_bwd_ns() {
+  Rng rng(0xA77);
+  Variable qkv(Tensor::randn({kAttnBatch, kAttnSeq, 3 * kAttnModel}, rng),
+               true);
+  const Tensor seed = Tensor::randn({kAttnBatch, kAttnSeq, kAttnModel}, rng);
+  Rng drop_rng(1);
+  return time_ns(
+      [&] {
+        qkv.zero_grad();
+        tensor::multi_head_attention(qkv, kAttnHeads, 0.0, drop_rng, true)
+            .backward(seed);
+      },
+      200);
+}
+
 const char* gemm_op(bool trans_a, bool trans_b) {
   static constexpr const char* kOps[] = {"NN", "NT", "TN", "TT"};
   return kOps[(trans_a ? 2 : 0) + (trans_b ? 1 : 0)];
@@ -537,6 +598,15 @@ int run_kernel_suite(const std::string& json_path) {
   std::printf("crc32 %zu MB %6.2f GB/s  check %s  chain %s\n", crc.bytes >> 20,
               crc.gbps, crc.check_ok ? "ok" : "FAIL",
               crc.chain_ok ? "ok" : "FAIL");
+  const StridedGemmResult strided = bench_strided_gemm();
+  std::printf(
+      "gemm %4zux%-4zux%-4zu NT lda=ldb=%zu strided %8.2f GFLOP/s  %8.0f ns "
+      "(packed copies %8.0f ns)\n",
+      strided.m, strided.n, strided.k, strided.ld, strided.strided_gflops,
+      strided.strided_ns, strided.packed_ns);
+  const double attention_ns = bench_attention_fwd_bwd_ns();
+  std::printf("attention B=%zu S=%zu D=%zu H=%zu fwd+bwd %10.0f ns\n",
+              kAttnBatch, kAttnSeq, kAttnModel, kAttnHeads, attention_ns);
   const ArenaResult arena = bench_arena_steady_state();
   std::printf("arena steady-state: %.1f acquires/step, %.2f heap allocs/step\n",
               arena.acquires_per_step, arena.heap_allocs_per_step);
@@ -596,6 +666,17 @@ int run_kernel_suite(const std::string& json_path) {
       << ", \"gbps\": " << crc.gbps
       << ", \"check_ok\": " << (crc.check_ok ? "true" : "false")
       << ", \"chain_ok\": " << (crc.chain_ok ? "true" : "false") << "},\n";
+  out << "  \"strided_gemm\": {\"m\": " << strided.m
+      << ", \"n\": " << strided.n << ", \"k\": " << strided.k
+      << ", \"op\": \"NT\", \"lda\": " << strided.ld
+      << ", \"ldb\": " << strided.ld
+      << ", \"strided_ns\": " << strided.strided_ns
+      << ", \"packed_ns\": " << strided.packed_ns
+      << ", \"strided_gflops\": " << strided.strided_gflops << "},\n";
+  out << "  \"attention\": {\"batch\": " << kAttnBatch
+      << ", \"seq\": " << kAttnSeq << ", \"d_model\": " << kAttnModel
+      << ", \"heads\": " << kAttnHeads
+      << ", \"fwd_bwd_ns\": " << attention_ns << "},\n";
   out << "  \"arena\": {\"acquires_per_step\": "
       << arena.acquires_per_step
       << ", \"heap_allocs_per_step\": " << arena.heap_allocs_per_step

@@ -1,7 +1,5 @@
 #include "nn/attention.hpp"
 
-#include <cmath>
-
 namespace avgpipe::nn {
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t d_model,
@@ -9,10 +7,10 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t d_model,
                                                double dropout_p)
     : d_model_(d_model),
       heads_(num_heads),
-      d_head_(d_model / num_heads),
       qkv_(d_model, 3 * d_model, rng),
       proj_(d_model, d_model, rng),
-      attn_dropout_(dropout_p, rng) {
+      attn_dropout_p_(dropout_p),
+      attn_rng_(rng.fork(0xD0)) {
   AVGPIPE_CHECK(d_model % num_heads == 0,
                 "d_model " << d_model << " not divisible by heads "
                            << num_heads);
@@ -20,33 +18,9 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t d_model,
 
 Variable MultiHeadSelfAttention::forward(const Variable& x) {
   AVGPIPE_CHECK(x.shape().size() == 3, name() << " expects [B,S,D]");
-  const std::size_t b = x.shape()[0], s = x.shape()[1];
   AVGPIPE_CHECK(x.shape()[2] == d_model_, name() << " d_model mismatch");
-
-  // Packed projection then split into q/k/v.
-  Variable qkv = qkv_.forward(x);  // [B,S,3D]
-  Variable flat = tensor::reshape(qkv, {b * s, 3 * d_model_});
-  auto split_heads = [&](std::size_t part) {
-    Variable v = tensor::slice_cols(flat, part * d_model_,
-                                    (part + 1) * d_model_);      // [B*S, D]
-    v = tensor::reshape(v, {b, s, heads_, d_head_});             // [B,S,H,Dh]
-    v = tensor::permute_0213(v);                                 // [B,H,S,Dh]
-    return tensor::reshape(v, {b * heads_, s, d_head_});         // [BH,S,Dh]
-  };
-  Variable q = split_heads(0), k = split_heads(1), v = split_heads(2);
-
-  Variable scores = tensor::bmm(q, tensor::transpose_last2(k));  // [BH,S,S]
-  // In-place scale: scores is a freshly owned bmm output and bmm's backward
-  // reads only its inputs.
-  scores =
-      tensor::scale_(scores, 1.0 / std::sqrt(static_cast<Scalar>(d_head_)));
-  Variable weights = tensor::softmax_rows(scores);
-  weights = attn_dropout_.forward(weights);
-  Variable ctx = tensor::bmm(weights, v);                        // [BH,S,Dh]
-
-  ctx = tensor::reshape(ctx, {b, heads_, s, d_head_});
-  ctx = tensor::permute_0213(ctx);                               // [B,S,H,Dh]
-  ctx = tensor::reshape(ctx, {b, s, d_model_});
+  Variable ctx = tensor::multi_head_attention(
+      qkv_.forward(x), heads_, attn_dropout_p_, attn_rng_, training_);
   return proj_.forward(ctx);
 }
 
@@ -60,11 +34,6 @@ std::vector<Variable> MultiHeadSelfAttention::parameters() {
 std::string MultiHeadSelfAttention::name() const {
   return "MHSA(d=" + std::to_string(d_model_) +
          ", h=" + std::to_string(heads_) + ")";
-}
-
-void MultiHeadSelfAttention::set_training(bool training) {
-  Module::set_training(training);
-  attn_dropout_.set_training(training);
 }
 
 TransformerEncoderLayer::TransformerEncoderLayer(std::size_t d_model,

@@ -8,7 +8,9 @@
 
 namespace avgpipe::nn {
 
-/// Multi-head scaled-dot-product self-attention over [B,S,D].
+/// Multi-head scaled-dot-product self-attention over [B,S,D]: the packed
+/// q/k/v projection, one tensor::multi_head_attention node, the output
+/// projection.
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(std::size_t d_model, std::size_t num_heads, Rng& rng,
@@ -17,13 +19,13 @@ class MultiHeadSelfAttention : public Module {
   Variable forward(const Variable& x) override;
   std::vector<Variable> parameters() override;
   std::string name() const override;
-  void set_training(bool training) override;
 
  private:
-  std::size_t d_model_, heads_, d_head_;
+  std::size_t d_model_, heads_;
   Linear qkv_;   ///< D -> 3D packed projection
   Linear proj_;  ///< D -> D output projection
-  Dropout attn_dropout_;
+  double attn_dropout_p_;
+  Rng attn_rng_;  ///< dropout stream on the attention weights
 };
 
 /// Pre-LN Transformer encoder block:

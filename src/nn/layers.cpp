@@ -22,20 +22,7 @@ Linear::Linear(std::size_t in, std::size_t out, Rng& rng, bool bias)
 }
 
 Variable Linear::forward(const Variable& x) {
-  const auto& shape = x.shape();
-  AVGPIPE_CHECK(!shape.empty() && shape.back() == in_,
-                name() << ": input last dim " << shape.back() << " != " << in_);
-  Variable flat = shape.size() == 2
-                      ? x
-                      : tensor::reshape(x, {x.numel() / in_, in_});
-  Variable y = tensor::matmul(flat, weight_);
-  if (has_bias_) y = tensor::add_bias_(y, bias_);
-  if (shape.size() != 2) {
-    Shape out_shape = shape;
-    out_shape.back() = out_;
-    y = tensor::reshape(y, std::move(out_shape));
-  }
-  return y;
+  return tensor::linear(x, weight_, bias_);
 }
 
 std::vector<Variable> Linear::parameters() {
@@ -58,24 +45,9 @@ DropConnectLinear::DropConnectLinear(std::size_t in, std::size_t out, double p,
 Variable DropConnectLinear::forward(const Variable& x) {
   if (!training_ || p_ == 0.0) return Linear::forward(x);
   // Mask the weight matrix, not the activations.
-  const Scalar keep = 1.0 - p_;
-  Tensor mask = Tensor::uninitialized(weight_.shape());
-  for (auto& m : mask.data()) m = rng_.bernoulli(keep) ? 1.0 / keep : 0.0;
-  Variable masked_w = tensor::mul(weight_, Variable(mask));
-
-  const auto& shape = x.shape();
-  AVGPIPE_CHECK(shape.back() == in_, name() << ": input dim mismatch");
-  Variable flat = shape.size() == 2
-                      ? x
-                      : tensor::reshape(x, {x.numel() / in_, in_});
-  Variable y = tensor::matmul(flat, masked_w);
-  if (has_bias_) y = tensor::add_bias_(y, bias_);
-  if (shape.size() != 2) {
-    Shape out_shape = shape;
-    out_shape.back() = out_;
-    y = tensor::reshape(y, std::move(out_shape));
-  }
-  return y;
+  Variable masked_w = tensor::mul(
+      weight_, Variable(tensor::dropout_mask(weight_.shape(), p_, rng_)));
+  return tensor::linear(x, masked_w, bias_);
 }
 
 std::string DropConnectLinear::name() const {

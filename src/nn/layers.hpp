@@ -27,7 +27,7 @@ class Linear : public Module {
   std::size_t in_, out_;
   bool has_bias_;
   Variable weight_;  ///< [in, out]
-  Variable bias_;    ///< [out]
+  Variable bias_;    ///< [out]; undefined without bias
 };
 
 /// Linear with DropConnect on the weight matrix (Merity et al., AWD-LSTM):

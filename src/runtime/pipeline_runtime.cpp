@@ -564,11 +564,11 @@ void PipelineRuntime::run_backward(Stage& stage,
     stash.output.backward(grad->payload);
   }
   if (!first) {
-    // Ownership transfer, not a clone: the stash entry dies at end of scope
-    // and the receiver's accumulate_grad deep-copies the seed into its own
-    // grad buffer on first contribution, so the storage is never shared
-    // across the link after the send. One producer per outbound gradient
-    // link: this stage thread.
+    // Ownership transfer, not a clone: the stash entry dies at end of scope,
+    // so the sent buffer has no other owner on this side. The receiver's
+    // backward adopts it as a seed and copies on write only while another
+    // handle still shares it. One producer per outbound gradient link: this
+    // stage thread.
     common::RoleGuard out_role(grads_[stage.index - 1]->producer_role());
     faulty_send(stage, *grads_[stage.index - 1],
                 GradMessage{instr.micro_batch,

@@ -19,12 +19,18 @@ void VarData::accumulate_grad(const Tensor& g) {
                 "gradient numel mismatch: " << g.numel() << " vs "
                                             << value.numel());
   if (!grad_allocated) {
-    // First contribution: copy instead of zero-fill + add (one pass, and the
-    // arena hands back an uninitialized buffer).
-    grad = Tensor::uninitialized(value.shape());
-    grad.copy_from(g);
+    // First contribution: adopt the incoming buffer by reference. Ops hand
+    // over freshly computed gradients and never write to them afterwards.
+    grad = g.reshape(value.shape());
     grad_allocated = true;
     return;
+  }
+  if (grad.use_count() > 1) {
+    // Copy on write: another handle (the producer's own gradient, a sibling
+    // parent, a caller's seed) still reads this buffer.
+    Tensor own = Tensor::uninitialized(value.shape());
+    own.copy_from(grad);
+    grad = std::move(own);
   }
   grad.axpy_(1.0, g);
 }
@@ -104,19 +110,26 @@ void Variable::backward(const Tensor& seed) const {
               return a->seq > b->seq;
             });
 
+  // Interior gradients are consumed once: release each right after its
+  // backward function runs, so only leaves retain grad across sweeps (a
+  // second backward() on the same graph accumulates leaf grads without
+  // double-counting stale interior ones) and the buffers the node handed
+  // on by reference lose a sharer before their next contribution.
   for (detail::VarData* node : nodes) {
     if (node->backward_fn && node->grad_allocated) {
       node->backward_fn(*node);
+      node->grad = Tensor();
+      node->grad_allocated = false;
     }
   }
 
-  // Release intermediate gradients: only leaves retain grad across sweeps,
-  // so a second backward() on the same graph accumulates leaf grads without
-  // double-counting stale interior gradients.
+  // A leaf may have adopted a buffer that is still shared (with a sibling
+  // leaf or the caller's seed). Leaves end the sweep as sole owners, so
+  // zero_grad and in-place optimizer writes reach no other tensor.
   for (detail::VarData* node : nodes) {
-    if (node->backward_fn && node->grad_allocated) {
-      node->grad = Tensor();
-      node->grad_allocated = false;
+    if (!node->backward_fn && node->grad_allocated &&
+        node->grad.use_count() > 1) {
+      node->grad = node->grad.clone();
     }
   }
 }

@@ -27,7 +27,7 @@ namespace detail {
 
 struct VarData {
   Tensor value;
-  Tensor grad;  ///< allocated lazily on first accumulation
+  Tensor grad;  ///< the first contribution, adopted; owned once written
   bool requires_grad = false;
   bool grad_allocated = false;
   std::uint64_t seq = 0;  ///< creation order; backward runs in descending seq
@@ -35,7 +35,9 @@ struct VarData {
   /// Propagates this node's grad into parents' grads. Null for leaves.
   std::function<void(VarData&)> backward_fn;
 
-  /// grad += g, allocating on first use.
+  /// grad += g. The first contribution is adopted by reference (ops hand
+  /// over freshly computed gradients and never write them afterwards); a
+  /// later one copies first if another handle still shares the buffer.
   void accumulate_grad(const Tensor& g);
 };
 

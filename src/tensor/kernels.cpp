@@ -22,19 +22,34 @@ namespace detail {
 void add_thread_flops(std::uint64_t n) { tls_flops += n; }
 }  // namespace detail
 
+namespace {
+/// `opts` with the packed row lengths filled in for unset leading dimensions.
+GemmOpts resolve(GemmOpts opts, std::size_t m, std::size_t n, std::size_t k,
+                 bool trans_a, bool trans_b) {
+  const std::size_t a_row = trans_a ? m : k, b_row = trans_b ? k : n;
+  if (opts.lda == 0) opts.lda = a_row;
+  if (opts.ldb == 0) opts.ldb = b_row;
+  if (opts.ldc == 0) opts.ldc = n;
+  AVGPIPE_CHECK(opts.lda >= a_row && opts.ldb >= b_row && opts.ldc >= n,
+                "gemm leading dimension below the stored row length");
+  return opts;
+}
+}  // namespace
+
 void gemm_reference(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
                     std::size_t n, std::size_t k, bool trans_a, bool trans_b,
-                    bool accumulate) {
-  if (!accumulate) std::fill(c, c + m * n, 0.0);
+                    bool accumulate, const GemmOpts& opts) {
+  const auto [lda, ldb, ldc] = resolve(opts, m, n, k, trans_a, trans_b);
   // Index helpers: a is m x k after op, b is k x n after op.
   auto ai = [&](std::size_t i, std::size_t p) {
-    return trans_a ? a[p * m + i] : a[i * k + p];
+    return trans_a ? a[p * lda + i] : a[i * lda + p];
   };
   auto bi = [&](std::size_t p, std::size_t j) {
-    return trans_b ? b[j * k + p] : b[p * n + j];
+    return trans_b ? b[j * ldb + p] : b[p * ldb + j];
   };
   for (std::size_t i = 0; i < m; ++i) {
-    Scalar* crow = c + i * n;
+    Scalar* crow = c + i * ldc;
+    if (!accumulate) std::fill(crow, crow + n, 0.0);
     for (std::size_t p = 0; p < k; ++p) {
       const Scalar av = ai(i, p);
       if (av == 0.0) continue;
@@ -64,18 +79,17 @@ constexpr std::size_t kBPackElems = ((kNc + kNr - 1) / kNr) * kNr * kKc;
 /// Pack op(B)[pc:pc+kc, jc:jc+nc] into column panels of width kNr:
 /// dst[panel][p][0..kNr) with zero padding past nc.
 void pack_b(Scalar* dst, const Scalar* b, std::size_t pc, std::size_t jc,
-            std::size_t kc, std::size_t nc, std::size_t n, std::size_t k,
-            bool trans_b) {
+            std::size_t kc, std::size_t nc, std::size_t ldb, bool trans_b) {
   for (std::size_t jr = 0; jr < nc; jr += kNr) {
     const std::size_t width = std::min(kNr, nc - jr);
     for (std::size_t p = 0; p < kc; ++p) {
       Scalar* out = dst + jr * kc + p * kNr;
       if (trans_b) {
-        // op(B)[p][j] = b[j*k + p]
-        const Scalar* src = b + (jc + jr) * k + (pc + p);
-        for (std::size_t j = 0; j < width; ++j) out[j] = src[j * k];
+        // op(B)[p][j] = b[j*ldb + p]
+        const Scalar* src = b + (jc + jr) * ldb + (pc + p);
+        for (std::size_t j = 0; j < width; ++j) out[j] = src[j * ldb];
       } else {
-        const Scalar* src = b + (pc + p) * n + jc + jr;
+        const Scalar* src = b + (pc + p) * ldb + jc + jr;
         for (std::size_t j = 0; j < width; ++j) out[j] = src[j];
       }
       for (std::size_t j = width; j < kNr; ++j) out[j] = 0.0;
@@ -86,19 +100,18 @@ void pack_b(Scalar* dst, const Scalar* b, std::size_t pc, std::size_t jc,
 /// Pack op(A)[ic:ic+mc, pc:pc+kc] into row panels of height kMr:
 /// dst[panel][p][0..kMr) with zero padding past mc.
 void pack_a(Scalar* dst, const Scalar* a, std::size_t ic, std::size_t pc,
-            std::size_t mc, std::size_t kc, std::size_t m, std::size_t k,
-            bool trans_a) {
+            std::size_t mc, std::size_t kc, std::size_t lda, bool trans_a) {
   for (std::size_t ir = 0; ir < mc; ir += kMr) {
     const std::size_t height = std::min(kMr, mc - ir);
     for (std::size_t p = 0; p < kc; ++p) {
       Scalar* out = dst + ir * kc + p * kMr;
       if (trans_a) {
-        // op(A)[i][p] = a[p*m + i]
-        const Scalar* src = a + (pc + p) * m + ic + ir;
+        // op(A)[i][p] = a[p*lda + i]
+        const Scalar* src = a + (pc + p) * lda + ic + ir;
         for (std::size_t i = 0; i < height; ++i) out[i] = src[i];
       } else {
-        const Scalar* src = a + (ic + ir) * k + (pc + p);
-        for (std::size_t i = 0; i < height; ++i) out[i] = src[i * k];
+        const Scalar* src = a + (ic + ir) * lda + (pc + p);
+        for (std::size_t i = 0; i < height; ++i) out[i] = src[i * lda];
       }
       for (std::size_t i = height; i < kMr; ++i) out[i] = 0.0;
     }
@@ -240,10 +253,14 @@ const MicroKernel micro_kernel = micro_kernel_for(selected_isa);
 
 void gemm_blocked_with(MicroKernel kernel, const Scalar* a, const Scalar* b,
                        Scalar* c, std::size_t m, std::size_t n, std::size_t k,
-                       bool trans_a, bool trans_b, bool accumulate) {
+                       bool trans_a, bool trans_b, bool accumulate,
+                       const GemmOpts& opts) {
   if (m == 0 || n == 0) return;
+  const auto [lda, ldb, ldc] = resolve(opts, m, n, k, trans_a, trans_b);
   if (k == 0) {
-    if (!accumulate) std::fill(c, c + m * n, 0.0);
+    if (!accumulate) {
+      for (std::size_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0);
+    }
     return;
   }
 
@@ -256,7 +273,7 @@ void gemm_blocked_with(MicroKernel kernel, const Scalar* a, const Scalar* b,
       const std::size_t kc = std::min(kKc, k - pc);
       // The packed panel is shared read-only by every row-block task; the
       // parallel_for dispatch orders the pack before the reads.
-      pack_b(bpack, b, pc, jc, kc, nc, n, k, trans_b);
+      pack_b(bpack, b, pc, jc, kc, nc, ldb, trans_b);
       const bool overwrite = (pc == 0) && !accumulate;
 
       ThreadPool::global().parallel_for(
@@ -266,13 +283,14 @@ void gemm_blocked_with(MicroKernel kernel, const Scalar* a, const Scalar* b,
             for (std::size_t blk = blk_lo; blk < blk_hi; ++blk) {
               const std::size_t ic = blk * kMc;
               const std::size_t mc = std::min(kMc, m - ic);
-              pack_a(apack, a, ic, pc, mc, kc, m, k, trans_a);
+              pack_a(apack, a, ic, pc, mc, kc, lda, trans_a);
               for (std::size_t jr = 0; jr < nc; jr += kNr) {
                 const std::size_t nr = std::min(kNr, nc - jr);
                 for (std::size_t ir = 0; ir < mc; ir += kMr) {
                   const std::size_t mr = std::min(kMr, mc - ir);
                   kernel(kc, apack + ir * kc, bpack + jr * kc,
-                         c + (ic + ir) * n + jc + jr, n, mr, nr, overwrite);
+                         c + (ic + ir) * ldc + jc + jr, ldc, mr, nr,
+                         overwrite);
                 }
               }
             }
@@ -311,11 +329,12 @@ GemmIsa widest_supported_isa() {
 
 void gemm_blocked_isa(GemmIsa isa, const Scalar* a, const Scalar* b,
                       Scalar* c, std::size_t m, std::size_t n, std::size_t k,
-                      bool trans_a, bool trans_b, bool accumulate) {
+                      bool trans_a, bool trans_b, bool accumulate,
+                      const GemmOpts& opts) {
   AVGPIPE_CHECK(gemm_isa_supported(isa),
                 "gemm kernel " << to_string(isa) << " not supported here");
   gemm_blocked_with(micro_kernel_for(isa), a, b, c, m, n, k, trans_a,
-                    trans_b, accumulate);
+                    trans_b, accumulate, opts);
 }
 
 const char* to_string(GemmIsa isa) {
@@ -336,9 +355,9 @@ const char* gemm_isa() { return detail::to_string(selected_isa); }
 
 void gemm_blocked(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
                   std::size_t n, std::size_t k, bool trans_a, bool trans_b,
-                  bool accumulate) {
+                  bool accumulate, const GemmOpts& opts) {
   gemm_blocked_with(micro_kernel, a, b, c, m, n, k, trans_a, trans_b,
-                    accumulate);
+                    accumulate, opts);
 }
 
 }  // namespace avgpipe::tensor

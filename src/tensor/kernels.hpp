@@ -19,6 +19,10 @@
 /// disjoint set of C rows, so results are bit-identical for any thread
 /// count.
 ///
+/// Operands may be strided (GemmOpts leading dimensions), so a GEMM can read
+/// and write column blocks of a wider row-major matrix in place; packing
+/// absorbs the strides the same way it absorbs transposes.
+///
 /// `gemm_reference` keeps the original unblocked triple loop as the parity
 /// oracle (tests/kernel_test.cpp) and the baseline the micro-benchmarks
 /// measure speedups against.
@@ -39,6 +43,15 @@ namespace avgpipe::tensor {
 /// deltas, don't reset.
 std::uint64_t thread_flops();
 
+/// Optional GEMM leading dimensions: the row strides of the matrices as
+/// stored. A is m x k (k x m under trans_a), B is k x n (n x k under
+/// trans_b), C is m x n; 0 means packed (the stored row length).
+struct GemmOpts {
+  std::size_t lda = 0;
+  std::size_t ldb = 0;
+  std::size_t ldc = 0;
+};
+
 namespace detail {
 /// Fold `n` issued FLOPs into the calling thread's counter (ops.cpp's gemm
 /// dispatch; not meant for user code).
@@ -55,7 +68,8 @@ GemmIsa widest_supported_isa();
 /// gemm_blocked with the micro-kernel for `isa` (which must be supported).
 void gemm_blocked_isa(GemmIsa isa, const Scalar* a, const Scalar* b,
                       Scalar* c, std::size_t m, std::size_t n, std::size_t k,
-                      bool trans_a, bool trans_b, bool accumulate);
+                      bool trans_a, bool trans_b, bool accumulate,
+                      const GemmOpts& opts = {});
 
 /// vec_tanh / vec_exp with the build for `isa` (which must be supported).
 void vec_tanh_isa(GemmIsa isa, const Scalar* x, Scalar* y, std::size_t n);
@@ -70,13 +84,13 @@ const char* gemm_isa();
 /// parity/benchmark reference. C (+)= op(A) * op(B).
 void gemm_reference(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
                     std::size_t n, std::size_t k, bool trans_a, bool trans_b,
-                    bool accumulate);
+                    bool accumulate, const GemmOpts& opts = {});
 
 /// Cache-blocked packed GEMM, parallelised over row panels via
 /// ThreadPool::global(). Same contract as gemm_reference.
 void gemm_blocked(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
                   std::size_t n, std::size_t k, bool trans_a, bool trans_b,
-                  bool accumulate);
+                  bool accumulate, const GemmOpts& opts = {});
 
 /// y[i] = tanh(x[i]) and y[i] = exp(x[i]) for i < n (vecmath.cpp): a fixed
 /// range reduction and polynomial, within 4 ulp of libm, with the same bits

@@ -34,14 +34,14 @@ void check_inplace_ok(const Variable& x, const char* op) {
 
 void gemm(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
           std::size_t n, std::size_t k, bool trans_a, bool trans_b,
-          bool accumulate) {
+          bool accumulate, const GemmOpts& opts) {
   // All matmul-family ops (linear, LSTM gates, attention) route through this
   // dispatcher, so counting here covers the pipeline compute path.
   detail::add_thread_flops(2ull * m * n * k);
   if (m * n * k < kGemmBlockedThreshold) {
-    gemm_reference(a, b, c, m, n, k, trans_a, trans_b, accumulate);
+    gemm_reference(a, b, c, m, n, k, trans_a, trans_b, accumulate, opts);
   } else {
-    gemm_blocked(a, b, c, m, n, k, trans_a, trans_b, accumulate);
+    gemm_blocked(a, b, c, m, n, k, trans_a, trans_b, accumulate, opts);
   }
 }
 
@@ -120,21 +120,6 @@ Variable scale(const Variable& a, Scalar s) {
   const auto av = a.value().data();
   auto ov = out.data();
   for (std::size_t i = 0; i < ov.size(); ++i) ov[i] = av[i] * s;
-  auto pa = a.data();
-  return Variable::make_op(std::move(out), {a}, [pa, s](VarData& o) {
-    Tensor g = Tensor::uninitialized(pa->value.shape());
-    auto gv = g.data();
-    const auto og = o.grad.data();
-    for (std::size_t i = 0; i < gv.size(); ++i) gv[i] = og[i] * s;
-    pa->accumulate_grad(g);
-  });
-}
-
-Variable scale_(const Variable& a, Scalar s) {
-  check_inplace_ok(a, "scale_");
-  Tensor out = a.value();  // alias: scaled in place
-  auto ov = out.data();
-  for (std::size_t i = 0; i < ov.size(); ++i) ov[i] *= s;
   auto pa = a.data();
   return Variable::make_op(std::move(out), {a}, [pa, s](VarData& o) {
     Tensor g = Tensor::uninitialized(pa->value.shape());
@@ -310,129 +295,65 @@ Variable matmul(const Variable& a, const Variable& b) {
                 "matmul expects 2-D inputs, got "
                     << shape_to_string(a.shape()) << " x "
                     << shape_to_string(b.shape()));
-  const std::size_t m = a.value().dim(0), k = a.value().dim(1);
-  const std::size_t k2 = b.value().dim(0), n = b.value().dim(1);
-  AVGPIPE_CHECK(k == k2, "matmul inner dims mismatch: " << k << " vs " << k2);
-  Tensor out = Tensor::uninitialized({m, n});
-  gemm(a.value().data().data(), b.value().data().data(), out.data().data(), m,
-       n, k, false, false, false);
-  auto pa = a.data();
-  auto pb = b.data();
-  return Variable::make_op(
-      std::move(out), {a, b}, [pa, pb, m, n, k](VarData& o) {
-        const Scalar* g = o.grad.data().data();
-        if (pa->requires_grad) {
-          Tensor ga = Tensor::uninitialized({m, k});  // dA = dC * B^T
-          gemm(g, pb->value.data().data(), ga.data().data(), m, k, n, false,
-               true, false);
-          pa->accumulate_grad(ga);
-        }
-        if (pb->requires_grad) {
-          Tensor gb = Tensor::uninitialized({k, n});  // dB = A^T * dC
-          gemm(pa->value.data().data(), g, gb.data().data(), k, n, m, true,
-               false, false);
-          pb->accumulate_grad(gb);
-        }
-      });
+  return linear(a, b, Variable());
 }
 
-Variable bmm(const Variable& a, const Variable& b) {
-  AVGPIPE_CHECK(a.value().ndim() == 3 && b.value().ndim() == 3,
-                "bmm expects 3-D inputs");
-  const std::size_t bs = a.value().dim(0);
-  const std::size_t m = a.value().dim(1), k = a.value().dim(2);
-  const std::size_t n = b.value().dim(2);
-  AVGPIPE_CHECK(b.value().dim(0) == bs && b.value().dim(1) == k,
-                "bmm shape mismatch: " << shape_to_string(a.shape()) << " x "
-                                       << shape_to_string(b.shape()));
-  Tensor out = Tensor::uninitialized({bs, m, n});
-  for (std::size_t i = 0; i < bs; ++i) {
-    gemm(a.value().data().data() + i * m * k,
-         b.value().data().data() + i * k * n, out.data().data() + i * m * n, m,
-         n, k, false, false, false);
-  }
-  auto pa = a.data();
-  auto pb = b.data();
-  return Variable::make_op(
-      std::move(out), {a, b}, [pa, pb, bs, m, n, k](VarData& o) {
-        const Scalar* g = o.grad.data().data();
-        if (pa->requires_grad) {
-          Tensor ga = Tensor::uninitialized({bs, m, k});
-          for (std::size_t i = 0; i < bs; ++i) {
-            gemm(g + i * m * n, pb->value.data().data() + i * k * n,
-                 ga.data().data() + i * m * k, m, k, n, false, true, false);
-          }
-          pa->accumulate_grad(ga);
-        }
-        if (pb->requires_grad) {
-          Tensor gb = Tensor::uninitialized({bs, k, n});
-          for (std::size_t i = 0; i < bs; ++i) {
-            gemm(pa->value.data().data() + i * m * k, g + i * m * n,
-                 gb.data().data() + i * k * n, k, n, m, true, false, false);
-          }
-          pb->accumulate_grad(gb);
-        }
-      });
-}
-
-namespace {
-Tensor transpose_last2_tensor(const Tensor& x) {
-  const std::size_t nd = x.ndim();
-  AVGPIPE_CHECK(nd >= 2, "transpose_last2 needs >= 2-D");
-  const std::size_t r = x.shape()[nd - 2];
-  const std::size_t c = x.shape()[nd - 1];
-  const std::size_t batches = x.numel() / (r * c);
+Variable linear(const Variable& x, const Variable& weight,
+                const Variable& bias) {
+  AVGPIPE_CHECK(weight.value().ndim() == 2, "linear weight must be 2-D");
+  const std::size_t in = weight.value().dim(0), out_cols = weight.value().dim(1);
+  std::size_t rows = 0, cols = 0;
+  rows_cols(x.value(), rows, cols);
+  AVGPIPE_CHECK(cols == in, "linear: input last dim " << cols << " != " << in);
+  const bool has_bias = bias.defined();
+  AVGPIPE_CHECK(!has_bias || bias.value().numel() == out_cols,
+                "linear: bias numel " << bias.value().numel() << " != "
+                                      << out_cols);
   Shape out_shape = x.shape();
-  std::swap(out_shape[nd - 2], out_shape[nd - 1]);
+  out_shape.back() = out_cols;
   Tensor out = Tensor::uninitialized(std::move(out_shape));
-  const auto xv = x.data();
   auto ov = out.data();
-  for (std::size_t bidx = 0; bidx < batches; ++bidx) {
-    const std::size_t base = bidx * r * c;
-    for (std::size_t i = 0; i < r; ++i) {
-      for (std::size_t j = 0; j < c; ++j) {
-        ov[base + j * r + i] = xv[base + i * c + j];
-      }
+  gemm(x.value().data().data(), weight.value().data().data(), ov.data(), rows,
+       out_cols, in, false, false, false);
+  if (has_bias) {
+    const auto bv = bias.value().data();
+    for (std::size_t r = 0; r < rows; ++r) {
+      Scalar* orow = ov.data() + r * out_cols;
+      for (std::size_t c = 0; c < out_cols; ++c) orow[c] += bv[c];
     }
   }
-  return out;
-}
-}  // namespace
-
-Variable transpose_last2(const Variable& x) {
-  Tensor out = transpose_last2_tensor(x.value());
   auto px = x.data();
-  return Variable::make_op(std::move(out), {x}, [px](VarData& o) {
-    px->accumulate_grad(transpose_last2_tensor(o.grad));
-  });
-}
-
-namespace {
-Tensor permute_0213_tensor(const Tensor& x) {
-  AVGPIPE_CHECK(x.ndim() == 4, "permute_0213 needs a 4-D tensor");
-  const std::size_t A = x.dim(0), B = x.dim(1), C = x.dim(2), D = x.dim(3);
-  Tensor out = Tensor::uninitialized({A, C, B, D});
-  const auto xv = x.data();
-  auto ov = out.data();
-  for (std::size_t a = 0; a < A; ++a) {
-    for (std::size_t b = 0; b < B; ++b) {
-      for (std::size_t c = 0; c < C; ++c) {
-        const std::size_t src = ((a * B + b) * C + c) * D;
-        const std::size_t dst = ((a * C + c) * B + b) * D;
-        for (std::size_t d = 0; d < D; ++d) ov[dst + d] = xv[src + d];
-      }
-    }
-  }
-  return out;
-}
-}  // namespace
-
-Variable permute_0213(const Variable& x) {
-  Tensor out = permute_0213_tensor(x.value());
-  auto px = x.data();
-  return Variable::make_op(std::move(out), {x}, [px](VarData& o) {
-    px->accumulate_grad(permute_0213_tensor(o.grad));
-  });
+  auto pw = weight.data();
+  auto pb = has_bias ? bias.data() : nullptr;
+  std::vector<Variable> parents{x, weight};
+  if (has_bias) parents.push_back(bias);
+  return Variable::make_op(
+      std::move(out), std::move(parents),
+      [px, pw, pb, rows, in, out_cols](VarData& o) {
+        const Scalar* g = o.grad.data().data();
+        if (pb && pb->requires_grad) {
+          Tensor gb(pb->value.shape());  // zeroed: column sums of dY
+          auto gbv = gb.data();
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < out_cols; ++c) {
+              gbv[c] += g[r * out_cols + c];
+            }
+          }
+          pb->accumulate_grad(gb);
+        }
+        if (px->requires_grad) {
+          Tensor gx = Tensor::uninitialized(px->value.shape());  // dY W^T
+          gemm(g, pw->value.data().data(), gx.data().data(), rows, in,
+               out_cols, false, true, false);
+          px->accumulate_grad(gx);
+        }
+        if (pw->requires_grad) {
+          Tensor gw = Tensor::uninitialized(pw->value.shape());  // X^T dY
+          gemm(px->value.data().data(), g, gw.data().data(), in, out_cols,
+               rows, true, false, false);
+          pw->accumulate_grad(gw);
+        }
+      });
 }
 
 // -- shape --------------------------------------------------------------------
@@ -530,14 +451,19 @@ Variable concat_rows(const std::vector<Variable>& xs) {
 // -- normalisation ------------------------------------------------------------
 
 namespace {
-/// out = the softmax of each row of x, both [rows, cols] row-major. The max
-/// shift runs per row, the exponentials in one span call over the whole
-/// buffer. A -inf entry gives exactly 0; a NaN anywhere in a row makes the
-/// whole row NaN.
+/// out = the softmax of each row of scale*x, both [rows, cols] row-major;
+/// `out` may equal `x`. The max shift runs per row, the exponentials in one
+/// span call over the whole buffer. A -inf entry gives exactly 0; a NaN
+/// anywhere in a row makes the whole row NaN.
 void softmax_rows_into(const Scalar* x, Scalar* out, std::size_t rows,
-                       std::size_t cols) {
+                       std::size_t cols, Scalar scale = 1.0) {
   for (std::size_t r = 0; r < rows; ++r) {
     const Scalar* row = x + r * cols;
+    if (scale != 1.0) {
+      Scalar* srow = out + r * cols;
+      for (std::size_t c = 0; c < cols; ++c) srow[c] = row[c] * scale;
+      row = srow;
+    }
     Scalar mx = row[0];
     for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
     for (std::size_t c = 0; c < cols; ++c) out[r * cols + c] = row[c] - mx;
@@ -549,6 +475,25 @@ void softmax_rows_into(const Scalar* x, Scalar* out, std::size_t rows,
     for (std::size_t c = 0; c < cols; ++c) z += orow[c];
     const Scalar inv_z = 1.0 / z;
     for (std::size_t c = 0; c < cols; ++c) orow[c] *= inv_z;
+  }
+}
+
+/// g = the softmax input gradient for output y and output gradient dy, all
+/// [rows, cols]; `g` may equal `dy`. Fused: one sweep stores t = y*dy into g
+/// while reducing dot(y, dy), one sweep finalises g = t - y*dot (no
+/// recomputed products).
+void softmax_rows_backward(const Scalar* dy, const Scalar* y, Scalar* g,
+                           std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    Scalar dotp = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const Scalar t = dy[r * cols + c] * y[r * cols + c];
+      g[r * cols + c] = t;
+      dotp += t;
+    }
+    for (std::size_t c = 0; c < cols; ++c) {
+      g[r * cols + c] -= y[r * cols + c] * dotp;
+    }
   }
 }
 }  // namespace
@@ -566,19 +511,7 @@ Variable softmax_rows(const Variable& x) {
         auto gv = g.data();
         const auto og = o.grad.data();
         const auto yv = saved.data();
-        // Fused: one sweep stores t = y*dy into g while reducing dot(y, dy),
-        // one sweep finalises g = t - y*dot (no recomputed products).
-        for (std::size_t r = 0; r < rows; ++r) {
-          Scalar dotp = 0.0;
-          for (std::size_t c = 0; c < cols; ++c) {
-            const Scalar t = og[r * cols + c] * yv[r * cols + c];
-            gv[r * cols + c] = t;
-            dotp += t;
-          }
-          for (std::size_t c = 0; c < cols; ++c) {
-            gv[r * cols + c] -= yv[r * cols + c] * dotp;
-          }
-        }
+        softmax_rows_backward(og.data(), yv.data(), gv.data(), rows, cols);
         px->accumulate_grad(g);
       });
 }
@@ -671,13 +604,19 @@ Variable layer_norm(const Variable& x, const Variable& gamma,
       });
 }
 
+Tensor dropout_mask(Shape shape, double p, Rng& rng) {
+  AVGPIPE_CHECK(p >= 0.0 && p < 1.0, "dropout p must be in [0,1), got " << p);
+  const Scalar keep = 1.0 - p;
+  Tensor mask = Tensor::uninitialized(std::move(shape));
+  for (auto& m : mask.data()) m = rng.bernoulli(keep) ? 1.0 / keep : 0.0;
+  return mask;
+}
+
 Variable dropout(const Variable& x, double p, Rng& rng, bool training) {
   AVGPIPE_CHECK(p >= 0.0 && p < 1.0, "dropout p must be in [0,1), got " << p);
   if (!training || p == 0.0) return x;
-  const Scalar keep = 1.0 - p;
-  Tensor mask = Tensor::uninitialized(x.shape());
-  auto mv = mask.data();
-  for (auto& m : mv) m = rng.bernoulli(keep) ? 1.0 / keep : 0.0;
+  Tensor mask = dropout_mask(x.shape(), p, rng);
+  const auto mv = mask.data();
   Tensor out = Tensor::uninitialized(x.shape());
   const auto xv = x.value().data();
   auto ov = out.data();
@@ -691,6 +630,101 @@ Variable dropout(const Variable& x, double p, Rng& rng, bool training) {
     for (std::size_t i = 0; i < gv.size(); ++i) gv[i] = og[i] * mv2[i];
     px->accumulate_grad(g);
   });
+}
+
+// -- attention ----------------------------------------------------------------
+
+namespace {
+/// The attention weights the context GEMM reads: the softmax output `y`
+/// itself, or with a dropout mask its product with `mask`, written into
+/// `scratch` (n elements each).
+const Scalar* dropped_weights(const Scalar* y, const Scalar* mask,
+                              Tensor& scratch, std::size_t n) {
+  if (mask == nullptr) return y;
+  Scalar* out = scratch.data().data();
+  for (std::size_t i = 0; i < n; ++i) out[i] = y[i] * mask[i];
+  return out;
+}
+}  // namespace
+
+Variable multi_head_attention(const Variable& qkv, std::size_t heads, double p,
+                              Rng& rng, bool training) {
+  AVGPIPE_CHECK(qkv.value().ndim() == 3,
+                "multi_head_attention expects [B,S,3D], got "
+                    << shape_to_string(qkv.shape()));
+  const std::size_t batch = qkv.value().dim(0), seq = qkv.value().dim(1);
+  const std::size_t ld = qkv.value().dim(2);  // row stride of q, k and v
+  AVGPIPE_CHECK(heads > 0 && ld % (3 * heads) == 0,
+                "multi_head_attention: width " << ld << " is not 3 x " << heads
+                                               << " heads");
+  AVGPIPE_CHECK(p >= 0.0 && p < 1.0, "dropout p must be in [0,1), got " << p);
+  const std::size_t d = ld / 3, dh = d / heads, tile = seq * seq;
+  const Scalar scale = 1.0 / std::sqrt(static_cast<Scalar>(dh));
+  const bool drop = training && p > 0.0;
+
+  // probs holds each (batch, head)'s softmax weights for backward; the
+  // dropped copy the context GEMM reads is rebuilt there from the mask.
+  Tensor probs = Tensor::uninitialized({batch, heads, seq, seq});
+  Tensor mask = drop ? dropout_mask({batch, heads, seq, seq}, p, rng) : Tensor();
+  Tensor dropped = drop ? Tensor::uninitialized({seq, seq}) : Tensor();
+  Tensor out = Tensor::uninitialized({batch, seq, d});
+  const Scalar* x = qkv.value().data().data();
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      const Scalar* q = x + b * seq * ld + h * dh;  // k = q + d, v = q + 2d
+      const std::size_t t0 = (b * heads + h) * tile;
+      Scalar* w = probs.data().data() + t0;
+      gemm(q, q + d, w, seq, seq, dh, false, true, false,
+           {.lda = ld, .ldb = ld});
+      softmax_rows_into(w, w, seq, seq, scale);
+      const Scalar* wd = dropped_weights(
+          w, drop ? mask.data().data() + t0 : nullptr, dropped, tile);
+      gemm(wd, q + 2 * d, out.data().data() + b * seq * d + h * dh, seq, dh,
+           seq, false, false, false, {.ldb = ld, .ldc = d});
+    }
+  }
+
+  auto px = qkv.data();
+  return Variable::make_op(
+      std::move(out), {qkv},
+      [px, probs, mask, drop, batch, seq, heads, d, dh, ld, tile,
+       scale](VarData& o) {
+        const Scalar* x = px->value.data().data();
+        const Scalar* go = o.grad.data().data();
+        Tensor gqkv = Tensor::uninitialized(px->value.shape());
+        Tensor gw = Tensor::uninitialized({seq, seq});
+        Tensor dropped = drop ? Tensor::uninitialized({seq, seq}) : Tensor();
+        Scalar* gs = gw.data().data();
+        for (std::size_t b = 0; b < batch; ++b) {
+          for (std::size_t h = 0; h < heads; ++h) {
+            const std::size_t row0 = b * seq * ld + h * dh;
+            const Scalar* q = x + row0;
+            Scalar* gq = gqkv.data().data() + row0;
+            const Scalar* gctx = go + b * seq * d + h * dh;
+            const std::size_t t0 = (b * heads + h) * tile;
+            const Scalar* y = probs.data().data() + t0;
+            const Scalar* mk = drop ? mask.data().data() + t0 : nullptr;
+            const Scalar* wd = dropped_weights(y, mk, dropped, tile);
+            // dv = W^T dctx and dW = dctx v^T.
+            gemm(wd, gctx, gq + 2 * d, seq, dh, seq, true, false, false,
+                 {.ldb = d, .ldc = ld});
+            gemm(gctx, q + 2 * d, gs, seq, seq, dh, false, true, false,
+                 {.lda = d, .ldb = ld});
+            // Back through dropout, softmax and the 1/sqrt(Dh) scale.
+            if (mk != nullptr) {
+              for (std::size_t i = 0; i < tile; ++i) gs[i] = gs[i] * mk[i];
+            }
+            softmax_rows_backward(gs, y, gs, seq, seq);
+            for (std::size_t i = 0; i < tile; ++i) gs[i] = gs[i] * scale;
+            // dq = dS k and dk = dS^T q.
+            gemm(gs, q + d, gq, seq, dh, seq, false, false, false,
+                 {.ldb = ld, .ldc = ld});
+            gemm(gs, q, gq + d, seq, dh, seq, true, false, false,
+                 {.ldb = ld, .ldc = ld});
+          }
+        }
+        px->accumulate_grad(gqkv);
+      });
 }
 
 // -- lookups ------------------------------------------------------------------

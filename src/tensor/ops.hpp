@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "tensor/autograd.hpp"
+#include "tensor/kernels.hpp"
 
 namespace avgpipe::tensor {
 
@@ -28,9 +29,8 @@ Variable add_bias(const Variable& x, const Variable& bias);
 // value of `x` and return a node whose value aliases it, saving one
 // allocation + copy pass per call. Only legal when the caller owns `x` as a
 // freshly produced op output whose producer's backward does not read its own
-// output value (matmul/bmm/add qualify; activations and softmax do not).
+// output value (matmul/add qualify; activations and softmax do not).
 // Applying one to a grad-requiring leaf (i.e. a parameter) is checked fatal.
-Variable scale_(const Variable& a, Scalar s);
 Variable add_bias_(const Variable& x, const Variable& bias);
 
 // -- activations --------------------------------------------------------------
@@ -41,21 +41,33 @@ Variable sigmoid(const Variable& x);
 /// Gaussian error linear unit (tanh approximation), used by BERT blocks.
 Variable gelu(const Variable& x);
 
-/// In-place activations (same ownership rules as scale_/add_bias_).
+/// In-place activations (same ownership rules as add_bias_).
 Variable relu_(const Variable& x);
 Variable tanh_op_(const Variable& x);
 Variable sigmoid_(const Variable& x);
 
 // -- linear algebra -----------------------------------------------------------
 
-/// [M,K] x [K,N] -> [M,N].
+/// [M,K] x [K,N] -> [M,N]: `linear` without a bias.
 Variable matmul(const Variable& a, const Variable& b);
-/// Batched: [B,M,K] x [B,K,N] -> [B,M,N].
-Variable bmm(const Variable& a, const Variable& b);
-/// Swap the last two dims (copy). Works for 2-D and 3-D inputs.
-Variable transpose_last2(const Variable& x);
-/// [A,B,C,D] -> [A,C,B,D] (copy); the multi-head attention reshuffle.
-Variable permute_0213(const Variable& x);
+/// Affine map as one node: x [.., in] times weight [in, out] plus bias [out]
+/// -> [.., out] (leading dims flattened). The bias is added to each row
+/// after the GEMM; an undefined `bias` means none. Backward gives dX, dW and
+/// db (the column sums of dY).
+Variable linear(const Variable& x, const Variable& weight,
+                const Variable& bias);
+
+// -- attention ----------------------------------------------------------------
+
+/// Multi-head scaled-dot-product self-attention as one node: the packed
+/// projection qkv [B, S, 3D] (q, k, v side by side in each row, head h in
+/// columns [h*Dh, (h+1)*Dh) of its part) -> context [B, S, D]. Per (batch,
+/// head): softmax(q k^T / sqrt(Dh)), inverted dropout with rate `p` on the
+/// weights when `training` (mask drawn from `rng` as `dropout` does), then
+/// times v. The GEMMs read q/k/v and write the context and the qkv gradient
+/// in place through leading dimensions, so no head is ever copied out.
+Variable multi_head_attention(const Variable& qkv, std::size_t heads, double p,
+                              Rng& rng, bool training);
 
 // -- shape --------------------------------------------------------------------
 
@@ -77,6 +89,9 @@ Variable layer_norm(const Variable& x, const Variable& gamma,
                     const Variable& beta, Scalar eps = 1e-5);
 /// Inverted dropout; identity when !training or p == 0.
 Variable dropout(const Variable& x, double p, Rng& rng, bool training);
+/// The inverted-dropout mask `dropout` applies: each entry, in order, is
+/// 1/(1-p) with probability 1-p (one Bernoulli draw from `rng`), else 0.
+Tensor dropout_mask(Shape shape, double p, Rng& rng);
 
 // -- lookups ------------------------------------------------------------------
 
@@ -99,11 +114,12 @@ Variable mse_loss(const Variable& pred, const Tensor& target);
 std::vector<int> argmax_rows(const Tensor& logits);
 /// Fraction of rows whose argmax equals the target.
 double accuracy(const Tensor& logits, const std::vector<int>& targets);
-/// Raw GEMM: C (+)= op(A) * op(B); op is optional transpose. Dispatches to
-/// the blocked/parallel kernel (kernels.hpp) above kGemmBlockedThreshold
+/// Raw GEMM: C (+)= op(A) * op(B); op is optional transpose, and `opts`
+/// carries leading dimensions (kernels.hpp).
+/// Dispatches to the blocked/parallel kernel above kGemmBlockedThreshold
 /// multiply-adds, else the reference loop.
 void gemm(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
           std::size_t n, std::size_t k, bool trans_a, bool trans_b,
-          bool accumulate);
+          bool accumulate, const GemmOpts& opts = {});
 
 }  // namespace avgpipe::tensor

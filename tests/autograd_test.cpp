@@ -1,5 +1,7 @@
 #include "tensor/autograd.hpp"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "tensor/ops.hpp"
@@ -82,6 +84,71 @@ TEST(AutogradTest, SecondBackwardAccumulates) {
   EXPECT_DOUBLE_EQ(x.grad()[0], 8.0);
 }
 
+// -- gradient ownership ---------------------------------------------------------
+
+TEST(AutogradTest, SharedGradientIsCopiedOnWrite) {
+  Rng rng(3);
+  const Tensor g = Tensor::randn({6}, rng);
+  const Tensor g_before = g.clone();
+  const auto gv = g.data();
+
+  // add(h, h): h adopts the seed on its first contribution, so the second
+  // must copy before adding or it would write into the caller's seed.
+  {
+    Variable x(Tensor::randn({6}, rng), true);
+    Variable h = scale(x, 1.5);
+    add(h, h).backward(g);
+    for (std::size_t i = 0; i < 6; ++i) {
+      const Scalar hg = gv[i] + gv[i];
+      EXPECT_EQ(x.grad()[i], hg * 1.5) << i;
+    }
+    EXPECT_EQ(g.max_abs_diff(g_before), 0.0) << "seed was written";
+  }
+
+  // s = add(a, b) is created last, so its backward runs first and a and b
+  // both adopt s's gradient buffer. Each then takes a second contribution
+  // (from ta and tb); adding into the shared buffer in place would leak
+  // each one into the other's gradient.
+  {
+    Variable x(Tensor::randn({6}, rng), true);
+    const Tensor wa = Tensor::randn({6}, rng), wb = Tensor::randn({6}, rng);
+    Variable a = scale(x, 2.0), b = scale(x, 3.0);
+    Variable ta = mul(a, Variable(wa)), tb = mul(b, Variable(wb));
+    Variable s = add(a, b);
+    add(add(s, ta), tb).backward(g);
+    // Copy-based oracle, in the sweep's order: b's scale node runs before
+    // a's, so x adopts b's contribution and then adds a's.
+    for (std::size_t i = 0; i < 6; ++i) {
+      const Scalar ga = gv[i] + gv[i] * wa[i];
+      const Scalar gb = gv[i] + gv[i] * wb[i];
+      EXPECT_EQ(x.grad()[i], gb * 3.0 + ga * 2.0) << i;
+    }
+    EXPECT_EQ(g.max_abs_diff(g_before), 0.0) << "seed was written";
+  }
+}
+
+TEST(AutogradTest, LeafGradsOwnTheirStorage) {
+  Rng rng(4);
+  // Two leaves that both adopt the seed through add, and parameters behind
+  // a reshape and a bias add (which hand their gradient on by reference).
+  Variable w1(Tensor::randn({2, 3}, rng), true);
+  Variable w2(Tensor::randn({2, 3}, rng), true);
+  Variable bias(Tensor::randn({3}, rng), true);
+  Variable flat(Tensor::randn({6}, rng), true);
+  const Tensor seed = Tensor::randn({2, 3}, rng);
+  Variable y = add_bias(add(add(w1, w2), reshape(flat, {2, 3})), bias);
+  y.backward(seed);
+  for (const Variable* p : {&w1, &w2, &bias, &flat}) {
+    EXPECT_EQ(p->grad().use_count(), 1);
+  }
+  // zero_grad and in-place optimizer writes reach no other tensor.
+  const Tensor w2_grad = w2.grad().clone();
+  w1.zero_grad();
+  flat.mutable_grad().scale_(2.0);
+  EXPECT_EQ(w2.grad().max_abs_diff(w2_grad), 0.0);
+  EXPECT_EQ(w2.grad().max_abs_diff(seed), 0.0);
+}
+
 // -- numeric gradient checks for every op -------------------------------------------
 
 class GradCheckTest : public ::testing::Test {
@@ -126,32 +193,36 @@ TEST_F(GradCheckTest, Matmul) {
             1e-4);
 }
 
-TEST_F(GradCheckTest, Bmm) {
-  Variable a(Tensor::randn({2, 3, 4}, rng_), true);
-  Variable b(Tensor::randn({2, 4, 2}, rng_), true);
-  EXPECT_LT(max_grad_error([&] { return sum_all(bmm(a, b)); }, {a, b}), 1e-5);
-}
-
-TEST_F(GradCheckTest, TransposeLast2) {
-  Variable a(Tensor::randn({2, 3, 4}, rng_), true);
+TEST_F(GradCheckTest, Linear) {
+  Variable x(Tensor::randn({2, 3, 4}, rng_), true);
+  Variable w(Tensor::randn({4, 5}, rng_), true);
+  Variable b(Tensor::randn({5}, rng_), true);
+  Variable u(Tensor::randn({2, 3, 5}, rng_), false);
   EXPECT_LT(max_grad_error(
-                [&] {
-                  Variable t = transpose_last2(a);
-                  return sum_all(mul(t, t));
-                },
-                {a}),
+                [&] { return sum_all(mul(linear(x, w, b), u)); }, {x, w, b}),
+            1e-5);
+  EXPECT_LT(max_grad_error(
+                [&] { return sum_all(mul(linear(x, w, Variable()), u)); },
+                {x, w}),
             1e-5);
 }
 
-TEST_F(GradCheckTest, Permute0213) {
-  Variable a(Tensor::randn({2, 3, 4, 5}, rng_), true);
-  EXPECT_LT(max_grad_error(
-                [&] {
-                  Variable t = permute_0213(a);
-                  return sum_all(mul(t, t));
-                },
-                {a}),
-            1e-5);
+TEST_F(GradCheckTest, MultiHeadAttention) {
+  // [B=2, S=3, 3D=12] with 2 heads of width 2. The dropout case rebuilds
+  // its Rng per call so every finite-difference probe sees the same mask.
+  Variable qkv(Tensor::randn({2, 3, 12}, rng_), true);
+  Variable u(Tensor::randn({2, 3, 4}, rng_), false);
+  for (const double p : {0.0, 0.3}) {
+    EXPECT_LT(max_grad_error(
+                  [&] {
+                    Rng drop_rng(5);
+                    return sum_all(mul(
+                        multi_head_attention(qkv, 2, p, drop_rng, true), u));
+                  },
+                  {qkv}),
+              1e-5)
+        << "p=" << p;
+  }
 }
 
 TEST_F(GradCheckTest, ReluTanhSigmoidGelu) {
@@ -321,6 +392,40 @@ TEST(OpsTest, EmbeddingOutOfRangeThrows) {
   Variable w(Tensor::randn({4, 2}, rng), true);
   EXPECT_THROW(embedding(w, {4}), Error);
   EXPECT_THROW(embedding(w, {-1}), Error);
+}
+
+TEST(OpsTest, MultiHeadAttentionMatchesPerHeadCopiesBitExact) {
+  // Against the per-head-copy reference: the output, the qkv gradient and
+  // the dropout stream's state afterwards. Heads of 8x8 run every GEMM
+  // below kGemmBlockedThreshold; bert_ckpt's shape (S=32, D=64, H=4) runs
+  // them above it.
+  struct Shape4 {
+    std::size_t batch, seq, d, heads;
+  };
+  for (const auto& [batch, seq, d, heads] :
+       {Shape4{2, 8, 16, 2}, Shape4{2, 32, 64, 4}}) {
+    ASSERT_EQ(seq * seq * (d / heads) < kGemmBlockedThreshold, seq == 8);
+    for (const double p : {0.0, 0.1}) {
+      Rng data_rng(17);
+      Variable qkv(Tensor::randn({batch, seq, 3 * d}, data_rng), true);
+      const Tensor grad_out = Tensor::randn({batch, seq, d}, data_rng);
+      Rng node_rng(23), ref_rng(23);
+      Variable out = multi_head_attention(qkv, heads, p, node_rng, true);
+      out.backward(grad_out);
+      const auto ref = testutil::reference_attention(
+          qkv.value(), heads, p, ref_rng, true, grad_out);
+      const auto same_bits = [](const Tensor& a, const Tensor& b) {
+        return a.numel() == b.numel() &&
+               std::memcmp(a.data().data(), b.data().data(),
+                           a.numel() * sizeof(Scalar)) == 0;
+      };
+      EXPECT_TRUE(same_bits(out.value(), ref.out)) << "seq=" << seq << " p=" << p;
+      EXPECT_TRUE(same_bits(qkv.grad(), ref.grad_qkv))
+          << "seq=" << seq << " p=" << p;
+      EXPECT_EQ(node_rng.save_state(), ref_rng.save_state())
+          << "seq=" << seq << " p=" << p;
+    }
+  }
 }
 
 TEST(OpsTest, GemmTransposeVariants) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -47,6 +48,59 @@ struct GemmCase {
   std::size_t m, n, k;
 };
 
+/// `src` (rows x cols, packed) copied into rows of stride `ld`, the gaps
+/// filled with `fill`.
+std::vector<Scalar> with_stride(const std::vector<Scalar>& src,
+                                std::size_t rows, std::size_t cols,
+                                std::size_t ld, Scalar fill) {
+  std::vector<Scalar> out(rows * ld, fill);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy(src.begin() + r * cols, src.begin() + (r + 1) * cols,
+              out.begin() + r * ld);
+  }
+  return out;
+}
+
+/// Operands of one GEMM call, either packed or re-laid with leading
+/// dimensions 3 past the stored row lengths (NaN in A/B gaps so a stray
+/// read poisons C, a sentinel in C gaps so a stray write shows).
+struct GemmOperands {
+  std::vector<Scalar> a, b, c;
+  tensor::GemmOpts opts;
+  std::size_t ldc;
+};
+
+constexpr Scalar kGapSentinel = -7.25;
+
+GemmOperands gemm_operands(const std::vector<Scalar>& a,
+                           const std::vector<Scalar>& b,
+                           const std::vector<Scalar>& c, std::size_t m,
+                           std::size_t n, std::size_t k, bool trans_a,
+                           bool trans_b, bool strided) {
+  if (!strided) return {a, b, c, {}, n};
+  constexpr std::size_t kPad = 3;
+  const Scalar nan = std::numeric_limits<Scalar>::quiet_NaN();
+  const std::size_t a_rows = trans_a ? k : m, a_cols = trans_a ? m : k;
+  const std::size_t b_rows = trans_b ? n : k, b_cols = trans_b ? k : n;
+  GemmOperands ops{with_stride(a, a_rows, a_cols, a_cols + kPad, nan),
+                   with_stride(b, b_rows, b_cols, b_cols + kPad, nan),
+                   with_stride(c, m, n, n + kPad, kGapSentinel),
+                   {.lda = a_cols + kPad, .ldb = b_cols + kPad, .ldc = n + kPad},
+                   n + kPad};
+  return ops;
+}
+
+/// C's gaps (columns n..ldc) still hold the sentinel.
+::testing::AssertionResult gaps_untouched(const std::vector<Scalar>& c,
+                                          std::size_t n, std::size_t ldc) {
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (i % ldc >= n && c[i] != kGapSentinel) {
+      return ::testing::AssertionFailure() << "C gap written at " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 class GemmParity : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmParity, MatchesReferenceForAllTransposeCombos) {
@@ -57,21 +111,30 @@ TEST_P(GemmParity, MatchesReferenceForAllTransposeCombos) {
       for (const bool accumulate : {false, true}) {
         const auto a = random_vec(m * k, rng);
         const auto b = random_vec(k * n, rng);
-        auto c_ref = random_vec(m * n, rng);
-        auto c_blk = c_ref;  // same starting C so accumulate paths match
-        tensor::gemm_reference(a.data(), b.data(), c_ref.data(), m, n, k,
-                               trans_a, trans_b, accumulate);
-        tensor::gemm_blocked(a.data(), b.data(), c_blk.data(), m, n, k,
-                             trans_a, trans_b, accumulate);
-        for (std::size_t i = 0; i < m * n; ++i) {
-          // FMA contraction in the blocked kernel shifts rounding by a few
-          // ulp per k-term; scale the tolerance by the reduction length.
-          const double tol =
-              1e-13 * static_cast<double>(k + 1) *
-              std::max(1.0, std::abs(c_ref[i]));
-          ASSERT_NEAR(c_blk[i], c_ref[i], tol)
-              << "m=" << m << " n=" << n << " k=" << k << " ta=" << trans_a
-              << " tb=" << trans_b << " acc=" << accumulate << " i=" << i;
+        const auto c0 = random_vec(m * n, rng);
+        // Packed, then strided operands.
+        for (const bool strided : {false, true}) {
+          auto ops = gemm_operands(a, b, c0, m, n, k, trans_a, trans_b,
+                                   strided);
+          auto c_ref = ops.c;
+          auto c_blk = ops.c;  // same starting C so accumulate paths match
+          tensor::gemm_reference(ops.a.data(), ops.b.data(), c_ref.data(), m,
+                                 n, k, trans_a, trans_b, accumulate, ops.opts);
+          tensor::gemm_blocked(ops.a.data(), ops.b.data(), c_blk.data(), m, n,
+                               k, trans_a, trans_b, accumulate, ops.opts);
+          ASSERT_TRUE(gaps_untouched(c_ref, n, ops.ldc));
+          ASSERT_TRUE(gaps_untouched(c_blk, n, ops.ldc));
+          for (std::size_t i = 0; i < c_ref.size(); ++i) {
+            // FMA contraction in the blocked kernel shifts rounding by a few
+            // ulp per k-term; scale the tolerance by the reduction length.
+            const double tol =
+                1e-13 * static_cast<double>(k + 1) *
+                std::max(1.0, std::abs(c_ref[i]));
+            ASSERT_NEAR(c_blk[i], c_ref[i], tol)
+                << "m=" << m << " n=" << n << " k=" << k << " ta=" << trans_a
+                << " tb=" << trans_b << " acc=" << accumulate
+                << " strided=" << strided << " i=" << i;
+          }
         }
       }
     }
@@ -126,18 +189,22 @@ constexpr std::size_t kOracleKc = 256;
 
 void gemm_fma_oracle(const Scalar* a, const Scalar* b, Scalar* c,
                      std::size_t m, std::size_t n, std::size_t k, bool trans_a,
-                     bool trans_b, bool accumulate) {
-  if (k == 0 && !accumulate) std::fill(c, c + m * n, 0.0);
+                     bool trans_b, bool accumulate,
+                     const tensor::GemmOpts& opts = {}) {
+  const std::size_t lda = opts.lda ? opts.lda : (trans_a ? m : k);
+  const std::size_t ldb = opts.ldb ? opts.ldb : (trans_b ? k : n);
+  const std::size_t ldc = opts.ldc ? opts.ldc : n;
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
+      Scalar& out = c[i * ldc + j];
+      if (k == 0 && !accumulate) out = 0.0;
       for (std::size_t pc = 0; pc < k; pc += kOracleKc) {
         Scalar acc = 0.0;
         for (std::size_t p = pc; p < std::min(k, pc + kOracleKc); ++p) {
-          const Scalar av = trans_a ? a[p * m + i] : a[i * k + p];
-          const Scalar bv = trans_b ? b[j * k + p] : b[p * n + j];
+          const Scalar av = trans_a ? a[p * lda + i] : a[i * lda + p];
+          const Scalar bv = trans_b ? b[j * ldb + p] : b[p * ldb + j];
           acc = std::fma(av, bv, acc);
         }
-        Scalar& out = c[i * n + j];
         out = (pc == 0 && !accumulate) ? acc : out + acc;
       }
     }
@@ -187,38 +254,159 @@ TEST(GemmMicroKernels, FmaKernelsMatchFmaOracleBitExactPortableWithinTolerance) 
     for (const bool trans_a : {false, true}) {
       for (const bool trans_b : {false, true}) {
         for (const bool accumulate : {false, true}) {
-          auto c_fma = c0;
-          gemm_fma_oracle(a.data(), b.data(), c_fma.data(), m, n, k, trans_a,
-                          trans_b, accumulate);
-          auto c_ref = c0;
-          tensor::gemm_reference(a.data(), b.data(), c_ref.data(), m, n, k,
-                                 trans_a, trans_b, accumulate);
-          for (const GemmIsa isa : isas) {
-            auto c = c0;
-            tensor::detail::gemm_blocked_isa(isa, a.data(), b.data(),
-                                             c.data(), m, n, k, trans_a,
-                                             trans_b, accumulate);
-            const auto where = [&] {
-              return ::testing::Message()
-                     << tensor::detail::to_string(isa) << " m=" << m
-                     << " n=" << n << " k=" << k << " ta=" << trans_a
-                     << " tb=" << trans_b << " acc=" << accumulate;
-            };
-            if (isa == GemmIsa::kPortable) {
-              for (std::size_t i = 0; i < m * n; ++i) {
-                const double tol = 1e-13 * static_cast<double>(k + 1) *
-                                   std::max(1.0, std::abs(c_ref[i]));
-                ASSERT_NEAR(c[i], c_ref[i], tol) << where() << " i=" << i;
+          // Packed, then strided operands.
+          for (const bool strided : {false, true}) {
+            const auto ops = gemm_operands(a, b, c0, m, n, k, trans_a,
+                                           trans_b, strided);
+            auto c_fma = ops.c;
+            gemm_fma_oracle(ops.a.data(), ops.b.data(), c_fma.data(), m, n, k,
+                            trans_a, trans_b, accumulate, ops.opts);
+            auto c_ref = ops.c;
+            tensor::gemm_reference(ops.a.data(), ops.b.data(), c_ref.data(),
+                                   m, n, k, trans_a, trans_b, accumulate,
+                                   ops.opts);
+            for (const GemmIsa isa : isas) {
+              auto c = ops.c;
+              tensor::detail::gemm_blocked_isa(isa, ops.a.data(),
+                                               ops.b.data(), c.data(), m, n,
+                                               k, trans_a, trans_b, accumulate,
+                                               ops.opts);
+              const auto where = [&] {
+                return ::testing::Message()
+                       << tensor::detail::to_string(isa) << " m=" << m
+                       << " n=" << n << " k=" << k << " ta=" << trans_a
+                       << " tb=" << trans_b << " acc=" << accumulate
+                       << " strided=" << strided;
+              };
+              ASSERT_TRUE(gaps_untouched(c, n, ops.ldc)) << where();
+              if (isa == GemmIsa::kPortable) {
+                for (std::size_t i = 0; i < c.size(); ++i) {
+                  const double tol = 1e-13 * static_cast<double>(k + 1) *
+                                     std::max(1.0, std::abs(c_ref[i]));
+                  ASSERT_NEAR(c[i], c_ref[i], tol) << where() << " i=" << i;
+                }
+              } else {
+                ASSERT_EQ(std::memcmp(c.data(), c_fma.data(),
+                                      c.size() * sizeof(Scalar)),
+                          0)
+                    << where();
               }
-            } else {
-              ASSERT_EQ(std::memcmp(c.data(), c_fma.data(),
-                                    c.size() * sizeof(Scalar)),
-                        0)
-                  << where();
             }
           }
         }
       }
+    }
+  }
+}
+
+TEST(GemmDispatch, StridesAndTransposesMatchCopiesBitExact) {
+  // What the attention node relies on: reading an operand in place through
+  // a leading dimension, or reading it transposed, gives exactly the bits
+  // of packed copies and an explicitly transposed copy. Checked through
+  // gemm() on both sides of kGemmBlockedThreshold and through every kernel
+  // the host supports.
+  using tensor::detail::GemmIsa;
+  using GemmFn = std::function<void(const Scalar*, const Scalar*, Scalar*,
+                                    std::size_t, std::size_t, std::size_t,
+                                    bool, bool, bool, const tensor::GemmOpts&)>;
+  std::vector<std::pair<std::string, GemmFn>> fns{
+      {"gemm", [](auto... args) { tensor::gemm(args...); }},
+      {"reference", [](auto... args) { tensor::gemm_reference(args...); }}};
+  for (const GemmIsa isa : supported_gemm_isas()) {
+    fns.emplace_back(tensor::detail::to_string(isa), [isa](auto... args) {
+      tensor::detail::gemm_blocked_isa(isa, args...);
+    });
+  }
+  const auto transposed = [](const std::vector<Scalar>& x, std::size_t rows,
+                             std::size_t cols) {
+    std::vector<Scalar> t(x.size());
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = x[r * cols + c];
+    }
+    return t;
+  };
+  Rng rng(0x5EED);
+  // 16*16*16 sits below the threshold and 32*32*16 above it (the attention
+  // score shape); 40*24*300 crosses a KC panel.
+  for (const auto& [m, n, k] : {GemmCase{16, 16, 16}, GemmCase{32, 32, 16},
+                                GemmCase{40, 24, 300}}) {
+    ASSERT_EQ(m * n * k < tensor::kGemmBlockedThreshold, m == 16);
+    const auto a = random_vec(m * k, rng);  // op(A) as stored untransposed
+    const auto b = random_vec(k * n, rng);  // op(B) as stored untransposed
+    const auto c0 = random_vec(m * n, rng);
+    for (const auto& [name, fn] : fns) {
+      for (const bool accumulate : {false, true}) {
+        // Baseline: packed NN.
+        auto expect = c0;
+        fn(a.data(), b.data(), expect.data(), m, n, k, false, false,
+           accumulate, {});
+        for (const bool trans_a : {false, true}) {
+          for (const bool trans_b : {false, true}) {
+            const auto at = trans_a ? transposed(a, m, k) : a;
+            const auto bt = trans_b ? transposed(b, k, n) : b;
+            const auto ops = gemm_operands(at, bt, c0, m, n, k, trans_a,
+                                           trans_b, /*strided=*/true);
+            auto c = ops.c;
+            fn(ops.a.data(), ops.b.data(), c.data(), m, n, k, trans_a,
+               trans_b, accumulate, ops.opts);
+            ASSERT_TRUE(gaps_untouched(c, n, ops.ldc));
+            for (std::size_t i = 0; i < m; ++i) {
+              ASSERT_EQ(std::memcmp(c.data() + i * ops.ldc,
+                                    expect.data() + i * n, n * sizeof(Scalar)),
+                        0)
+                  << name << " m=" << m << " n=" << n << " k=" << k
+                  << " ta=" << trans_a << " tb=" << trans_b
+                  << " acc=" << accumulate << " row " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LinearNode, MatchesMatmulThenAddBiasBitExact) {
+  // The one-node Linear adds the bias after its GEMM and sums dY's columns
+  // for db: the same bits, forward and backward, as a matmul node followed
+  // by an add_bias node. Shapes on both sides of kGemmBlockedThreshold, one
+  // with k past a KC panel and one 3-D input.
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.numel() * sizeof(Scalar)) == 0;
+  };
+  struct Case {
+    tensor::Shape x_shape;
+    std::size_t out;
+  };
+  for (const auto& [x_shape, out] :
+       {Case{{4, 8}, 8}, Case{{40, 300}, 24}, Case{{2, 16, 64}, 48}}) {
+    Rng rng(0xB1A5 + out);
+    const std::size_t in = x_shape.back();
+    const Tensor x0 = Tensor::randn(x_shape, rng);
+    const Tensor w0 = Tensor::randn({in, out}, rng);
+    const Tensor b0 = Tensor::randn({out}, rng);
+    tensor::Shape y_shape = x_shape;
+    y_shape.back() = out;
+    const Tensor u = Tensor::randn(y_shape, rng);
+    const auto run = [&](bool fused) {
+      Variable x(x0.clone(), true), w(w0.clone(), true), b(b0.clone(), true);
+      Variable y;
+      if (fused) {
+        y = tensor::linear(x, w, b);
+      } else {
+        Variable flat = tensor::reshape(x, {x0.numel() / in, in});
+        y = tensor::reshape(tensor::add_bias(tensor::matmul(flat, w), b),
+                            y_shape);
+      }
+      tensor::sum_all(tensor::mul(y, Variable(u))).backward();
+      return std::vector<Tensor>{y.value().clone(), x.grad().clone(),
+                                 w.grad().clone(), b.grad().clone()};
+    };
+    const auto fused = run(true), composite = run(false);
+    for (std::size_t i = 0; i < fused.size(); ++i) {
+      EXPECT_TRUE(same_bits(fused[i], composite[i]))
+          << "in=" << in << " out=" << out << " tensor " << i;
     }
   }
 }
@@ -495,7 +683,7 @@ TEST(InplaceOps, MatchOutOfPlaceForwardAndBackward) {
     Variable h = tensor::scale(x, 1.5);
     Variable y = in_place ? tensor::add_bias_(h, bias)
                           : tensor::add_bias(h, bias);
-    y = in_place ? tensor::scale_(y, 0.5) : tensor::scale(y, 0.5);
+    y = tensor::scale(y, 0.5);
     Variable loss = tensor::sum_all(y);
     loss.backward();
     return std::make_tuple(y.value().clone(), x.grad().clone(),

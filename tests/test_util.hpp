@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/sync_compression.hpp"
@@ -54,6 +55,120 @@ inline double max_grad_error(const std::function<Variable()>& make_loss,
     }
   }
   return worst;
+}
+
+/// Multi-head self-attention over a packed qkv [B, S, 3D] computed the way
+/// the layer did before it became one node: every head copied out into
+/// contiguous q/k/v buffers (k also as an explicit transpose), a GEMM on the
+/// copies, softmax_rows, the mask drawn like the Dropout layer (one
+/// Bernoulli per weight in (batch, head, row, col) order), and the
+/// backward's products on the same copies. The oracle for
+/// tensor::multi_head_attention: `out` for the forward and `grad_qkv` for
+/// a backward seeded with `grad_out`.
+struct AttentionResult {
+  Tensor out, grad_qkv;
+};
+
+inline AttentionResult reference_attention(const Tensor& qkv,
+                                           std::size_t heads, double p,
+                                           Rng& rng, bool training,
+                                           const Tensor& grad_out) {
+  const std::size_t batch = qkv.dim(0), seq = qkv.dim(1), ld = qkv.dim(2);
+  const std::size_t d = ld / 3, dh = d / heads, tile = seq * seq;
+  const Scalar scale = 1.0 / std::sqrt(static_cast<Scalar>(dh));
+  const bool drop = training && p > 0.0;
+  std::vector<Scalar> mask(batch * heads * tile, 1.0);
+  if (drop) {
+    const Scalar keep = 1.0 - p;
+    for (auto& m : mask) m = rng.bernoulli(keep) ? 1.0 / keep : 0.0;
+  }
+  const auto x = qkv.data();
+  const auto go = grad_out.data();
+  AttentionResult r{Tensor({batch, seq, d}), Tensor({batch, seq, ld})};
+  auto out = r.out.data();
+  auto gqkv = r.grad_qkv.data();
+  // Head h of part `part` (0 q, 1 k, 2 v) of batch b, as a contiguous
+  // [seq, dh] copy, and the inverse scatter.
+  const auto gather = [&](std::span<const Scalar> src, std::size_t width,
+                          std::size_t col0, std::size_t b) {
+    std::vector<Scalar> h(seq * dh);
+    for (std::size_t i = 0; i < seq; ++i) {
+      for (std::size_t j = 0; j < dh; ++j) {
+        h[i * dh + j] = src[(b * seq + i) * width + col0 + j];
+      }
+    }
+    return h;
+  };
+  const auto scatter = [&](const std::vector<Scalar>& h, std::span<Scalar> dst,
+                           std::size_t width, std::size_t col0,
+                           std::size_t b) {
+    for (std::size_t i = 0; i < seq; ++i) {
+      for (std::size_t j = 0; j < dh; ++j) {
+        dst[(b * seq + i) * width + col0 + j] = h[i * dh + j];
+      }
+    }
+  };
+  const auto transpose = [](const std::vector<Scalar>& a, std::size_t rows,
+                            std::size_t cols) {
+    std::vector<Scalar> t(a.size());
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) t[j * rows + i] = a[i * cols + j];
+    }
+    return t;
+  };
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      const auto q = gather(x, ld, h * dh, b);
+      const auto k = gather(x, ld, d + h * dh, b);
+      const auto v = gather(x, ld, 2 * d + h * dh, b);
+      const auto kt = transpose(k, seq, dh);
+      Tensor scores({seq, seq});
+      tensor::gemm(q.data(), kt.data(), scores.data().data(), seq, seq, dh,
+                   false, false, false);
+      for (auto& s : scores.data()) s *= scale;
+      const Tensor y = tensor::softmax_rows(Variable(scores)).value();
+      const Scalar* mk = mask.data() + (b * heads + h) * tile;
+      std::vector<Scalar> wd(tile);
+      for (std::size_t i = 0; i < tile; ++i) {
+        wd[i] = drop ? y[i] * mk[i] : y[i];
+      }
+      std::vector<Scalar> ctx(seq * dh);
+      tensor::gemm(wd.data(), v.data(), ctx.data(), seq, dh, seq, false,
+                   false, false);
+      scatter(ctx, out, d, h * dh, b);
+
+      const auto g = gather(go, d, h * dh, b);
+      std::vector<Scalar> gw(tile), dv(seq * dh), dq(seq * dh),
+          dkt(dh * seq);
+      tensor::gemm(g.data(), v.data(), gw.data(), seq, seq, dh, false, true,
+                   false);
+      tensor::gemm(wd.data(), g.data(), dv.data(), seq, dh, seq, true, false,
+                   false);
+      if (drop) {
+        for (std::size_t i = 0; i < tile; ++i) gw[i] = gw[i] * mk[i];
+      }
+      for (std::size_t i = 0; i < seq; ++i) {
+        Scalar dot = 0.0;
+        for (std::size_t j = 0; j < seq; ++j) {
+          const Scalar t = gw[i * seq + j] * y[i * seq + j];
+          gw[i * seq + j] = t;
+          dot += t;
+        }
+        for (std::size_t j = 0; j < seq; ++j) {
+          gw[i * seq + j] -= y[i * seq + j] * dot;
+        }
+      }
+      for (auto& s : gw) s = s * scale;
+      tensor::gemm(gw.data(), kt.data(), dq.data(), seq, dh, seq, false, true,
+                   false);
+      tensor::gemm(q.data(), gw.data(), dkt.data(), dh, seq, seq, true, false,
+                   false);
+      scatter(dq, gqkv, ld, h * dh, b);
+      scatter(transpose(dkt, dh, seq), gqkv, ld, d + h * dh, b);
+      scatter(dv, gqkv, ld, 2 * d + h * dh, b);
+    }
+  }
+  return r;
 }
 
 /// The paper's §3.2 round written out serially: the oracle for a sync-mode
