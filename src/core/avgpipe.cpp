@@ -5,19 +5,6 @@
 
 namespace avgpipe::core {
 
-namespace {
-
-/// Deep copy of a parameter set: checkpoint state must own its storage
-/// (Tensor copies share storage; a live apply must never mutate a capture).
-ParamSet clone_set(const ParamSet& src) {
-  ParamSet out;
-  out.reserve(src.size());
-  for (const auto& t : src) out.push_back(t.clone());
-  return out;
-}
-
-}  // namespace
-
 // -- AvgPipe (full threaded system) ----------------------------------------------
 
 AvgPipe::AvgPipe(const nn::ModelFactory& factory,
@@ -379,13 +366,20 @@ void AvgPipe::rejoin_pipeline(std::size_t i) {
   // raw weights would silently drop the block momentum a rejoiner's first
   // round must see). The fresh runtime brings fresh optimizer state (a real
   // process restart).
-  const ParamSet ref = broadcast_snapshot();
+  attach_pipeline(i, broadcast_snapshot());
+}
+
+void AvgPipe::attach_pipeline(std::size_t i, const ParamSet& weights) {
   auto params = replicas_[i]->model.parameters();
-  AVGPIPE_CHECK(params.size() == ref.size(), "replica/reference mismatch");
+  AVGPIPE_CHECK(params.size() == weights.size(),
+                "pipeline " << i << " has " << params.size()
+                            << " parameters, its new weights have "
+                            << weights.size());
   for (std::size_t j = 0; j < params.size(); ++j) {
-    params[j].value().copy_from(ref[j]);
-    params[j].zero_grad();  // drop partial sums from the crashed batch
+    params[j].value().copy_from(weights[j]);
+    params[j].zero_grad();  // drop partial sums from a crashed batch
   }
+  if (health_[i].alive) return;
   start_runtime(i);  // fresh push codecs: a real restart loses residuals
   health_[i].alive = true;
   health_[i].last_error.clear();
@@ -601,37 +595,21 @@ ckpt::TrainState AvgPipe::capture_state() {
 
 void AvgPipe::restore_pipeline(std::size_t i, const ckpt::PipelineState& p,
                                bool codec_match) {
-  auto params = replicas_[i]->model.parameters();
-  AVGPIPE_CHECK(params.size() == p.params.size(),
-                "restore: pipeline " << i << " has " << params.size()
-                                     << " parameters, checkpoint has "
-                                     << p.params.size());
-  for (std::size_t j = 0; j < params.size(); ++j) {
-    params[j].value().copy_from(p.params[j]);
-    params[j].zero_grad();  // a crashed batch may have left partial sums
-  }
-  const bool was_dead = !health_[i].alive;
-  if (was_dead) start_runtime(i);
+  attach_pipeline(i, p.params);
   replicas_[i]->runtime->import_stage_state(p.stages);
   // The checkpoint holds the pipeline's residuals as one list (empty before
   // the first lossy push); each shard takes its own run of it.
   const bool residuals = codec_match && !p.residuals.empty();
-  AVGPIPE_CHECK(!residuals || p.residuals.size() == params.size(),
+  AVGPIPE_CHECK(!residuals || p.residuals.size() == p.params.size(),
                 "restore: pipeline " << i << " has " << p.residuals.size()
                                      << " push residuals for "
-                                     << params.size() << " parameters");
+                                     << p.params.size() << " parameters");
   for (StageSync& s : replicas_[i]->stages) {
     ParamSet shard;
     for (std::size_t j = 0; residuals && j < s.params.size(); ++j) {
       shard.push_back(p.residuals[s.first + j].clone());
     }
     s.push_codec.set_residuals(std::move(shard));
-  }
-  if (was_dead) {
-    health_[i].alive = true;
-    health_[i].last_error.clear();
-    rebalance_alpha();
-    record_membership_event(trace::EventKind::kPipelineRejoin, i);
   }
 }
 

@@ -243,6 +243,10 @@ class AvgPipe : public runtime::TrainerBase {
   /// Build replica `i`'s runtime, wired to the stage hooks, and its
   /// per-stage sync state with fresh push codecs.
   void start_runtime(std::size_t i);
+  /// Load `weights` into replica `i` and zero its gradients; a detached
+  /// pipeline also gets a fresh runtime and rejoins the average (α
+  /// rebalances, kPipelineRejoin is recorded).
+  void attach_pipeline(std::size_t i, const ParamSet& weights);
   /// The most recent reference snapshot published by the reference process.
   std::shared_ptr<const ParamSet> snapshot_handle();
   /// Drop a pull's snapshot handle under reference_mutex_, ordering the

@@ -14,6 +14,13 @@ ParamSet clone_values(const std::vector<tensor::Variable>& params) {
   return out;
 }
 
+ParamSet clone_set(const ParamSet& src) {
+  ParamSet out;
+  out.reserve(src.size());
+  for (const auto& t : src) out.push_back(t.clone());
+  return out;
+}
+
 ParamSet uninitialized_like(std::span<const tensor::Tensor> like) {
   ParamSet out;
   out.reserve(like.size());
@@ -32,11 +39,6 @@ ParamSet uninitialized_like(std::span<const tensor::Variable> like) {
   return out;
 }
 
-void add_scaled(ParamSet& dst, const ParamSet& src, double scale) {
-  AVGPIPE_CHECK(dst.size() == src.size(), "param set size mismatch");
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i].axpy_(scale, src[i]);
-}
-
 void difference_into(std::span<const tensor::Variable> params,
                      std::span<const tensor::Tensor> reference,
                      std::span<tensor::Tensor> out) {
@@ -47,13 +49,6 @@ void difference_into(std::span<const tensor::Variable> params,
     out[i].copy_from(params[i].value());
     out[i].axpy_(-1.0, reference[i]);
   }
-}
-
-ParamSet difference(const std::vector<tensor::Variable>& params,
-                    const ParamSet& reference) {
-  ParamSet out = uninitialized_like(params);
-  difference_into(params, reference, out);
-  return out;
 }
 
 double max_abs_diff(const ParamSet& a, const ParamSet& b) {
@@ -83,33 +78,8 @@ void elastic_pull(std::span<tensor::Variable> params,
   }
 }
 
-ReferenceModel::ReferenceModel(ParamSet initial)
-    : params_(std::move(initial)) {
-  accum_.reserve(params_.size());
-  for (const auto& p : params_) accum_.emplace_back(p.shape());
-}
-
-void ReferenceModel::accumulate(const ParamSet& update) {
-  add_scaled(accum_, update, 1.0);
-  ++pending_;
-}
-
-std::size_t ReferenceModel::apply_accumulated(std::size_t n) {
-  AVGPIPE_CHECK(n >= 1, "normalisation count must be positive");
-  const std::size_t applied = pending_;
-  const double scale = 1.0 / static_cast<double>(n);
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    params_[i].axpy_(scale, accum_[i]);
-    accum_[i].zero_();
-  }
-  pending_ = 0;
-  return applied;
-}
-
 void ReferenceModel::apply_round_batch(
     const std::vector<std::vector<ParamSet>>& rounds) {
-  AVGPIPE_CHECK(pending_ == 0,
-                "batched apply must not interleave with a partial round");
   for (const auto& round : rounds) {
     AVGPIPE_CHECK(!round.empty(), "batched apply: empty round");
     for (const auto& update : round) {
@@ -121,9 +91,7 @@ void ReferenceModel::apply_round_batch(
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto pv = params_[i].data();
     // Flatten the batch's update views for this parameter once; per round,
-    // `scale * (u_1[j] + u_2[j] + …)` replays accumulate's `+= 1.0 * u[j]`
-    // into a zeroed accumulator followed by apply's `+= scale * acc`, so
-    // each round folds with the exact rounding of the sequential path.
+    // `acc += 1.0 * u[j]` from zero, then `v += (1/n) * acc`.
     views.clear();
     for (const auto& round : rounds) {
       for (const auto& update : round) {
@@ -145,13 +113,6 @@ void ReferenceModel::apply_round_batch(
       pv[j] = v;
     }
   }
-}
-
-ParamSet ReferenceModel::snapshot() const {
-  ParamSet out;
-  out.reserve(params_.size());
-  for (const auto& p : params_) out.push_back(p.clone());
-  return out;
 }
 
 }  // namespace avgpipe::core

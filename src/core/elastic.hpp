@@ -31,19 +31,18 @@ using ParamSet = std::vector<tensor::Tensor>;
 
 /// Deep-copy the values of a parameter list.
 ParamSet clone_values(const std::vector<tensor::Variable>& params);
+/// Deep copy of a parameter set (Tensor copies share storage, so a snapshot
+/// or checkpoint capture must own its own).
+ParamSet clone_set(const ParamSet& src);
 /// Uninitialised tensors shaped like `like`, for callers that overwrite
 /// every element (write-into buffers).
 ParamSet uninitialized_like(std::span<const tensor::Tensor> like);
 ParamSet uninitialized_like(std::span<const tensor::Variable> like);
 
-/// Elementwise ops over parameter sets (shapes must match pairwise).
-void add_scaled(ParamSet& dst, const ParamSet& src, double scale);
 /// out = params − reference, written into caller-owned tensors.
 void difference_into(std::span<const tensor::Variable> params,
                      std::span<const tensor::Tensor> reference,
                      std::span<tensor::Tensor> out);
-ParamSet difference(const std::vector<tensor::Variable>& params,
-                    const ParamSet& reference);
 double max_abs_diff(const ParamSet& a, const ParamSet& b);
 
 /// The default dependence factor α = 1/N.
@@ -58,36 +57,26 @@ void elastic_pull(std::span<tensor::Variable> params,
 /// matching the paper's separate reference process per GPU.
 class ReferenceModel {
  public:
-  explicit ReferenceModel(ParamSet initial);
+  explicit ReferenceModel(ParamSet initial) : params_(std::move(initial)) {}
 
-  /// Step ❹: fold one pipeline's local update into the accumulator.
-  void accumulate(const ParamSet& update);
-  /// Step ❺: once every pipeline has reported, normalise by `n` and apply.
-  /// Returns the number of updates that were folded in.
-  std::size_t apply_accumulated(std::size_t n);
-  /// Fused ❹+❺ over a *batch* of complete rounds — the asynchronous
-  /// reference process may find several rounds queued. For each parameter
-  /// tensor a single sweep folds every round's updates and applies them in
-  /// arrival order, performing exactly the floating-point operations of the
-  /// per-round accumulate…apply_accumulated(round.size()) loop in the same
-  /// order, so the result is bit-identical while the reference weights are
-  /// read and written once instead of once per round (and the accumulator is
-  /// never touched). Must not interleave with a partially accumulated round.
+  /// Steps ❹–❺ over a *batch* of complete rounds — the asynchronous
+  /// reference process may find several rounds queued. Each round, oldest
+  /// first, folds as the textbook accumulate-then-apply: acc = Σ 1.0·u over
+  /// its updates in order, from zero, then p += (1/n)·acc. One sweep per
+  /// parameter tensor runs every round on a register accumulator, so the
+  /// reference weights are read and written once per batch.
   void apply_round_batch(const std::vector<std::vector<ParamSet>>& rounds);
 
   const ParamSet& params() const { return params_; }
   /// Direct mutable access for sync policies that replace (rather than
   /// increment) the reference — BSP/BMUF write the block mean / filtered
-  /// update straight into the weights. Same serialisation rules as the
-  /// accumulate/apply path.
+  /// update straight into the weights. Same serialisation rules as
+  /// apply_round_batch.
   ParamSet& mutable_params() { return params_; }
-  ParamSet snapshot() const;
-  std::size_t pending() const { return pending_; }
+  ParamSet snapshot() const { return clone_set(params_); }
 
  private:
   ParamSet params_;
-  ParamSet accum_;
-  std::size_t pending_ = 0;
 };
 
 }  // namespace avgpipe::core

@@ -32,7 +32,7 @@ SyncCodec::Stats SyncCodec::transmit(ParamSet& params) {
     stats.wire_bytes += tensor::codec_wire_bytes(config_.codec, n);
   }
   if (!enabled()) return stats;
-  if (config_.error_feedback && residuals_.size() != params.size()) {
+  if (residuals_.size() != params.size()) {
     AVGPIPE_CHECK(residuals_.empty(),
                   "sync codec: stream went from " << residuals_.size()
                                                   << " tensors to "
@@ -44,21 +44,17 @@ SyncCodec::Stats SyncCodec::transmit(ParamSet& params) {
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto xv = params[i].data();
-    if (config_.error_feedback) {
-      auto rv = residuals_[i].data();
-      AVGPIPE_CHECK(rv.size() == xv.size(),
-                    "sync codec: tensor " << i << " changed size");
-      // Fold the carried error in, remember the compensated payload, then
-      // keep the part the codec dropped: r' = (x + r) − dequant(quant(x + r)).
-      for (std::size_t j = 0; j < xv.size(); ++j) {
-        xv[j] += rv[j];
-        rv[j] = xv[j];
-      }
-      tensor::codec_roundtrip(config_.codec, xv.data(), xv.size());
-      for (std::size_t j = 0; j < xv.size(); ++j) rv[j] -= xv[j];
-    } else {
-      tensor::codec_roundtrip(config_.codec, xv.data(), xv.size());
+    auto rv = residuals_[i].data();
+    AVGPIPE_CHECK(rv.size() == xv.size(),
+                  "sync codec: tensor " << i << " changed size");
+    // Fold the carried error in, remember the compensated payload, then
+    // keep the part the codec dropped: r' = (x + r) − dequant(quant(x + r)).
+    for (std::size_t j = 0; j < xv.size(); ++j) {
+      xv[j] += rv[j];
+      rv[j] = xv[j];
     }
+    tensor::codec_roundtrip(config_.codec, xv.data(), xv.size());
+    for (std::size_t j = 0; j < xv.size(); ++j) rv[j] -= xv[j];
   }
   return stats;
 }

@@ -13,7 +13,7 @@
 /// only codec-rounded values ever cross a boundary, which is precisely the
 /// semantics of a real compressed link.
 ///
-/// Error feedback (EF-SGD style): each codec keeps a per-tensor residual
+/// Error feedback (EF-SGD style, always on): each codec keeps a per-tensor residual
 /// r = original − dequantized, added back to the next payload before it is
 /// quantized, so quantization error accumulates into later transmissions
 /// instead of being lost — the standard fix that keeps lossy sync
@@ -35,10 +35,6 @@ namespace avgpipe::core {
 /// env override AVGPIPE_SYNC_COMPRESS={off,fp16,int8}).
 struct SyncCompression {
   tensor::Codec codec = tensor::Codec::kNone;
-  /// Keep a residual accumulator per tensor and fold it into the next
-  /// transmission (EF-SGD). On by default; turning it off makes each
-  /// transmission independently lossy.
-  bool error_feedback = true;
 
   bool enabled() const { return codec != tensor::Codec::kNone; }
 };
@@ -77,8 +73,7 @@ class SyncCodec {
   Stats transmit(ParamSet& params);
 
   /// EF residual accumulators, one per transmitted tensor (empty until the
-  /// first lossy transmit, and always empty when EF is off). Exposed for
-  /// checkpoint capture/restore.
+  /// first lossy transmit). Exposed for checkpoint capture/restore.
   const ParamSet& residuals() const { return residuals_; }
   void set_residuals(ParamSet residuals) { residuals_ = std::move(residuals); }
   void reset_residuals() { residuals_.clear(); }

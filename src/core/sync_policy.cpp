@@ -76,11 +76,6 @@ ParamSet SyncPolicy::make_broadcast(const ReferenceModel& reference) const {
   return out;
 }
 
-void SyncPolicy::apply_rounds(ReferenceModel& reference,
-                              const std::vector<std::vector<ParamSet>>& rounds) {
-  for (const auto& round : rounds) apply_round(reference, round);
-}
-
 namespace {
 
 /// Mean of the round's parameter sets into `dst`. n = 1 assigns exactly
@@ -106,7 +101,7 @@ void round_mean(ParamSet& dst, const std::vector<ParamSet>& round) {
 }
 
 /// The paper's elastic averaging: pull/push against the broadcast, reference
-/// accumulates the updates — exactly the pre-refactor behaviour.
+/// accumulates the updates.
 class ElasticPolicy : public SyncPolicy {
  public:
   using SyncPolicy::SyncPolicy;
@@ -119,19 +114,10 @@ class ElasticPolicy : public SyncPolicy {
     difference_into(params, broadcast, out);
   }
 
-  void apply_round(ReferenceModel& reference,
-                   const std::vector<ParamSet>& round)
-      REQUIRES(reference_capability()) override {
-    for (const auto& update : round) reference.accumulate(update);
-    reference.apply_accumulated(round.size());
-  }
-
   void apply_rounds(ReferenceModel& reference,
                     const std::vector<std::vector<ParamSet>>& rounds)
       REQUIRES(reference_capability()) override {
-    // Fused sweep: bit-identical to the sequential apply_round loop but one
-    // pass over the reference weights per batch (XPipe inherits this too).
-    reference.apply_round_batch(rounds);
+    reference.apply_round_batch(rounds);  // XPipe inherits this too
   }
 };
 
@@ -165,10 +151,12 @@ class BspPolicy : public SyncPolicy {
     }
   }
 
-  void apply_round(ReferenceModel& reference,
-                   const std::vector<ParamSet>& round)
+  void apply_rounds(ReferenceModel& reference,
+                    const std::vector<std::vector<ParamSet>>& rounds)
       REQUIRES(reference_capability()) override {
-    round_mean(reference.mutable_params(), round);
+    for (const auto& round : rounds) {
+      round_mean(reference.mutable_params(), round);
+    }
   }
 };
 
@@ -185,12 +173,14 @@ class BmufPolicy : public BspPolicy {
 
   std::string name() const override { return "bmuf"; }
 
-  void apply_round(ReferenceModel& reference,
-                   const std::vector<ParamSet>& round)
+  void apply_rounds(ReferenceModel& reference,
+                    const std::vector<std::vector<ParamSet>>& rounds)
       REQUIRES(reference_capability()) override {
     if (mean_.empty()) mean_ = reference.snapshot();  // shape donor
-    round_mean(mean_, round);
-    momentum_.filter_apply(reference.mutable_params(), mean_);
+    for (const auto& round : rounds) {
+      round_mean(mean_, round);
+      momentum_.filter_apply(reference.mutable_params(), mean_);
+    }
   }
 
   void make_broadcast(const ReferenceModel& reference, ParamSet& out) const

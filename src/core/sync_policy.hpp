@@ -13,7 +13,7 @@
 ///
 ///   begin_round(shard, broadcast)        stage, before training a batch
 ///   local_sync(shard, broadcast, out)    stage, after its optimizer update
-///   apply_round(reference, round)        reference process, once per round
+///   apply_rounds(reference, rounds)      reference process, per drained batch
 ///   make_broadcast(reference, out)       reference process, after each apply
 ///
 /// The replica side is co-partitioned with the pipeline (paper §3): each
@@ -136,22 +136,14 @@ class SyncPolicy {
   // -- reference side: serialised by the caller, which asserts that
   //    serialisation by holding `reference_capability()` ----------------------
 
-  /// Fold one round of `local_sync` results into the reference model.
-  /// `round` is ordered by replica index (deterministic).
-  virtual void apply_round(ReferenceModel& reference,
-                           const std::vector<ParamSet>& round)
-      REQUIRES(reference_capability()) = 0;
-
-  /// Fold a *batch* of queued rounds, oldest first — the asynchronous
-  /// reference process drains its update queue and applies everything it
-  /// found in one critical section. Default: sequential `apply_round` per
-  /// round, so the semantics are identical by construction for any policy.
-  /// The elastic policies override this with a fused sweep
-  /// (`ReferenceModel::apply_round_batch`) that is bit-identical to the
-  /// sequential loop but touches each reference weight once per batch.
+  /// Fold a *batch* of queued rounds of `local_sync` results into the
+  /// reference model, oldest first — the asynchronous reference process
+  /// drains its update queue and applies everything it found in one
+  /// critical section. Each round is ordered by replica index
+  /// (deterministic) and folds exactly as it would in a batch of its own.
   virtual void apply_rounds(ReferenceModel& reference,
                             const std::vector<std::vector<ParamSet>>& rounds)
-      REQUIRES(reference_capability());
+      REQUIRES(reference_capability()) = 0;
 
   /// Write the snapshot replicas pull/reset against next round into `out`
   /// (shaped like the reference) — also what a rejoining pipeline restores
@@ -169,7 +161,7 @@ class SyncPolicy {
   // -- durable state (checkpoint layer, src/ckpt) -----------------------------
 
   /// Reference-side mutable policy state to persist across a crash (BMUF:
-  /// the momentum Δ(t); stateless policies: empty). Shares apply_round's
+  /// the momentum Δ(t); stateless policies: empty). Shares apply_rounds'
   /// serialisation. XPipe's EMA predictors are *runtime* state and are
   /// persisted per stage (`runtime::StageState`), not here.
   virtual std::vector<tensor::Tensor> export_state() const

@@ -283,14 +283,13 @@ auto PipelineRuntime::robust_recv(Stage& stage, Ch& ch, const char* what)
         break;
     }
   }
-  // A typed throw, not AVGPIPE_THROW: worker_loop tags the failure so the
-  // elastic driver can escalate (detach + restore from checkpoint) instead
-  // of treating a hung peer like a programming error.
+  // The batch fails like any other error; AvgPipe detaches the pipeline and
+  // escalates to a checkpoint restore.
   std::ostringstream msg;
   msg << "stage " << stage.index << ": peer unresponsive on " << what
       << " after " << backoff.attempts() << " attempts (deadline "
       << kRecvDeadline << "s)";
-  throw PeerUnresponsiveError(msg.str());
+  throw Error(msg.str());
 }
 
 // Same generic-channel analysis opt-out as robust_recv (see the header).
@@ -396,9 +395,6 @@ void PipelineRuntime::worker_loop(Stage& stage) {
         end_hook_(stage.index, stage.trace_buf);
       }
     } catch (const std::exception& e) {
-      if (dynamic_cast<const PeerUnresponsiveError*>(&e) != nullptr) {
-        peer_unresponsive_.store(true, std::memory_order_release);
-      }
       std::ostringstream msg;
       msg << "stage " << stage.index;
       if (current != nullptr) {

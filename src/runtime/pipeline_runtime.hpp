@@ -65,14 +65,6 @@ struct StageState {
   bool pred_have_delta = false;
 };
 
-/// Thrown by the resilient-recv path when a peer stays silent past the
-/// deadline. A distinct type so the elastic driver can tell "this pipeline
-/// hung" (detach + restore from checkpoint) from a programming error.
-class PeerUnresponsiveError : public Error {
- public:
-  using Error::Error;
-};
-
 /// Pipeline over a partitioned Sequential model.
 class PipelineRuntime {
  public:
@@ -123,11 +115,6 @@ class PipelineRuntime {
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   /// First recorded failure, empty if none.
   std::string failure_message() const;
-  /// Whether the first failure was a peer-unresponsiveness deadline (the
-  /// robust_recv escalation signal) rather than a hard error.
-  bool peer_unresponsive() const {
-    return peer_unresponsive_.load(std::memory_order_acquire);
-  }
 
   /// Snapshot the durable per-stage state (optimizer slots + prediction
   /// EMA), ordered by stage index. Only legal between train_batch calls,
@@ -356,7 +343,6 @@ class PipelineRuntime {
   bool faults_active_ = false;
   std::atomic<long> step_{-1};
   std::atomic<bool> failed_{false};
-  std::atomic<bool> peer_unresponsive_{false};
   mutable common::Mutex failure_mutex_;
   std::string failure_ GUARDED_BY(failure_mutex_);
 };

@@ -174,17 +174,8 @@ Variable add_bias_(const Variable& x, const Variable& bias) {
 
 // -- activations --------------------------------------------------------------
 
-namespace {
-/// The output tensor of an activation: a fresh buffer, or x's own value when
-/// the op runs in place (then backward must not read the input value).
-Tensor activation_out(const Variable& x, bool in_place, const char* op) {
-  if (!in_place) return Tensor::uninitialized(x.shape());
-  check_inplace_ok(x, op);
-  return x.value();  // alias: overwritten in place
-}
-
-Variable relu_impl(const Variable& x, bool in_place) {
-  Tensor out = activation_out(x, in_place, "relu_");
+Variable relu(const Variable& x) {
+  Tensor out = Tensor::uninitialized(x.shape());
   const auto xv = x.value().data();
   auto ov = out.data();
   for (std::size_t i = 0; i < ov.size(); ++i) ov[i] = xv[i] > 0.0 ? xv[i] : 0.0;
@@ -202,8 +193,8 @@ Variable relu_impl(const Variable& x, bool in_place) {
   });
 }
 
-Variable tanh_impl(const Variable& x, bool in_place) {
-  Tensor out = activation_out(x, in_place, "tanh_op_");
+Variable tanh_op(const Variable& x) {
+  Tensor out = Tensor::uninitialized(x.shape());
   vec_tanh(x.value().data().data(), out.data().data(), out.numel());
   auto px = x.data();
   Tensor saved = out;  // alias
@@ -219,8 +210,8 @@ Variable tanh_impl(const Variable& x, bool in_place) {
   });
 }
 
-Variable sigmoid_impl(const Variable& x, bool in_place) {
-  Tensor out = activation_out(x, in_place, "sigmoid_");
+Variable sigmoid(const Variable& x) {
+  Tensor out = Tensor::uninitialized(x.shape());
   const auto xv = x.value().data();
   auto ov = out.data();
   for (std::size_t i = 0; i < ov.size(); ++i) ov[i] = -xv[i];
@@ -240,6 +231,7 @@ Variable sigmoid_impl(const Variable& x, bool in_place) {
   });
 }
 
+namespace {
 // GELU, tanh approximation: 0.5 x (1 + tanh(u)) with
 // u = sqrt(2/pi) (x + 0.044715 x^3).
 constexpr Scalar kGeluC = 0.7978845608028654;  // sqrt(2/pi)
@@ -253,13 +245,6 @@ void gelu_tanh(std::span<const Scalar> x, std::span<Scalar> t) {
   vec_tanh(t.data(), t.data(), t.size());
 }
 }  // namespace
-
-Variable relu(const Variable& x) { return relu_impl(x, false); }
-Variable relu_(const Variable& x) { return relu_impl(x, true); }
-Variable tanh_op(const Variable& x) { return tanh_impl(x, false); }
-Variable tanh_op_(const Variable& x) { return tanh_impl(x, true); }
-Variable sigmoid(const Variable& x) { return sigmoid_impl(x, false); }
-Variable sigmoid_(const Variable& x) { return sigmoid_impl(x, true); }
 
 Variable gelu(const Variable& x) {
   // The derivative needs the input value, so there is no in-place variant.

@@ -41,11 +41,6 @@ Variable sigmoid(const Variable& x);
 /// Gaussian error linear unit (tanh approximation), used by BERT blocks.
 Variable gelu(const Variable& x);
 
-/// In-place activations (same ownership rules as add_bias_).
-Variable relu_(const Variable& x);
-Variable tanh_op_(const Variable& x);
-Variable sigmoid_(const Variable& x);
-
 // -- linear algebra -----------------------------------------------------------
 
 /// [M,K] x [K,N] -> [M,N]: `linear` without a bias.

@@ -219,8 +219,7 @@ Model build_model(const ModelConfig& cfg) {
   {
     ProcessModel p;
     p.name = "driver";
-    const std::size_t lag =
-        cfg.elastic == ElasticMode::kAsync ? cfg.sync_lag : 0;
+    const std::size_t lag = cfg.sync_lag;  // read only when elastic
     for (std::size_t b = 0; b < cfg.num_batches; ++b) {
       for (std::size_t k = 0; k < k_stages; ++k) {
         p.actions.push_back({Action::kSend,
@@ -578,8 +577,7 @@ class Explorer {
 const char* to_string(ElasticMode mode) {
   switch (mode) {
     case ElasticMode::kNone: return "none";
-    case ElasticMode::kSync: return "sync";
-    case ElasticMode::kAsync: return "async";
+    case ElasticMode::kElastic: return "elastic";
   }
   return "?";
 }
@@ -629,7 +627,7 @@ std::string format_report(const ModelConfig& config, const Report& report) {
      << " cap=" << report.link_capacity_used
      << (config.link_capacity > 0 ? " (override)" : "")
      << " elastic=" << to_string(config.elastic);
-  if (config.elastic == ElasticMode::kAsync) {
+  if (config.elastic == ElasticMode::kElastic) {
     os << " lag=" << config.sync_lag;
   }
   os << "\n  verdict: " << to_string(report.verdict);

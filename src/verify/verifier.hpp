@@ -46,10 +46,10 @@
 
 namespace avgpipe::verify {
 
-/// How the elastic-averaging driver/reference pair is modeled alongside the
-/// pipeline (core::AvgPipe): kSync blocks the driver on every round's apply,
-/// kAsync lets up to `sync_lag` rounds run behind (paper §3.2 ❷–❺).
-enum class ElasticMode { kNone, kSync, kAsync };
+/// Whether the elastic-averaging driver/reference pair is modeled alongside
+/// the pipeline (core::AvgPipe): up to `sync_lag` rounds run behind the
+/// driver, and lag 0 is synchronous sync (paper §3.2 ❷–❺).
+enum class ElasticMode { kNone, kElastic };
 
 const char* to_string(ElasticMode mode);
 
@@ -66,7 +66,7 @@ struct ModelConfig {
   /// any other value models AVGPIPE_CHANNEL_CAPACITY.
   std::size_t link_capacity = 0;
   ElasticMode elastic = ElasticMode::kNone;
-  std::size_t sync_lag = 1;        ///< kAsync only
+  std::size_t sync_lag = 0;        ///< kElastic only; 0 = sync
   /// Treat a reachable full stage link as a safety violation: the runtime's
   /// "+1 slack" contract keeps one slot of headroom so no send can ever
   /// park. When false, full links pass silently and only classical deadlock

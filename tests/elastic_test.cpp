@@ -70,14 +70,13 @@ TEST(ElasticMathTest, PullWithZeroAlphaIsIdentity) {
   EXPECT_DOUBLE_EQ(p.value()[0], 3.0);
 }
 
-TEST(ElasticMathTest, DifferenceAndAddScaledRoundTrip) {
-  Variable p(Tensor::from({5.0, 7.0}), true);
-  ParamSet ref{Tensor::from({1.0, 2.0})};
-  ParamSet diff = difference({p}, ref);
+TEST(ElasticMathTest, DifferenceIntoWritesParamsMinusReference) {
+  const std::vector<Variable> p{Variable(Tensor::from({5.0, 7.0}), true)};
+  const ParamSet ref{Tensor::from({1.0, 2.0})};
+  ParamSet diff = uninitialized_like(p);
+  difference_into(p, ref, diff);
   EXPECT_DOUBLE_EQ(diff[0][0], 4.0);
-  add_scaled(ref, diff, 1.0);
-  EXPECT_DOUBLE_EQ(ref[0][0], 5.0);
-  EXPECT_DOUBLE_EQ(ref[0][1], 7.0);
+  EXPECT_DOUBLE_EQ(diff[0][1], 5.0);
 }
 
 TEST(ReferenceModelTest, StaysAtMeanOfParallelModels) {
@@ -100,11 +99,13 @@ TEST(ReferenceModelTest, StaysAtMeanOfParallelModels) {
       replicas[i][0].value().axpy_(1.0, noise);
     }
     const ParamSet snapshot = ref.snapshot();
+    std::vector<ParamSet> round;
     for (std::size_t i = 0; i < n; ++i) {
       elastic_pull(replicas[i], snapshot, alpha);
-      ref.accumulate(difference(replicas[i], snapshot));
+      round.push_back(uninitialized_like(replicas[i]));
+      difference_into(replicas[i], snapshot, round.back());
     }
-    ref.apply_accumulated(n);
+    ref.apply_round_batch({std::move(round)});
 
     // ref must equal the mean of the replicas.
     Tensor mean({6});
@@ -115,29 +116,25 @@ TEST(ReferenceModelTest, StaysAtMeanOfParallelModels) {
   }
 }
 
-TEST(ReferenceModelTest, PendingCountsAndReset) {
-  ReferenceModel ref({Tensor::from({0.0})});
-  ref.accumulate({Tensor::from({2.0})});
-  ref.accumulate({Tensor::from({4.0})});
-  EXPECT_EQ(ref.pending(), 2u);
-  EXPECT_EQ(ref.apply_accumulated(2), 2u);
-  EXPECT_EQ(ref.pending(), 0u);
-  EXPECT_DOUBLE_EQ(ref.params()[0][0], 3.0);
+TEST(ReferenceModelTest, ConstructionAllocatesOnlyItsWeights) {
+  // The reference holds its weights and nothing model-sized besides: the
+  // fold runs on a register accumulator, so there is no buffer to allocate.
+  Rng rng(3);
+  ParamSet init{Tensor::randn({64}, rng), Tensor::randn({8}, rng)};
+  const std::uint64_t before = tensor::arena::stats().acquires;
+  ReferenceModel ref(std::move(init));
+  EXPECT_EQ(tensor::arena::stats().acquires - before, 0u);
+  EXPECT_EQ(ref.params().size(), 2u);
 }
 
 TEST(ReferenceModelTest, BatchedRoundApplyMatchesSequentialBitExact) {
-  // The fused batch sweep replays the exact FP ops of the sequential
-  // accumulate…apply loop (`acc += 1*u; p += (1/n)*acc` per round, oldest
-  // first), so the trajectories must be bit-identical — not just close.
+  // The fused batch sweep must fold each round, oldest first, exactly like
+  // the textbook accumulate-then-apply written out below — bit-identical,
+  // not just close.
   Rng rng(21);
-  auto deep_clone = [](const ParamSet& s) {
-    ParamSet c;
-    for (const auto& t : s) c.push_back(t.clone());
-    return c;
-  };
   const ParamSet init{Tensor::randn({8}, rng), Tensor::randn({3}, rng)};
-  ReferenceModel seq(deep_clone(init));
-  ReferenceModel batched(deep_clone(init));
+  ParamSet seq = clone_set(init);
+  ReferenceModel batched(clone_set(init));
 
   std::vector<std::vector<ParamSet>> rounds;
   for (const std::size_t round_size : {2u, 3u, 1u}) {
@@ -149,25 +146,21 @@ TEST(ReferenceModelTest, BatchedRoundApplyMatchesSequentialBitExact) {
   }
 
   for (const auto& round : rounds) {
-    for (const auto& update : round) seq.accumulate(update);
-    seq.apply_accumulated(round.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      Tensor acc = Tensor::zeros(seq[i].shape());
+      for (const auto& update : round) acc.axpy_(1.0, update[i]);
+      seq[i].axpy_(1.0 / static_cast<double>(round.size()), acc);
+    }
   }
   batched.apply_round_batch(rounds);
 
-  EXPECT_EQ(max_abs_diff(seq.params(), batched.params()), 0.0);
-  EXPECT_EQ(batched.pending(), 0u);
+  EXPECT_EQ(max_abs_diff(seq, batched.params()), 0.0);
 }
 
 TEST(SyncPolicyBatching, ApplyRoundsMatchesSequentialLoopForEveryPolicy) {
   // `apply_rounds` (the reference process's drained-queue path) must fold a
-  // batch exactly like per-round `apply_round` calls — bit-exact for the
-  // elastic policies (fused sweep) and by construction for the default.
+  // batch exactly like one call per round — bit-exact for every policy.
   Rng rng(42);
-  auto deep_clone = [](const ParamSet& s) {
-    ParamSet c;
-    for (const auto& t : s) c.push_back(t.clone());
-    return c;
-  };
   const ParamSet init{Tensor::randn({6}, rng), Tensor::randn({2}, rng)};
   std::vector<std::vector<ParamSet>> rounds;
   for (const std::size_t round_size : {3u, 1u, 2u}) {
@@ -183,10 +176,10 @@ TEST(SyncPolicyBatching, ApplyRoundsMatchesSequentialLoopForEveryPolicy) {
   for (const SyncPolicyKind kind : all_sync_policies()) {
     auto loop_policy = make_sync_policy(degenerate_config(kind));
     auto batch_policy = make_sync_policy(degenerate_config(kind));
-    ReferenceModel loop_ref(deep_clone(init));
-    ReferenceModel batch_ref(deep_clone(init));
+    ReferenceModel loop_ref(clone_set(init));
+    ReferenceModel batch_ref(clone_set(init));
     for (const auto& round : rounds) {
-      loop_policy->apply_round(loop_ref, round);
+      loop_policy->apply_rounds(loop_ref, {round});
     }
     batch_policy->apply_rounds(batch_ref, rounds);
     EXPECT_EQ(max_abs_diff(loop_ref.params(), batch_ref.params()), 0.0)

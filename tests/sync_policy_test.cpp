@@ -65,8 +65,9 @@ TEST(SyncPolicyTest, ShardHooksAndBroadcastWriteIntoAllocateNothing) {
     common::RoleGuard role(reference_capability());  // single-threaded
     // One round first, so BMUF's block momentum exists.
     ParamSet broadcast = policy->make_broadcast(reference);
-    policy->apply_round(reference,
-                        {policy->local_sync(params, broadcast, 0.5)});
+    std::vector<std::vector<ParamSet>> rounds(1);
+    rounds[0].push_back(policy->local_sync(params, broadcast, 0.5));
+    policy->apply_rounds(reference, rounds);
 
     // A shard: the second half of the parameter list.
     const std::size_t first = params.size() / 2;

@@ -206,7 +206,7 @@ class TextbookAvgPipe {
       round.push_back(policy_->local_sync(params, broadcast_, alpha_));
       push_codecs_[i].transmit(round.back());
     }
-    policy_->apply_round(*reference_, round);
+    policy_->apply_rounds(*reference_, {std::move(round)});
     publish();
   }
 

@@ -58,6 +58,7 @@ struct Options {
   std::size_t capacity = 0;           // 0: derived
   bool no_slack = false;              // capacity = run-ahead (slack removed)
   ElasticMode elastic = ElasticMode::kNone;
+  bool sync = false;  // --elastic=sync
   std::size_t sync_lag = 1;
   bool allow_park = false;
   bool no_por = false;
@@ -141,12 +142,12 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--no-slack") {
       o.no_slack = true;
     } else if (flag == "--elastic") {
+      // sync is lag 0, whatever --sync-lag says.
+      o.sync = val == "sync";
       if (val == "none") {
         o.elastic = ElasticMode::kNone;
-      } else if (val == "sync") {
-        o.elastic = ElasticMode::kSync;
-      } else if (val == "async") {
-        o.elastic = ElasticMode::kAsync;
+      } else if (val == "sync" || val == "async") {
+        o.elastic = ElasticMode::kElastic;
       } else {
         usage_error("unknown elastic mode '" + val + "'");
       }
@@ -219,7 +220,7 @@ int run_schedule_mode(const Options& o) {
           cfg.num_batches = o.batches;
           cfg.advance_num = adv;
           cfg.elastic = o.elastic;
-          cfg.sync_lag = o.sync_lag;
+          cfg.sync_lag = o.sync ? 0 : o.sync_lag;
           cfg.check_send_parking = !o.allow_park;
           cfg.partial_order_reduction = !o.no_por;
           cfg.link_capacity = o.capacity;
@@ -255,7 +256,9 @@ int run_schedule_mode(const Options& o) {
         .cell_int(static_cast<long long>(cfg.num_stages))
         .cell_int(static_cast<long long>(cfg.micro_batches))
         .cell_int(static_cast<long long>(cfg.advance_num))
-        .cell(avgpipe::verify::to_string(cfg.elastic))
+        .cell(cfg.elastic == ElasticMode::kNone
+                  ? "none"
+                  : "lag " + std::to_string(cfg.sync_lag))
         .cell_int(static_cast<long long>(r.link_capacity_used))
         .cell(avgpipe::verify::to_string(r.verdict))
         .cell_int(static_cast<long long>(r.peak_link_occupancy))
