@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file affinity.hpp
-/// Optional core pinning for stage threads and the reference process.
+/// Optional core pinning for stage threads.
 ///
 /// The threaded runtime gives every pipeline stage its own thread (which
-/// also runs that stage's elastic sync) plus one reference-process thread.
-/// Left to the
-/// OS scheduler these migrate freely, which costs cache warmth on the
+/// also runs that stage's elastic sync); the driver thread, which plays the
+/// reference process, is not pinned. Left to the OS scheduler these migrate
+/// freely, which costs cache warmth on the
 /// compute-bound calibrated workloads. AVGPIPE_PIN_THREADS opts into a
 /// static thread→core layout:
 ///

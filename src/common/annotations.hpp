@@ -4,11 +4,11 @@
 /// Clang Thread Safety annotations + annotated mutex/condvar wrappers.
 ///
 /// The repo's concurrency contracts (DESIGN.md §13/§17) — "the reference
-/// thread alone mutates averaged state", "an SPSC endpoint belongs to exactly
-/// one thread per role", "replica-side policy hooks are const and concurrent"
-/// — live here as *capabilities* the compiler checks. Under clang with
-/// -Wthread-safety, touching guarded state without holding its capability is
-/// a compile error; under gcc every macro expands to nothing and the wrappers
+/// process (the driver) alone mutates averaged state", "an SPSC endpoint
+/// belongs to exactly one thread per role", "replica-side policy hooks are
+/// const and concurrent" — live here as *capabilities* the compiler checks.
+/// Under clang with -Wthread-safety, touching guarded state without holding
+/// its capability is a compile error; under gcc every macro expands to nothing and the wrappers
 /// are zero-cost veneers over the std primitives.
 ///
 /// Three kinds of capability appear in the repo:
@@ -16,11 +16,12 @@
 ///    GUARDED_BY; acquired via `MutexLock` (scoped) or `lock()/unlock()`.
 ///  - `common::Role`: a *phantom* capability — no runtime state at all. It
 ///    names a structural exclusivity the design already provides (the single
-///    producer of an SPSC channel, the one reference thread). `RoleGuard`
-///    "acquires" it so the analysis can prove cross-role calls never happen.
+///    producer of an SPSC channel, the driver as the reference process).
+///    `RoleGuard` "acquires" it so the analysis can prove cross-role calls
+///    never happen.
 ///  - Negative contracts: EXCLUDES(m) on a function documents (and checks)
 ///    that callers must NOT hold m — the tool for "replica-side paths never
-///    run under the reference lock".
+///    play the reference process".
 ///
 /// Raw std::mutex/std::lock_guard/std::condition_variable are banned outside
 /// this header by tools/avgpipe_lint (rule `raw-mutex`).
@@ -50,7 +51,7 @@
 /// the line immediately before a function *definition* to ban heap
 /// allocation (new/make_unique/make_shared/malloc) and `Tensor::clone()`
 /// inside its body. Expands to nothing; it exists so the per-iteration
-/// steady-state paths (run_instr, reference_loop, the sync-worker mains)
+/// steady-state paths (run_instr, the stage sync hook, the reference fold)
 /// cannot silently grow an allocation.
 #define AVGPIPE_HOT_PATH
 
@@ -167,8 +168,8 @@ class CAPABILITY("role") Role {
 /// Scoped assertion that the current thread plays `role` for this region.
 /// Zero-cost: it exists so REQUIRES(role) call sites type-check. Taking a
 /// RoleGuard is a claim the surrounding design must justify (one producer
-/// thread, the reference mutex held, a single-threaded phase, ...) — the
-/// justification belongs in a comment at the guard site.
+/// thread, the driver as the reference process, a single-threaded phase,
+/// ...) — the justification belongs in a comment at the guard site.
 class SCOPED_CAPABILITY RoleGuard {
  public:
   explicit RoleGuard(Role& role) ACQUIRE(role) : role_(role) {

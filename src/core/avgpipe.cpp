@@ -1,6 +1,5 @@
 #include "core/avgpipe.hpp"
 
-#include "common/affinity.hpp"
 #include "common/thread_pool.hpp"
 
 namespace avgpipe::core {
@@ -12,12 +11,6 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
                  AvgPipeConfig config)
     : config_(std::move(config)), make_optimizer_(make_optimizer) {
   AVGPIPE_CHECK(config_.num_pipelines >= 1, "need at least one pipeline");
-  // The sync queues must hold lag + 1 in-flight rounds and apply tokens (see
-  // reference_loop). sync_lag only applies in async mode; sync mode is lag 0.
-  const std::size_t lag = config_.async_sync ? config_.sync_lag : 0;
-  AVGPIPE_CHECK(lag < kSyncQueueCapacity,
-                "sync_lag " << lag << " must be below the sync queue "
-                            << "capacity " << kSyncQueueCapacity);
   faults_ = config_.faults != nullptr ? config_.faults : fault::env_plan();
   if (faults_ != nullptr) {
     for (const auto& c : faults_->crashes) {
@@ -35,12 +28,12 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
 
   // Thread-placement plan: N*K stage threads issue kernels concurrently, so
   // each gets a fair share of the global pool unless AVGPIPE_STAGE_THREADS
-  // overrides; the pin-slot layout additionally covers the reference
-  // thread.
+  // overrides, and each has its own pin slot.
   const std::size_t num_stages = config_.boundaries.size() + 1;
   stage_workers_ = stage_workers_from_env(config_.num_pipelines * num_stages);
-  pin_total_slots_ = config_.num_pipelines * num_stages + 1;
-  ring_size_ = lag + 1;
+  pin_total_slots_ = config_.num_pipelines * num_stages;
+  // sync_lag only applies in async mode; sync mode is lag 0.
+  ring_size_ = (config_.async_sync ? config_.sync_lag : 0) + 1;
 
   // Build replicas with identical initial weights: replica 0's init is the
   // source of truth, copied into every other replica and the eval model.
@@ -63,13 +56,12 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
   compression_ = config_.sync_compression.has_value()
                      ? *config_.sync_compression
                      : sync_compression_from_env(SyncCompression{});
-  broadcast_codec_ = SyncCodec(compression_);
   {
-    // The initial publish is transmission #1 of the broadcast stream (the
-    // reference thread isn't running yet, so this is single-threaded — the
-    // justification for asserting the reference capability here).
-    common::MutexLock lock(reference_mutex_);
+    // The initial publish is transmission #1 of the broadcast stream. The
+    // driver is the reference process (and no stage thread runs yet).
     common::RoleGuard ref_role(reference_capability());
+    broadcast_codec_ = SyncCodec(compression_);
+    broadcast_ = uninitialized_like(reference_->params());
     publish_broadcast();
   }
 
@@ -78,10 +70,7 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
   for (std::size_t i = 0; i < replicas_.size(); ++i) start_runtime(i);
   if (config_.tracer != nullptr) {
     driver_trace_ = config_.tracer->create_buffer();
-    reference_trace_ = config_.tracer->create_buffer();
   }
-
-  reference_thread_ = std::thread([this] { reference_loop(); });
 }
 
 void AvgPipe::start_runtime(std::size_t i) {
@@ -128,46 +117,39 @@ void AvgPipe::start_runtime(std::size_t i) {
 }
 
 AvgPipe::~AvgPipe() {
-  // Join every stage thread first (no further rounds can be produced), then
-  // let the reference thread drain any in-flight rounds over the closed
-  // queue before joining it.
+  // Join every stage thread before the state their hooks read goes away.
   for (auto& replica : replicas_) replica->runtime.reset();
-  update_queue_.close();
-  applied_queue_.close();
-  if (reference_thread_.joinable()) reference_thread_.join();
 }
 
 AVGPIPE_HOT_PATH
 void AvgPipe::stage_sync(std::size_t i, std::size_t stage,
                          trace::TraceBuffer* trace, bool begin) {
-  // Both hooks read the latest snapshot the reference process has published
-  // — fresh at lag 0 (the driver waited for the previous apply), up to
-  // sync_lag applies stale otherwise (for BSP/BMUF's reset, the only
-  // staleness that family admits), never blocking on an apply. The local
-  // sync is elastic's steps ❷–❸, or a BSP-family weight copy.
+  // Both hooks read broadcast_ once the driver has published this round's
+  // folds: round t sees the reference through round t - max(lag, 1), for
+  // BSP/BMUF's reset as for the elastic pull. The local sync is elastic's
+  // steps ❷–❸, or a BSP-family weight copy.
   StageSync& s = replicas_[i]->stages[stage];
   const Seconds t0 = trace != nullptr ? config_.tracer->wall_now() : 0;
-  // Ring invariant: round t writes slot t mod (lag + 1). The driver let at
-  // most `lag` applies trail behind before submitting round t, so round
-  // t - lag - 1, the slot's previous user, has been applied, and the
-  // reference thread dropped its handles before acknowledging it.
+  for (long p = published_.load(std::memory_order_acquire); p < submitted_;
+       p = published_.load(std::memory_order_acquire)) {
+    published_.wait(p, std::memory_order_acquire);
+  }
+  // Ring invariant: round t writes slot t mod (lag + 1). At most `lag`
+  // rounds were pending when the driver submitted round t, so round
+  // t - lag - 1, the slot's previous user, is folded and its handles dropped.
   ParamSet& out = s.ring[ring_slot_];
   for (std::size_t j = 0; !begin && j < out.size(); ++j) {
     AVGPIPE_CHECK(out[j].use_count() == 1,
                   "update ring slot " << ring_slot_ << " of pipeline " << i
                                       << " stage " << stage
-                                      << " is held by an unapplied round");
+                                      << " is held by an unfolded round");
   }
-  std::shared_ptr<const ParamSet> snap = snapshot_handle();
-  const auto shard = std::span<const tensor::Tensor>(*snap).subspan(
+  const auto shard = std::span<const tensor::Tensor>(broadcast_).subspan(
       s.first, s.params.size());
   if (begin) {
     policy_->begin_round(s.params, shard);
   } else {
     policy_->local_sync(s.params, shard, alpha_, out);
-  }
-  release_snapshot(snap);
-  if (!begin) {
     record_sync_bytes(trace, i, stage, s.push_codec.transmit(out));
   }
   if (trace == nullptr) return;
@@ -181,106 +163,47 @@ void AvgPipe::stage_sync(std::size_t i, std::size_t stage,
   trace->record(ev);
 }
 
-std::shared_ptr<const ParamSet> AvgPipe::snapshot_handle() {
-  common::MutexLock lock(reference_mutex_);
-  return latest_snapshot_;
-}
-
-void AvgPipe::release_snapshot(std::shared_ptr<const ParamSet>& snap) {
-  common::MutexLock lock(reference_mutex_);
-  snap.reset();
-}
-
 AVGPIPE_HOT_PATH
 void AvgPipe::publish_broadcast() {
-  // Pulls may still read the current snapshot, so the broadcast goes into
-  // the one it replaced. Handles are taken and dropped under
-  // reference_mutex_ (held here), so a use count of 1 means no pull reads
-  // that one any more and the mutex orders their reads before this rewrite.
-  if (spare_snapshot_ == nullptr || spare_snapshot_.use_count() != 1) {
-    // First two publishes, or a pull still reads the spare: its holder
-    // keeps it alive until the pull ends.
-    // LINT_ALLOW(hot-path-alloc): publish into a fresh snapshot instead.
-    spare_snapshot_ =
-        std::make_shared<ParamSet>(uninitialized_like(reference_->params()));
-  }
-  policy_->make_broadcast(*reference_, *spare_snapshot_);
-  record_sync_bytes(reference_trace_, 0, 0,
-                    broadcast_codec_.transmit(*spare_snapshot_));
-  std::swap(latest_snapshot_, spare_snapshot_);
+  policy_->make_broadcast(*reference_, broadcast_);
+  record_sync_bytes(driver_trace_, 0, 0, broadcast_codec_.transmit(broadcast_));
 }
 
 AVGPIPE_HOT_PATH
-void AvgPipe::reference_loop() {
-  // The reference process (paper §3.2): one message per iteration carries
-  // the round of local updates from every surviving pipeline; normalise by
-  // the round size (N_alive) and apply, keeping the reference at the mean of
-  // the survivors.
-  //
-  // Batched application: under sync_lag > 0 the driver can run ahead, so
-  // several rounds may already be queued when this thread wakes. Drain them
-  // all and apply the batch in one critical section — the elastic policy's
-  // fused sweep touches each reference weight once per batch instead of once
-  // per round, and the broadcast is rebuilt once. An apply token is still
-  // sent per round, so the driver's bounded-lag handshake is unchanged. At
-  // lag 0 (sync mode) the driver waits for every apply, the queue never
-  // holds more than one round, every batch has size 1, and the schedule of
-  // pulls/applies — hence the parameter trajectory — is bit-identical to
-  // the unbatched loop.
-  //
-  // Apply tokens are sent while reference_mutex_ is held, so a full
-  // applied_queue_ would block this thread with the mutex held and hang the
-  // next stage pull; the constructor bounds sync_lag below
-  // kSyncQueueCapacity so the queue never fills.
-  pin_current_thread(pin_policy_from_env(), pin_total_slots_ - 1,
-                     pin_total_slots_);
-  std::vector<std::vector<ParamSet>> rounds;
-  while (auto round = update_queue_.recv()) {
-    rounds.push_back(std::move(*round));
-    while (auto more = update_queue_.try_recv()) {
-      rounds.push_back(std::move(*more));
-    }
-    common::MutexLock lock(reference_mutex_);
-    // The reference thread is the reference process; reference_mutex_ (held
-    // above) serialises it against the driver's snapshot/restore paths.
-    common::RoleGuard ref_role(reference_capability());
-    if (reference_trace_ != nullptr) {
-      // Staleness: local updates received per round but not yet visible to
-      // the pipelines through an apply.
-      for (const auto& r : rounds) {
-        for (std::size_t received = 1; received <= r.size(); ++received) {
-          trace::TraceEvent ev;
-          ev.kind = trace::EventKind::kCounter;
-          ev.counter = trace::CounterId::kStaleness;
-          ev.t_begin = ev.t_end = config_.tracer->wall_now();
-          ev.value = static_cast<double>(received);
-          reference_trace_->record(ev);
-        }
-      }
-    }
-    const Seconds t0 =
-        reference_trace_ != nullptr ? config_.tracer->wall_now() : 0;
-    policy_->apply_rounds(*reference_, rounds);
-    const std::size_t applied = rounds.size();
-    // Drop the rounds' handles onto the stage rings before acknowledging
-    // them: an acknowledged slot is free for reuse (see stage_sync).
-    rounds.clear();
-    publish_broadcast();
-    if (reference_trace_ != nullptr) {
-      trace::TraceEvent ev;
-      ev.kind = trace::EventKind::kReferenceApply;
-      ev.t_begin = t0;
-      ev.t_end = config_.tracer->wall_now();
-      reference_trace_->record(ev);
-      trace::TraceEvent batch;
-      batch.kind = trace::EventKind::kCounter;
-      batch.counter = trace::CounterId::kSyncBatch;
-      batch.t_begin = batch.t_end = ev.t_end;
-      batch.value = static_cast<double>(applied);
-      reference_trace_->record(batch);
-    }
-    for (std::size_t r = 0; r < applied; ++r) applied_queue_.send(1);
-  }
+void AvgPipe::fold_pending(std::size_t limit) {
+  // The reference process (paper §3.2): normalise each round by its size
+  // (N_alive) and apply, keeping the reference at the mean of the
+  // survivors. The due rounds fold as one batch — the elastic policy's
+  // fused sweep touches each reference weight once per batch — and the
+  // broadcast is rebuilt once.
+  if (pending_.size() <= limit) return;
+  // The driver is the reference process: no other thread calls the
+  // reference-side hooks, and stage hooks read only broadcast_.
+  common::RoleGuard ref_role(reference_capability());
+  const Seconds t0 = driver_trace_ != nullptr ? config_.tracer->wall_now() : 0;
+  const auto due =
+      pending_.begin() + static_cast<std::ptrdiff_t>(pending_.size() - limit);
+  folding_.assign(std::make_move_iterator(pending_.begin()),
+                  std::make_move_iterator(due));
+  pending_.erase(pending_.begin(), due);
+  policy_->apply_rounds(*reference_, folding_);
+  const std::size_t folded = folding_.size();
+  // Drop the rounds' handles onto the stage rings: their slots are free for
+  // reuse (see stage_sync).
+  folding_.clear();
+  publish_broadcast();
+  if (driver_trace_ == nullptr) return;
+  trace::TraceEvent ev;
+  ev.kind = trace::EventKind::kReferenceApply;
+  ev.t_begin = t0;
+  ev.t_end = config_.tracer->wall_now();
+  driver_trace_->record(ev);
+  trace::TraceEvent batch;
+  batch.kind = trace::EventKind::kCounter;
+  batch.counter = trace::CounterId::kSyncBatch;
+  batch.t_begin = batch.t_end = ev.t_end;
+  batch.value = static_cast<double>(folded);
+  driver_trace_->record(batch);
 }
 
 std::size_t AvgPipe::alive_pipelines() const {
@@ -371,14 +294,8 @@ void AvgPipe::rejoin_pipeline(std::size_t i) {
 
 void AvgPipe::attach_pipeline(std::size_t i, const ParamSet& weights) {
   auto params = replicas_[i]->model.parameters();
-  AVGPIPE_CHECK(params.size() == weights.size(),
-                "pipeline " << i << " has " << params.size()
-                            << " parameters, its new weights have "
-                            << weights.size());
-  for (std::size_t j = 0; j < params.size(); ++j) {
-    params[j].value().copy_from(weights[j]);
-    params[j].zero_grad();  // drop partial sums from a crashed batch
-  }
+  copy_into(params, weights);
+  for (auto& p : params) p.zero_grad();  // drop a crashed batch's partial sums
   if (health_[i].alive) return;
   start_runtime(i);  // fresh push codecs: a real restart loses residuals
   health_[i].alive = true;
@@ -408,6 +325,7 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
   apply_scheduled_faults();
   AVGPIPE_CHECK(alive_pipelines() >= 1, "no pipeline left alive");
   const long step = iteration_++;
+  const std::size_t lag = ring_size_ - 1;
 
   // Step ❶: every alive pipeline's batch is dispatched to its stage threads
   // at once (replicas train concurrently); each stage then runs its own
@@ -415,18 +333,34 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
   // failure is contained to its pipeline: its wait throws and the driver
   // detaches the pipeline below instead of propagating.
   ring_slot_ = static_cast<std::size_t>(step) % ring_size_;
+  ++submitted_;
   std::vector<double> losses(replicas_.size(), 0.0);
   std::vector<std::string> errors(replicas_.size());
   std::vector<char> completed(replicas_.size(), 0);
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (!health_[i].alive) continue;
-    try {
-      replicas_[i]->runtime->submit(batches[i], config_.micro_batches);
-      completed[i] = 1;  // until wait() says otherwise
-    } catch (const std::exception& e) {
-      errors[i] = e.what();
+  // This round's stage hooks wait until published_ reaches it. It advances
+  // on every exit, a throwing fold included, so no hook waits forever.
+  const auto publish = [this] {
+    published_.store(submitted_, std::memory_order_release);
+    published_.notify_all();
+  };
+  try {
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      if (!health_[i].alive) continue;
+      try {
+        replicas_[i]->runtime->submit(batches[i], config_.micro_batches);
+        completed[i] = 1;  // until wait() says otherwise
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
     }
+    // Steps ❹–❺ overlap the training: fold round t - lag now, so round t
+    // reads the reference through it.
+    if (lag > 0) fold_pending(lag - 1);
+  } catch (...) {
+    publish();
+    throw;
   }
+  publish();
   std::vector<ParamSet> round;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!completed[i]) continue;
@@ -471,21 +405,16 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
   }
 
   // A round in which every pipeline failed (and restore_on_failure re-attached
-  // them all) carries no update: there is nothing to apply or wait for.
-  if (!round.empty()) {
-    update_queue_.send(std::move(round));
-    ++outstanding_applies_;
-  }
-  // Steps ❹–❺ bounded-lag handshake: synchronous mode is lag 0 — it waits
-  // for this iteration's apply so the next pull sees fresh weights; async
-  // mode lets up to sync_lag applies trail behind training.
-  wait_applies(config_.async_sync ? config_.sync_lag : 0);
+  // them all) carries no update: there is nothing to fold.
+  if (!round.empty()) pending_.push_back(std::move(round));
+  // Lag 0 folds the round it just collected, so the next round reads it.
+  fold_pending(lag);
   if (driver_trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::EventKind::kCounter;
     ev.counter = trace::CounterId::kSyncLag;
     ev.t_begin = ev.t_end = config_.tracer->wall_now();
-    ev.value = static_cast<double>(outstanding_applies_);
+    ev.value = static_cast<double>(pending_.size());
     driver_trace_->record(ev);
   }
 
@@ -496,37 +425,26 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
   return total / static_cast<double>(alive);
 }
 
-void AvgPipe::wait_applies(std::size_t limit) {
-  while (outstanding_applies_ > limit) {
-    auto applied = applied_queue_.recv();
-    AVGPIPE_CHECK(applied.has_value(), "reference process stopped");
-    --outstanding_applies_;
-  }
-}
+void AvgPipe::synchronize() { fold_pending(0); }
 
-void AvgPipe::synchronize() { wait_applies(0); }
+// The snapshots below run on the driver, which is the reference process.
 
 nn::Sequential& AvgPipe::eval_model() {
-  const ParamSet ref = reference_snapshot();
+  synchronize();  // observe every completed iteration's round
   auto params = eval_model_.parameters();
-  AVGPIPE_CHECK(params.size() == ref.size(), "eval model mismatch");
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i].value().copy_from(ref[i]);
-  }
+  common::RoleGuard ref_role(reference_capability());
+  copy_into(params, reference_->params());
   return eval_model_;
 }
 
 ParamSet AvgPipe::reference_snapshot() {
-  synchronize();  // observe every completed iteration's apply
-  common::MutexLock lock(reference_mutex_);
+  synchronize();
+  common::RoleGuard ref_role(reference_capability());
   return reference_->snapshot();
 }
 
 ParamSet AvgPipe::broadcast_snapshot() {
   synchronize();
-  common::MutexLock lock(reference_mutex_);
-  // Apply drain + reference_mutex_: the driver is the reference process for
-  // the duration of this snapshot.
   common::RoleGuard ref_role(reference_capability());
   return policy_->make_broadcast(*reference_);
 }
@@ -550,10 +468,9 @@ void AvgPipe::register_rng(const std::string& name, Rng* rng) {
 }
 
 ckpt::TrainState AvgPipe::capture_state() {
-  // The apply drain *is* the capture barrier: after synchronize() the
-  // reference has folded every shipped round, every stage thread is parked
-  // between batches, and the driver owns all parameter and optimizer
-  // tensors.
+  // Capture barrier: every stage thread is parked between batches, so the
+  // driver owns all parameter and optimizer tensors, and after synchronize()
+  // the reference has folded every collected round.
   synchronize();
   ckpt::TrainState state;
   state.step = iteration_;
@@ -561,13 +478,10 @@ ckpt::TrainState AvgPipe::capture_state() {
   state.alpha = alpha_;
   state.sync_codec = static_cast<std::uint8_t>(compression_.codec);
   {
-    common::MutexLock lock(reference_mutex_);
-    // Capture barrier (the synchronize() above) + reference_mutex_: the
-    // driver is the reference process while it snapshots policy state.
-    common::RoleGuard ref_role(reference_capability());
+    common::RoleGuard ref_role(reference_capability());  // the driver's
     state.reference = reference_->snapshot();
     state.policy_state = policy_->export_state();
-    state.broadcast = clone_set(*latest_snapshot_);
+    state.broadcast = clone_set(broadcast_);
     state.broadcast_residual = clone_set(broadcast_codec_.residuals());
   }
   state.pipelines.reserve(replicas_.size());
@@ -631,19 +545,10 @@ void AvgPipe::restore_state(const ckpt::TrainState& state) {
   const bool codec_match =
       state.sync_codec == static_cast<std::uint8_t>(compression_.codec);
   {
-    common::MutexLock lock(reference_mutex_);
-    // Restore barrier (the synchronize() above) + reference_mutex_: the
-    // driver is the reference process while it rewrites policy state.
-    common::RoleGuard ref_role(reference_capability());
-    ParamSet& ref = reference_->mutable_params();
-    AVGPIPE_CHECK(ref.size() == state.reference.size(),
-                  "restore: reference size mismatch");
-    for (std::size_t j = 0; j < ref.size(); ++j) {
-      ref[j].copy_from(state.reference[j]);
-    }
+    common::RoleGuard ref_role(reference_capability());  // the driver's
+    copy_into(reference_->mutable_params(), state.reference);
     policy_->import_state(clone_set(state.policy_state));
-    latest_snapshot_ =
-        std::make_shared<ParamSet>(clone_set(state.broadcast));
+    copy_into(broadcast_, state.broadcast);
     if (codec_match) {
       broadcast_codec_.set_residuals(clone_set(state.broadcast_residual));
     } else {

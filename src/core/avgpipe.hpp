@@ -4,26 +4,26 @@
 /// AvgPipe: elastic-averaging pipelined training (the paper's system).
 ///
 /// `AvgPipe` runs N parallel pipelines, each a threaded
-/// `runtime::PipelineRuntime` over its own model replica, plus an
-/// asynchronous reference-model process fed through a message queue (paper
-/// Figure 6). One `train_iteration` consumes N batches. The reference model
+/// `runtime::PipelineRuntime` over its own model replica, plus the
+/// reference-model process of paper Figure 6, which the driver thread plays:
+/// it folds pending rounds of local updates into the reference while the
+/// stages train. One `train_iteration` consumes N batches. The replica side
 /// is co-partitioned with the pipeline (paper §3): each stage thread runs
 /// the policy local sync over its own parameter shard right after its
 /// optimizer update, writing into reused buffers; synchronous and
-/// asynchronous sync differ only in how many reference applies the driver
-/// lets trail behind (0 or `sync_lag`). It is also the
+/// asynchronous sync differ only in how many rounds the reference may trail
+/// behind (0 or `sync_lag`). It is also the
 /// update-rule trainer of the statistical-efficiency experiments: built with
 /// `{boundaries = {}, micro_batches = 1, async_sync = false}` each replica
 /// trains its whole batch as one step, so only the update rule matters.
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
-#include <thread>
 
 #include "ckpt/state.hpp"
 #include "common/annotations.hpp"
-#include "common/queue.hpp"
 #include "common/rng.hpp"
 #include "core/elastic.hpp"
 #include "core/sync_compression.hpp"
@@ -43,25 +43,23 @@ struct AvgPipeConfig {
   std::size_t advance_num = 0;  ///< 0 -> K-1
   /// Asynchronous elastic sync (paper §3.2's message-queue design taken off
   /// the critical path). Every stage's pull/push runs on that stage's thread
-  /// against the latest *published* reference snapshot; this flag only sets
-  /// how many reference applies the driver lets trail behind training.
-  /// `false` means a lag of 0: the driver waits for every apply, so each
-  /// pull sees fresh weights. `true` lets up to `sync_lag` applies stay in
-  /// flight, trading bounded staleness (a pull may see a reference up to
-  /// sync_lag applies old, and two stages of one replica may see different
-  /// applies) for overlap of the reference process with the next
-  /// iteration's training; sync_lag = 0 is then the same as `false`.
+  /// against the published broadcast; this flag only sets the lag L, the
+  /// rounds the reference may trail behind training. `false` is L = 0: the
+  /// driver folds each round right after collecting it. `true` is
+  /// L = `sync_lag`: the driver folds round t − L while round t trains.
+  /// Either way every read in round t sees the reference through exactly
+  /// round t − max(L, 1), so L = 1 is bit-identical to L = 0 with the fold
+  /// overlapped, and a larger L only makes the reads older (the paper's
+  /// bounded staleness); sync_lag = 0 is the same as `false`.
   bool async_sync = false;
-  /// Max reference applies in flight when `async_sync` (ignored otherwise);
-  /// then it must be below AvgPipe::kSyncQueueCapacity (checked at
-  /// construction).
+  /// L when `async_sync` (ignored otherwise). Each stage keeps L + 1 update
+  /// buffers, one per round the reference may trail.
   std::size_t sync_lag = 1;
   /// Optional tracer (non-owning, must outlive the AvgPipe): every stage
   /// worker of every replica records wall-clock spans tagged with its
-  /// pipeline index, including its shard's elastic pulls (❷–❸),
-  /// the driver records membership, checkpoint and sync-lag events, and the
-  /// reference process records apply spans plus a staleness counter (how
-  /// many local updates were accumulated but not yet applied, ❹–❺).
+  /// pipeline index, including its shard's elastic pulls (❷–❸); the driver
+  /// records membership, checkpoint and sync-lag events and, as the
+  /// reference process, fold spans with the rounds each folded (❹–❺).
   trace::Tracer* tracer = nullptr;
   /// Optional fault plan (non-owning, must outlive the AvgPipe; defaults to
   /// fault::env_plan()). Stragglers/drops are forwarded to every replica
@@ -96,10 +94,6 @@ struct AvgPipeConfig {
 /// batches per iteration, one per pipeline.
 class AvgPipe : public runtime::TrainerBase {
  public:
-  /// Capacity of the round and apply-token queues to the reference process.
-  /// Up to sync_lag + 1 rounds are in flight, so sync_lag must stay below it.
-  static constexpr std::size_t kSyncQueueCapacity = 64;
-
   /// \param factory builds one model replica; called N+1 times (replicas +
   ///        evaluation copy) and synchronised to identical initial weights.
   /// \param make_optimizer builds each stage's local optimizer — any
@@ -160,8 +154,8 @@ class AvgPipe : public runtime::TrainerBase {
   void rejoin_pipeline(std::size_t i);
 
   /// Copy the reference weights into the evaluation model and return it.
-  /// In async mode this first synchronize()s so the evaluation weights
-  /// include every completed iteration.
+  /// This first synchronize()s so the evaluation weights include every
+  /// completed iteration.
   nn::Sequential& eval_model() override;
 
   /// Current reference parameters (snapshot; synchronize()d first).
@@ -176,8 +170,8 @@ class AvgPipe : public runtime::TrainerBase {
   /// iterations (stage threads are parked then); the replica must be alive.
   ParamSet replica_snapshot(std::size_t i) const;
 
-  /// Drain all in-flight reference applies (no-op at lag 0, where the
-  /// driver never runs ahead). Driver thread only.
+  /// Fold every pending round into the reference (no-op at lag 0, where
+  /// no round stays pending). Driver thread only.
   void synchronize();
 
   // -- durable checkpoint/restore (src/ckpt) ---------------------------------
@@ -189,10 +183,9 @@ class AvgPipe : public runtime::TrainerBase {
   void register_rng(const std::string& name, Rng* rng);
 
   /// Full durable state at the current round boundary. synchronize()s first
-  /// — the apply drain doubles as the capture barrier (workers parked,
-  /// driver owns every tensor) — then snapshots reference / policy state /
-  /// broadcast under the reference mutex plus every pipeline's parameters
-  /// and per-stage runtime state. Driver thread only, between iterations.
+  /// (workers parked, every round folded), then snapshots reference /
+  /// policy state / broadcast plus every pipeline's parameters and
+  /// per-stage runtime state. Driver thread only, between iterations.
   ckpt::TrainState capture_state();
 
   /// Restore a state produced by `capture_state` on an identically
@@ -229,14 +222,16 @@ class AvgPipe : public runtime::TrainerBase {
     std::vector<StageSync> stages;
   };
 
-  void reference_loop();
-  /// Write the policy broadcast into the snapshot stage pulls read.
-  void publish_broadcast()
-      REQUIRES(reference_mutex_, reference_capability());
+  /// Fold the oldest pending rounds, as one apply_rounds batch, until at
+  /// most `limit` remain, then publish the broadcast. Driver thread only.
+  void fold_pending(std::size_t limit);
+  /// Write the policy broadcast into broadcast_, the copy stage hooks read.
+  void publish_broadcast() REQUIRES(reference_capability());
   /// Stage hook of pipeline `i` over its stage's shard: BSP/BMUF's reset
   /// before the batch (`begin`), else the local sync after the update.
-  /// Runs concurrently with the reference process, so it must never hold
-  /// the reference capability: it reads only the published snapshot.
+  /// Runs concurrently with the driver's folds, so it must never hold the
+  /// reference capability: it reads only broadcast_, once published_ says
+  /// this round's folds are in.
   void stage_sync(std::size_t i, std::size_t stage,
                   trace::TraceBuffer* trace, bool begin)
       EXCLUDES(reference_capability());
@@ -247,13 +242,6 @@ class AvgPipe : public runtime::TrainerBase {
   /// pipeline also gets a fresh runtime and rejoins the average (α
   /// rebalances, kPipelineRejoin is recorded).
   void attach_pipeline(std::size_t i, const ParamSet& weights);
-  /// The most recent reference snapshot published by the reference process.
-  std::shared_ptr<const ParamSet> snapshot_handle();
-  /// Drop a pull's snapshot handle under reference_mutex_, ordering the
-  /// pull's reads before a later publish_broadcast rewrites it in place.
-  void release_snapshot(std::shared_ptr<const ParamSet>& snap);
-  /// Block until at most `limit` reference applies remain in flight.
-  void wait_applies(std::size_t limit);
   void rebalance_alpha();
   /// Crash/rejoin marker plus an alive-pipelines counter sample.
   void record_membership_event(trace::EventKind kind, std::size_t pipeline);
@@ -278,9 +266,9 @@ class AvgPipe : public runtime::TrainerBase {
   std::unique_ptr<SyncPolicy> policy_;
   SyncCompression compression_;  ///< resolved config/env compression mode
   // Thread-placement plan shared by every replica runtime: replica i's K
-  // stage threads occupy pin slots [i*K, (i+1)*K), then the reference
-  // thread takes slot N*K — pinned only under AVGPIPE_PIN_THREADS.
-  // stage_workers_ is each stage thread's share of the
+  // stage threads occupy pin slots [i*K, (i+1)*K) of N*K — pinned only
+  // under AVGPIPE_PIN_THREADS. stage_workers_ is each stage thread's share
+  // of the
   // global kernel pool (AVGPIPE_STAGE_THREADS, defaulting to a fair split
   // over all N*K concurrent stage threads).
   std::size_t stage_workers_ = 1;
@@ -301,30 +289,32 @@ class AvgPipe : public runtime::TrainerBase {
   /// Named external RNG streams captured/restored with checkpoints.
   std::vector<std::pair<std::string, Rng*>> rngs_;
 
-  // Tracing buffers: driver-thread events (membership, checkpoints, sync
-  // lag) and reference-process spans; both created from config_.tracer.
+  /// Driver-thread events (membership, checkpoints, sync lag, folds),
+  /// created from config_.tracer.
   trace::TraceBuffer* driver_trace_ = nullptr;
-  trace::TraceBuffer* reference_trace_ = nullptr;
 
-  // Reference process: one message per iteration carries the whole round of
-  // local updates (steps ❹–❺) — batching the round into a single message
-  // keeps membership bookkeeping with the driver and lets rounds queue up
-  // behind each other under sync_lag without an expected-count handshake.
-  // A round's updates are handles onto the stage rings, not copies. After
-  // every apply the reference thread publishes the broadcast into
-  // latest_snapshot_, which stage pulls read through a shared handle.
-  std::unique_ptr<ReferenceModel> reference_ PT_GUARDED_BY(reference_mutex_);
-  /// Compressor of the broadcast stream. Reference-thread state: shares
-  /// reference_'s serialisation (reference_mutex_ plus the apply drain).
-  SyncCodec broadcast_codec_ GUARDED_BY(reference_mutex_);
-  common::Mutex reference_mutex_;
-  std::shared_ptr<ParamSet> latest_snapshot_ GUARDED_BY(reference_mutex_);
-  /// The snapshot latest_snapshot_ replaced; the next publish reuses it.
-  std::shared_ptr<ParamSet> spare_snapshot_ GUARDED_BY(reference_mutex_);
-  Channel<std::vector<ParamSet>> update_queue_{kSyncQueueCapacity};
-  Channel<int> applied_queue_{kSyncQueueCapacity};
-  std::size_t outstanding_applies_ = 0;  ///< driver-side in-flight rounds
-  std::thread reference_thread_;
+  // The reference process (steps ❹–❺) is the driver thread. Each
+  // iteration's round of local updates — handles onto the stage rings, not
+  // copies — joins pending_; the driver folds the oldest ones while the
+  // stages train and publishes the policy broadcast into broadcast_.
+  std::unique_ptr<ReferenceModel> reference_
+      PT_GUARDED_BY(reference_capability());
+  /// Compressor of the broadcast stream; reference-process state.
+  SyncCodec broadcast_codec_ GUARDED_BY(reference_capability());
+  /// What the stage hooks read. The driver rewrites it only while no hook
+  /// can read it: before it advances published_, or between batches.
+  ParamSet broadcast_;
+  /// Collected rounds not yet folded, oldest first, and the batch a fold
+  /// moves them into. Driver thread only.
+  std::vector<std::vector<ParamSet>> pending_;
+  std::vector<std::vector<ParamSet>> folding_;
+  /// Rounds submitted so far. Like alpha_, written by the driver before it
+  /// submits and read by stage threads after their start recv.
+  long submitted_ = 0;
+  /// Rounds whose due folds are published. Round r's hooks (submitted_ == r)
+  /// wait for published_ >= r before reading broadcast_; the release store
+  /// orders the driver's fold before their reads.
+  std::atomic<long> published_{0};
 };
 
 }  // namespace avgpipe::core

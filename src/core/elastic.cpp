@@ -39,6 +39,22 @@ ParamSet uninitialized_like(std::span<const tensor::Variable> like) {
   return out;
 }
 
+void copy_into(std::span<tensor::Tensor> dst,
+               std::span<const tensor::Tensor> src) {
+  AVGPIPE_CHECK(dst.size() == src.size(), "param set size mismatch: copying "
+                                              << src.size() << " into "
+                                              << dst.size());
+  for (std::size_t i = 0; i < dst.size(); ++i) dst[i].copy_from(src[i]);
+}
+
+void copy_into(std::span<tensor::Variable> dst,
+               std::span<const tensor::Tensor> src) {
+  AVGPIPE_CHECK(dst.size() == src.size(), "param set size mismatch: copying "
+                                              << src.size() << " into "
+                                              << dst.size());
+  for (std::size_t i = 0; i < dst.size(); ++i) dst[i].value().copy_from(src[i]);
+}
+
 void difference_into(std::span<const tensor::Variable> params,
                      std::span<const tensor::Tensor> reference,
                      std::span<tensor::Tensor> out) {

@@ -38,6 +38,12 @@ ParamSet clone_set(const ParamSet& src);
 /// every element (write-into buffers).
 ParamSet uninitialized_like(std::span<const tensor::Tensor> like);
 ParamSet uninitialized_like(std::span<const tensor::Variable> like);
+/// dst[j] ← src[j] for every j (the one ParamSet copy; sizes must match).
+/// The Variable form overwrites the values in place.
+void copy_into(std::span<tensor::Tensor> dst,
+               std::span<const tensor::Tensor> src);
+void copy_into(std::span<tensor::Variable> dst,
+               std::span<const tensor::Tensor> src);
 
 /// out = params − reference, written into caller-owned tensors.
 void difference_into(std::span<const tensor::Variable> params,
@@ -52,15 +58,15 @@ double default_alpha(std::size_t num_pipelines);
 void elastic_pull(std::span<tensor::Variable> params,
                   std::span<const tensor::Tensor> reference, double alpha);
 
-/// The reference model (steps ❹–❺). Not thread-safe by itself; the
-/// asynchronous system in avgpipe.hpp serialises access through a queue,
-/// matching the paper's separate reference process per GPU.
+/// The reference model (steps ❹–❺). Not thread-safe by itself; in the
+/// threaded system in avgpipe.hpp the driver thread owns it and plays the
+/// paper's reference process.
 class ReferenceModel {
  public:
   explicit ReferenceModel(ParamSet initial) : params_(std::move(initial)) {}
 
-  /// Steps ❹–❺ over a *batch* of complete rounds — the asynchronous
-  /// reference process may find several rounds queued. Each round, oldest
+  /// Steps ❹–❺ over a *batch* of complete rounds — under sync_lag the
+  /// reference process may have several rounds pending. Each round, oldest
   /// first, folds as the textbook accumulate-then-apply: acc = Σ 1.0·u over
   /// its updates in order, from zero, then p += (1/n)·acc. One sweep per
   /// parameter tensor runs every round on a register accumulator, so the

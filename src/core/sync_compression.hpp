@@ -8,7 +8,7 @@
 /// broadcast pulls) and `transmit()` replaces each parameter set in place
 /// with its quantize→dequantize round trip — exactly the values the far end
 /// of a compressed wire would decode. The transport between the boundaries
-/// (queues, `apply_round_batch`, the snapshot handle) keeps moving plain f64
+/// (the update rings, `apply_round_batch`, the broadcast) keeps moving plain f64
 /// tensors, so every policy and the whole apply machinery run unchanged;
 /// only codec-rounded values ever cross a boundary, which is precisely the
 /// semantics of a real compressed link.
@@ -52,7 +52,7 @@ SyncCompression sync_compression_from_env(SyncCompression configured);
 /// One direction of one compressed stream: applies the codec round trip to
 /// each transmitted ParamSet and carries that stream's EF residuals.
 /// Not thread-safe; each instance has a single owning thread at a time
-/// (a stage thread / the driver, or the reference thread).
+/// (a stage thread for a push stream, the driver for the broadcast).
 class SyncCodec {
  public:
   struct Stats {

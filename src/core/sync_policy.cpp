@@ -64,10 +64,7 @@ void SyncPolicy::import_state(std::vector<tensor::Tensor> state) {
 
 void SyncPolicy::make_broadcast(const ReferenceModel& reference,
                                 ParamSet& out) const {
-  const ParamSet& params = reference.params();
-  AVGPIPE_CHECK(out.size() == params.size(),
-                "broadcast/reference size mismatch");
-  for (std::size_t i = 0; i < params.size(); ++i) out[i].copy_from(params[i]);
+  copy_into(out, reference.params());
 }
 
 ParamSet SyncPolicy::make_broadcast(const ReferenceModel& reference) const {
@@ -87,9 +84,7 @@ void round_mean(ParamSet& dst, const std::vector<ParamSet>& round) {
     AVGPIPE_CHECK(r.size() == dst.size(), "round/reference size mismatch");
   }
   if (round.size() == 1) {
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].copy_from(round[0][i]);
-    }
+    copy_into(dst, round[0]);
     return;
   }
   const double inv_n = 1.0 / static_cast<double>(round.size());
@@ -132,11 +127,7 @@ class BspPolicy : public SyncPolicy {
 
   void begin_round(std::span<tensor::Variable> params,
                    std::span<const tensor::Tensor> broadcast) const override {
-    AVGPIPE_CHECK(params.size() == broadcast.size(),
-                  "replica/broadcast size mismatch");
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      params[i].value().copy_from(broadcast[i]);
-    }
+    copy_into(params, broadcast);
   }
 
   void local_sync(std::span<tensor::Variable> params,

@@ -8,13 +8,13 @@
 /// averaging and BMUF) and XPipe's weight prediction attack the same
 /// staleness problem from different angles. A `SyncPolicy` factors the rule
 /// out of `AvgPipe` so all of them run on the identical
-/// replica/reference machinery — same stage threads, same message queues,
+/// replica/reference machinery — same stage threads, same reference fold,
 /// same fault handling — and differ only in four hooks:
 ///
 ///   begin_round(shard, broadcast)        stage, before training a batch
 ///   local_sync(shard, broadcast, out)    stage, after its optimizer update
-///   apply_rounds(reference, rounds)      reference process, per drained batch
-///   make_broadcast(reference, out)       reference process, after each apply
+///   apply_rounds(reference, rounds)      reference process, per fold
+///   make_broadcast(reference, out)       reference process, after each fold
 ///
 /// The replica side is co-partitioned with the pipeline (paper §3): each
 /// stage thread runs the hooks over its own *shard* — the stage's parameters
@@ -27,15 +27,17 @@
 /// on disjoint shards and must not mutate policy state — they are `const`
 /// and operate only on their shard plus an immutable broadcast snapshot.
 /// The reference-side hooks own all mutable policy state (e.g. BMUF's block
-/// momentum) and are serialised by the caller: under `reference_mutex_` in
-/// `AvgPipe`. `make_broadcast` is const but reads reference-side state, so it
-/// shares that serialisation.
+/// momentum) and are serialised by the caller: in `AvgPipe` only the driver
+/// thread calls them, and stage hooks read a round's broadcast only after
+/// the driver has published that round's folds. `make_broadcast` is const
+/// but reads reference-side state, so it shares that serialisation.
 ///
-/// Staleness semantics per policy:
+/// Staleness semantics per policy (round t reads the reference through
+/// round t − max(sync_lag, 1), so lag 1 is lag 0 overlapped):
 /// * elastic  — replicas never reset; each pull dilutes toward a broadcast
-///              that may be up to sync_lag applies stale (paper §3.2).
+///              that lags by up to sync_lag − 1 extra rounds (paper §3.2).
 /// * bsp      — replicas restart every round from the broadcast; under
-///              sync_lag > 0 the restart point itself may be stale, which is
+///              sync_lag > 1 the restart point itself is stale, which is
 ///              the only staleness BSP admits.
 /// * bmuf     — BSP's restart, but the broadcast is the CBM Nesterov restart
 ///              point W(t) + η·Δ(t), and the reference applies the filtered
@@ -64,8 +66,8 @@ namespace avgpipe::core {
 /// The phantom capability standing for "I am serialised with the reference
 /// process". Every reference-side policy hook REQUIRES it; a caller asserts
 /// it with a `common::RoleGuard` whose justification is real serialisation —
-/// holding `reference_mutex_` in the threaded system, or the single-threaded
-/// phase of construction. One global
+/// in the threaded system, being AvgPipe's driver thread, which is the
+/// reference process. One global
 /// capability (not per-policy) because the contract is about the reference
 /// *process*, which is unique per address space in this in-proc system.
 common::Role& reference_capability();
@@ -136,10 +138,9 @@ class SyncPolicy {
   // -- reference side: serialised by the caller, which asserts that
   //    serialisation by holding `reference_capability()` ----------------------
 
-  /// Fold a *batch* of queued rounds of `local_sync` results into the
-  /// reference model, oldest first — the asynchronous reference process
-  /// drains its update queue and applies everything it found in one
-  /// critical section. Each round is ordered by replica index
+  /// Fold a *batch* of pending rounds of `local_sync` results into the
+  /// reference model, oldest first — the reference process folds every
+  /// round that is due in one call. Each round is ordered by replica index
   /// (deterministic) and folds exactly as it would in a batch of its own.
   virtual void apply_rounds(ReferenceModel& reference,
                             const std::vector<std::vector<ParamSet>>& rounds)

@@ -173,7 +173,7 @@ class PipelineRuntime {
   /// Core-pinning slot layout for this runtime's stage threads under
   /// AVGPIPE_PIN_THREADS: stage k pins to slot `first_slot + k` of
   /// `total_slots`. Defaults to [0, num_stages) — core::AvgPipe widens the
-  /// layout across its replicas and the reference thread. Must be called
+  /// layout across its replicas' N·K stage threads. Must be called
   /// before the first train_batch.
   void set_thread_slots(std::size_t first_slot, std::size_t total_slots);
 

@@ -9,7 +9,8 @@
 /// statement about *when* events happen. This module is the first-class event
 /// record both executors emit into: the discrete-event simulator records
 /// spans with simulated timestamps, the threaded runtime and the elastic
-/// reference process record wall-clock spans and counters. Downstream, the
+/// driver (also the reference process) record wall-clock spans and
+/// counters. Downstream, the
 /// same trace feeds the Chrome/Perfetto exporter (chrome_trace.hpp), the
 /// per-stage metrics tables and bubble/overlap analysis (analysis.hpp), and
 /// the schedule-conformance tests.

@@ -15,15 +15,12 @@ namespace {
 using schedule::Kind;
 using schedule::OpKind;
 
-/// K stages + driver + reference. K is capped well above anything the paper
-/// evaluates so states stay one byte per process.
+/// K stages + driver (the driver is also the elastic reference process). K
+/// is capped well above anything the paper evaluates so states stay one
+/// byte per process.
 constexpr std::size_t kMaxProcesses = 12;
-constexpr std::size_t kMaxStages = kMaxProcesses - 2;
+constexpr std::size_t kMaxStages = kMaxProcesses - 1;
 constexpr std::size_t kMaxPositions = 255;
-
-/// Capacity of the runtime's round-batched elastic update queue
-/// (core::AvgPipe::update_queue_).
-constexpr std::size_t kRoundsCapacity = 64;
 
 /// One visible protocol operation of a process.
 struct Action {
@@ -73,9 +70,12 @@ std::string mb_tag(int batch, int micro_batch) {
 /// start token per batch, execute their schedule:: stream (forwards recv an
 /// activation then send one downstream; backwards recv a gradient then send
 /// one upstream), and post a done token; the driver dispatches start tokens,
-/// feeds all M inputs, joins K dones, and under elastic averaging pushes a
-/// round to the reference process, blocking once more than `lag` rounds are
-/// behind (core::AvgPipe::wait_applies).
+/// feeds all M inputs and joins K dones. Under elastic averaging the driver
+/// is the reference process: in every batch b >= lag >= 1 it folds round
+/// b - lag after its feeds and publishes it, and each stage waits for that
+/// publish before its sync read (core::AvgPipe's published_ counter, one
+/// token per stage here). Lag 0 folds after the joins, where no stage
+/// waits, so it adds no protocol action.
 Model build_model(const ModelConfig& cfg) {
   AVGPIPE_CHECK(cfg.kind == Kind::kAfab || cfg.kind == Kind::kOneFOneB ||
                     cfg.kind == Kind::kAdvanceForward,
@@ -107,8 +107,10 @@ Model build_model(const ModelConfig& cfg) {
   const std::size_t ch_grads = ch_acts + n_links;
   const std::size_t ch_start = ch_grads + n_links;  // start[k] = ch_start + k
   const std::size_t ch_done = ch_start + k_stages;
-  const std::size_t ch_rounds = ch_done + 1;
-  const std::size_t ch_acks = ch_done + 2;
+  const std::size_t ch_publish = ch_done + 1;  // publish[k] = ch_publish + k
+  const std::size_t lag = cfg.sync_lag;        // read only when elastic
+  const bool publishes = cfg.elastic != ElasticMode::kNone && lag > 0;
+  const auto publish_in = [&](std::size_t b) { return publishes && b >= lag; };
 
   const std::size_t input_cap = std::max(micro, m.link_cap);
   m.channels.push_back({"input", input_cap, false, true});
@@ -126,9 +128,10 @@ Model build_model(const ModelConfig& cfg) {
                           false});
   }
   m.channels.push_back({"done", k_stages, false, false});
-  if (cfg.elastic != ElasticMode::kNone) {
-    m.channels.push_back({"rounds", kRoundsCapacity, false, false});
-    m.channels.push_back({"acks", cfg.num_batches + 1, false, false});
+  for (std::size_t k = 0; publishes && k < k_stages; ++k) {
+    // One publish per batch, received within that batch.
+    m.channels.push_back({"publish[" + std::to_string(k) + "]", 1, false,
+                          false});
   }
 
   // -- one schedule batch, replayed per batch like worker_loop ------------
@@ -203,6 +206,13 @@ Model build_model(const ModelConfig& cfg) {
             AVGPIPE_THROW("all-reduce in a flushed pipeline stream");
         }
       }
+      if (publish_in(b)) {
+        // The end hook's pull reads the reference once round b - lag is in.
+        p.actions.push_back({Action::kRecv,
+                             static_cast<std::uint16_t>(ch_publish + k),
+                             "await fold b" + std::to_string(b)});
+        stash_deltas.push_back(0);
+      }
       p.actions.push_back({Action::kSend, static_cast<std::uint16_t>(ch_done),
                            "send done b" + std::to_string(b)});
       stash_deltas.push_back(0);
@@ -219,7 +229,6 @@ Model build_model(const ModelConfig& cfg) {
   {
     ProcessModel p;
     p.name = "driver";
-    const std::size_t lag = cfg.sync_lag;  // read only when elastic
     for (std::size_t b = 0; b < cfg.num_batches; ++b) {
       for (std::size_t k = 0; k < k_stages; ++k) {
         p.actions.push_back({Action::kSend,
@@ -233,48 +242,19 @@ Model build_model(const ModelConfig& cfg) {
                              "feed " + mb_tag(static_cast<int>(b),
                                               static_cast<int>(mb))});
       }
+      for (std::size_t k = 0; publish_in(b) && k < k_stages; ++k) {
+        p.actions.push_back({Action::kSend,
+                             static_cast<std::uint16_t>(ch_publish + k),
+                             "publish fold b" + std::to_string(b - lag) +
+                                 " -> stage " + std::to_string(k)});
+      }
       for (std::size_t k = 0; k < k_stages; ++k) {
         p.actions.push_back({Action::kRecv,
                              static_cast<std::uint16_t>(ch_done),
                              "join done b" + std::to_string(b)});
       }
-      if (cfg.elastic != ElasticMode::kNone) {
-        p.actions.push_back({Action::kSend,
-                             static_cast<std::uint16_t>(ch_rounds),
-                             "push round b" + std::to_string(b)});
-        if (b + 1 > lag) {
-          p.actions.push_back({Action::kRecv,
-                               static_cast<std::uint16_t>(ch_acks),
-                               "await apply (lag " + std::to_string(lag) +
-                                   ")"});
-        }
-      }
     }
-    // synchronize(): drain the rounds still in flight after the last batch.
-    if (cfg.elastic != ElasticMode::kNone) {
-      const std::size_t drain = std::min(lag, cfg.num_batches);
-      for (std::size_t i = 0; i < drain; ++i) {
-        p.actions.push_back({Action::kRecv,
-                             static_cast<std::uint16_t>(ch_acks),
-                             "drain apply"});
-      }
-    }
-    p.stash.assign(p.actions.size() + 1, 0);
-    m.procs.push_back(std::move(p));
-  }
-
-  // -- reference process --------------------------------------------------
-  if (cfg.elastic != ElasticMode::kNone) {
-    ProcessModel p;
-    p.name = "reference";
-    for (std::size_t b = 0; b < cfg.num_batches; ++b) {
-      p.actions.push_back({Action::kRecv,
-                           static_cast<std::uint16_t>(ch_rounds),
-                           "pull round b" + std::to_string(b)});
-      p.actions.push_back({Action::kSend,
-                           static_cast<std::uint16_t>(ch_acks),
-                           "apply round b" + std::to_string(b)});
-    }
+    // Folds after the joins and synchronize()'s drain touch no channel.
     p.stash.assign(p.actions.size() + 1, 0);
     m.procs.push_back(std::move(p));
   }

@@ -6,7 +6,7 @@
 /// The threaded runtime (runtime/pipeline_runtime.cpp) is a fixed message-
 /// passing protocol: per-stage workers executing schedule:: instruction
 /// streams over bounded channels, coordinated by a driver through start/done
-/// tokens and (optionally) an elastic reference process. Whether that
+/// tokens and (optionally) the elastic fold it publishes. Whether that
 /// protocol can deadlock — and how deep each bounded channel can actually
 /// grow — depends only on `(kind, K, M, advance_num, capacities, sync
 /// mode)`, never on tensor contents or timing. So it can be *proved* offline:
@@ -46,9 +46,10 @@
 
 namespace avgpipe::verify {
 
-/// Whether the elastic-averaging driver/reference pair is modeled alongside
-/// the pipeline (core::AvgPipe): up to `sync_lag` rounds run behind the
-/// driver, and lag 0 is synchronous sync (paper §3.2 ❷–❺).
+/// Whether elastic averaging is modeled alongside the pipeline
+/// (core::AvgPipe): the driver, which is the reference process, folds round
+/// b - `sync_lag` during batch b and stages wait for that publish before
+/// their pull; lag 0 is synchronous sync (paper §3.2 ❷–❺).
 enum class ElasticMode { kNone, kElastic };
 
 const char* to_string(ElasticMode mode);

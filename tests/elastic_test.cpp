@@ -158,8 +158,9 @@ TEST(ReferenceModelTest, BatchedRoundApplyMatchesSequentialBitExact) {
 }
 
 TEST(SyncPolicyBatching, ApplyRoundsMatchesSequentialLoopForEveryPolicy) {
-  // `apply_rounds` (the reference process's drained-queue path) must fold a
-  // batch exactly like one call per round — bit-exact for every policy.
+  // `apply_rounds` (one fold of the reference process's due rounds) must
+  // fold a batch exactly like one call per round — bit-exact for every
+  // policy.
   Rng rng(42);
   const ParamSet init{Tensor::randn({6}, rng), Tensor::randn({2}, rng)};
   std::vector<std::vector<ParamSet>> rounds;
@@ -258,8 +259,9 @@ TEST(AvgPipeUpdateRuleTest, WorksWithAdam) {
 // -- AvgPipe (full threaded system) -----------------------------------------------------
 
 TEST(AvgPipeSystemTest, MatchesTextbookRoundTrajectory) {
-  // The threaded system (N pipeline runtimes + async reference process) must
-  // produce the same parameters as the serial textbook round.
+  // The threaded system (N pipeline runtimes, the driver folding the
+  // reference) must produce the same parameters as the serial textbook
+  // round.
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
 
@@ -318,15 +320,20 @@ TEST(AvgPipeSystemTest, AlphaDefaultsToOneOverN) {
 struct LagOneSchedule {
   schedule::Kind kind;
   std::size_t advance_num;  ///< 0 -> K-1 (ignored by AFAB and 1F1B)
+  SyncPolicyKind policy;
   const char* name;
 };
+
+void PrintTo(const LagOneSchedule& s, std::ostream* os) { *os << s.name; }
 
 class AvgPipeLagOneTest : public ::testing::TestWithParam<LagOneSchedule> {};
 
 TEST_P(AvgPipeLagOneTest, StaysOnSyncTrajectory) {
-  // With sync_lag = 1 the replicas may pull a one-round-stale reference; the
-  // trajectories need not be bit-identical but must stay within EASGD's
-  // staleness tolerance and converge to the same quality, on every schedule.
+  // Round t reads the reference through round t - max(lag, 1): at lag 1 the
+  // driver folds round t - 1 while round t trains, and every stage hook
+  // waits for that fold. So lag 1 is lag 0 overlapped, bit for bit, on
+  // every schedule — for elastic's pull and for BMUF's reset, which runs at
+  // the start of the batch, closest to the fold.
   SyntheticFeatures ds(128, 6, 2, 5, /*noise=*/0.15);
   DataLoader loader(ds, 16, 3);
 
@@ -336,6 +343,7 @@ TEST_P(AvgPipeLagOneTest, StaysOnSyncTrajectory) {
   sync_cfg.boundaries = {2, 4};  // K = 3 stages
   sync_cfg.kind = GetParam().kind;
   sync_cfg.advance_num = GetParam().advance_num;
+  sync_cfg.sync.kind = GetParam().policy;
   if (sync_cfg.kind == schedule::Kind::kAdvanceForward) {
     // An advance of K-1 builds the 1F1B stream again and one of M or more
     // the AFAB stream; AFP must sit strictly between them.
@@ -349,19 +357,21 @@ TEST_P(AvgPipeLagOneTest, StaysOnSyncTrajectory) {
   AvgPipe sync_sys(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), sync_cfg);
   AvgPipe async_sys(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), async_cfg);
 
-  double sync_loss = 0, async_loss = 0;
   for (std::size_t epoch = 0; epoch < 10; ++epoch) {
     for (std::size_t i = 0; i + 1 < loader.batches_per_epoch(); i += 2) {
       std::vector<Batch> batches{loader.batch(epoch, i),
                                  loader.batch(epoch, i + 1)};
-      sync_loss = sync_sys.train_iteration(batches);
-      async_loss = async_sys.train_iteration(batches);
+      const double sync_loss = sync_sys.train_iteration(batches);
+      const double async_loss = async_sys.train_iteration(batches);
+      ASSERT_TRUE(std::isfinite(async_loss));
+      ASSERT_EQ(sync_loss, async_loss) << "epoch " << epoch << " batch " << i;
     }
   }
-  EXPECT_TRUE(std::isfinite(async_loss));
-  EXPECT_NEAR(sync_loss, async_loss, 0.02);
-  // eval_model() must synchronize (drain outstanding applies) first, so the
-  // evaluated model reflects every dispatched round.
+  // reference_snapshot() and eval_model() synchronize first (fold the
+  // pending round), so they reflect every dispatched round.
+  const ParamSet sync_ref = sync_sys.reference_snapshot();
+  const ParamSet async_ref = async_sys.reference_snapshot();
+  EXPECT_EQ(max_abs_diff(sync_ref, async_ref), 0.0);
   EXPECT_GT(runtime::evaluate_accuracy(async_sys.eval_model(), loader, 0, 4),
             0.9);
 }
@@ -369,36 +379,67 @@ TEST_P(AvgPipeLagOneTest, StaysOnSyncTrajectory) {
 INSTANTIATE_TEST_SUITE_P(
     Schedules, AvgPipeLagOneTest,
     ::testing::Values(
-        LagOneSchedule{schedule::Kind::kAfab, 0, "AFAB"},
-        LagOneSchedule{schedule::Kind::kOneFOneB, 0, "1F1B"},
-        LagOneSchedule{schedule::Kind::kAdvanceForward, 3, "AFP_advance3"}),
+        LagOneSchedule{schedule::Kind::kAfab, 0, SyncPolicyKind::kElastic,
+                       "AFAB"},
+        LagOneSchedule{schedule::Kind::kOneFOneB, 0, SyncPolicyKind::kElastic,
+                       "1F1B"},
+        LagOneSchedule{schedule::Kind::kAdvanceForward, 3,
+                       SyncPolicyKind::kElastic, "AFP_advance3"},
+        LagOneSchedule{schedule::Kind::kAfab, 0, SyncPolicyKind::kBmuf,
+                       "AFAB_bmuf"},
+        LagOneSchedule{schedule::Kind::kOneFOneB, 0, SyncPolicyKind::kBmuf,
+                       "1F1B_bmuf"},
+        LagOneSchedule{schedule::Kind::kAdvanceForward, 3,
+                       SyncPolicyKind::kBmuf, "AFP_advance3_bmuf"}),
     [](const auto& info) { return std::string(info.param.name); });
 
-TEST(AvgPipeAsyncTest, SyncLagMustFitTheSyncQueues) {
-  // Up to sync_lag + 1 rounds and apply tokens are in flight; a lag the
-  // queues cannot hold would park the reference thread on a full token queue
-  // while it holds the reference mutex, hanging the next pull.
+TEST(AvgPipeAsyncTest, LongLagKeepsEveryRoundPendingUntilItIsDue) {
+  // Any lag works: the reference trails by min(t + 1, lag) rounds after
+  // iteration t, and synchronize() folds the rest in one go.
+  trace::Tracer tracer;
   AvgPipeConfig config;
   config.num_pipelines = 2;
   config.micro_batches = 2;
   config.boundaries = {2};
   config.async_sync = true;
-  config.sync_lag = AvgPipe::kSyncQueueCapacity;
-  EXPECT_THROW(AvgPipe(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), config),
-               Error);
-
-  // The largest accepted lag runs past a full queue's worth of rounds and
-  // drains cleanly.
-  config.sync_lag = AvgPipe::kSyncQueueCapacity - 1;
+  config.sync_lag = 64;
+  config.tracer = &tracer;
   AvgPipe system(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), config);
   SyntheticFeatures ds(64, 4, 2, 3);
   DataLoader loader(ds, 8, 1);
-  for (std::size_t iter = 0; iter < 70; ++iter) {
+  const std::size_t iters = 70;
+  for (std::size_t iter = 0; iter < iters; ++iter) {
     const double loss =
         system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
     EXPECT_TRUE(std::isfinite(loss)) << "iter " << iter;
   }
+  const auto count_applies = [&tracer] {
+    std::size_t applies = 0;
+    for (const auto& ev : tracer.collect()) {
+      if (ev.kind == trace::EventKind::kReferenceApply) ++applies;
+    }
+    return applies;
+  };
   system.synchronize();
+  const std::size_t applies = count_applies();
+  system.synchronize();  // nothing left to fold
+  EXPECT_EQ(count_applies(), applies);
+
+  std::vector<double> lags;
+  double folded = 0;
+  for (const auto& ev : tracer.collect()) {
+    if (ev.kind != trace::EventKind::kCounter) continue;
+    if (ev.counter == trace::CounterId::kSyncLag) lags.push_back(ev.value);
+    if (ev.counter == trace::CounterId::kSyncBatch) folded += ev.value;
+  }
+  ASSERT_EQ(lags.size(), iters);
+  for (std::size_t t = 0; t < iters; ++t) {
+    EXPECT_EQ(lags[t], static_cast<double>(std::min<std::size_t>(t + 1, 64)))
+        << "iteration " << t;
+  }
+  // One fold per iteration from t = 64 on, then the drain of 64 rounds.
+  EXPECT_EQ(applies, iters - config.sync_lag + 1);
+  EXPECT_EQ(folded, static_cast<double>(iters));
 }
 
 TEST(AvgPipeAsyncTest, TracesSyncLagCounterAndOffCriticalPathPulls) {
@@ -440,15 +481,14 @@ TEST(AvgPipeAsyncTest, TracesSyncLagCounterAndOffCriticalPathPulls) {
   }
   // One lag sample per iteration; one pull per stage of every alive replica
   // per iteration (recorded by the stage threads, not the driver). The
-  // reference thread drains queued rounds into one batch with one apply
-  // span, so the batch sizes sum to the rounds dispatched and there are
-  // 1..iters applies.
+  // driver folds one round per iteration from iteration L on, while the
+  // stages train, and synchronize() folds the last L rounds as one batch:
+  // iters - L + 1 apply spans whose batch sizes sum to the rounds dispatched.
   const std::size_t stages = config.boundaries.size() + 1;
   EXPECT_EQ(lag_samples, iters);
   EXPECT_EQ(pulls, config.num_pipelines * stages * iters);
   EXPECT_EQ(batched_rounds, static_cast<double>(iters));
-  EXPECT_GE(applies, 1u);
-  EXPECT_LE(applies, iters);
+  EXPECT_EQ(applies, iters - config.sync_lag + 1);
 }
 
 // -- elastic membership (fault tolerance) -----------------------------------------------

@@ -158,15 +158,27 @@ TEST(VerifierTest, PartialOrderReductionPreservesStatesAndPeaks) {
 }
 
 TEST(VerifierTest, ElasticModesVerifyCleanly) {
+  ModelConfig plain = make_config(schedule::Kind::kOneFOneB, 2, 2);
+  plain.num_batches = 3;
+  const Report none = verify(plain);
+  ASSERT_EQ(none.verdict, Verdict::kOk) << none.diagnosis;
   for (const std::size_t lag : {0u, 2u}) {  // lag 0 is sync
-    ModelConfig cfg = make_config(schedule::Kind::kOneFOneB, 2, 2);
-    cfg.num_batches = 3;
+    ModelConfig cfg = plain;
     cfg.elastic = ElasticMode::kElastic;
     cfg.sync_lag = lag;
     const Report r = verify(cfg);
     SCOPED_TRACE("lag " + std::to_string(lag));
     EXPECT_EQ(r.verdict, Verdict::kOk) << r.diagnosis;
     EXPECT_TRUE(r.complete);
+    if (lag == 0) {
+      // The driver folds after its joins, where no stage waits: lag 0 adds
+      // no protocol action, so it explores exactly the plain pipeline.
+      EXPECT_EQ(r.states, none.states);
+      EXPECT_EQ(r.transitions, none.transitions);
+      EXPECT_EQ(r.channels.size(), none.channels.size());
+    } else {
+      EXPECT_GT(r.states, none.states);  // stages wait on the driver's folds
+    }
   }
 }
 
