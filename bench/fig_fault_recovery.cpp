@@ -363,6 +363,8 @@ int chaos_soak(std::size_t cycles, std::uint64_t seed,
   row("checkpoint bytes",
       std::to_string(analysis.checkpoint_bytes()));
   row("checkpoint capture time", format_seconds(analysis.checkpoint_time()));
+  row("checkpoint commit time",
+      format_seconds(analysis.checkpoint_commit_time()));
   row("corruptions injected", std::to_string(corruptions));
   // Lost work: each kill aborts the victim pipeline's in-flight round (its
   // micro-batches re-run after restore, the survivors' work is kept).
@@ -399,6 +401,7 @@ int chaos_soak(std::size_t cycles, std::uint64_t seed,
     out << b << "\"checkpoint\": {\"count\": " << ckpt_count
         << ", \"bytes\": " << analysis.checkpoint_bytes()
         << ", \"capture_seconds\": " << analysis.checkpoint_time()
+        << ", \"commit_seconds\": " << analysis.checkpoint_commit_time()
         << ", \"corruptions_injected\": " << corruptions << "},\n";
     out << b << "\"lost_work\": {\"pipeline_rounds\": " << episodes.size()
         << ", \"micro_batches\": " << episodes.size() * 3 << "},\n";

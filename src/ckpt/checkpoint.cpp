@@ -10,10 +10,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <thread>
 
 #include "ckpt/state.hpp"
+#include "common/annotations.hpp"
 
 namespace avgpipe::ckpt {
 
@@ -227,6 +232,227 @@ std::vector<std::string> array_objects(const std::string& text,
   return objects;
 }
 
+std::vector<ManifestEntry> read_manifest(const std::string& dir) {
+  std::vector<ManifestEntry> out;
+  std::vector<std::uint8_t> raw;
+  std::string error;
+  if (!read_file(dir + "/" + kManifestName, &raw, &error)) return out;
+  const std::string text(raw.begin(), raw.end());
+  std::string format;
+  AVGPIPE_CHECK(find_string(text, "format", &format) && format == kManifestFormat,
+                "manifest '" << dir << "/" << kManifestName
+                             << "': unknown format");
+  for (const auto& obj : array_objects(text, "entries")) {
+    ManifestEntry e;
+    double v = 0;
+    AVGPIPE_CHECK(find_number(obj, "step", &v), "manifest entry missing step");
+    e.step = static_cast<long>(v);
+    AVGPIPE_CHECK(find_string(obj, "file", &e.file),
+                  "manifest entry missing file");
+    AVGPIPE_CHECK(find_number(obj, "bytes", &v),
+                  "manifest entry missing bytes");
+    e.bytes = static_cast<std::uint64_t>(v);
+    AVGPIPE_CHECK(find_number(obj, "crc", &v), "manifest entry missing crc");
+    e.crc = static_cast<std::uint32_t>(v);
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+void write_manifest(const std::string& dir,
+                    const std::vector<ManifestEntry>& entries) {
+  std::ostringstream os;
+  // No space after the format colon: find_string matches `"key":"` exactly.
+  os << "{\n  \"format\":\"" << kManifestFormat << "\",\n  \"entries\": [";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto& e = entries[i];
+    os << (i == 0 ? "\n" : ",\n");
+    os << "    {\"step\":" << e.step << ",\"file\":\"" << e.file
+       << "\",\"bytes\":" << e.bytes << ",\"crc\":" << e.crc << "}";
+  }
+  os << "\n  ]\n}\n";
+  const std::string text = os.str();
+  atomic_write_file(dir + "/" + kManifestName, text.data(), text.size());
+}
+
+/// One submitted save: the state to encode, where it goes, and where the
+/// commit span is recorded.
+struct CommitJob {
+  std::string key;  ///< canonical directory path
+  std::string dir;
+  std::size_t retain = 2;
+  const TrainState* state = nullptr;  ///< `owned`, or a waiting caller's
+  std::unique_ptr<TrainState> owned;  ///< handed back once committed
+  ManifestEntry entry;  ///< step and file; the commit fills bytes and crc
+  CommitTrace trace;
+};
+
+/// Encode, CRC, write, fsync, rename and fsync the directory, then append
+/// to the manifest and prune. Writer thread only; throws on any failure.
+void commit(CommitJob& job, CheckpointWriter& image) {
+  const bool traced = job.trace.buffer != nullptr;
+  const Seconds t0 = traced ? job.trace.tracer->wall_now() : 0;
+  image.clear();
+  encode(*job.state, image);
+  const auto committed = image.commit(job.dir + "/" + job.entry.file);
+  job.entry.bytes = committed.bytes;
+  job.entry.crc = committed.crc;
+
+  std::vector<ManifestEntry> current = read_manifest(job.dir);
+  current.push_back(job.entry);
+  // Prune: rewrite the manifest first, then unlink. A crash in between
+  // orphans files (harmless) but can never dangle a manifest reference.
+  std::vector<ManifestEntry> keep = current;
+  if (keep.size() > job.retain) {
+    keep.erase(keep.begin(), keep.begin() + static_cast<std::ptrdiff_t>(
+                                                 keep.size() - job.retain));
+  }
+  write_manifest(job.dir, keep);
+  for (std::size_t i = 0; i + job.retain < current.size(); ++i) {
+    ::unlink((job.dir + "/" + current[i].file).c_str());
+  }
+  if (traced) {
+    trace::TraceEvent ev;
+    ev.kind = trace::EventKind::kCheckpointCommit;
+    ev.batch = static_cast<std::int32_t>(job.entry.step);
+    ev.bytes = job.entry.bytes;
+    ev.value = static_cast<double>(job.entry.bytes);
+    ev.t_begin = t0;
+    ev.t_end = job.trace.tracer->wall_now();
+    job.trace.buffer->record(ev);
+  }
+}
+
+/// The process's one checkpoint commit thread, started by the first submit.
+/// A directory (by canonical path) has at most one commit queued or
+/// running. A landed commit leaves its state, and a failed one its error,
+/// in the directory's slot for the next wait on that directory.
+class CommitWriter {
+ public:
+  static CommitWriter& instance() {
+    static CommitWriter writer;
+    return writer;
+  }
+
+  ~CommitWriter() {
+    std::thread thread;
+    {
+      common::MutexLock lock(mutex_);
+      stop_ = true;  // the thread still drains the queue before it exits
+      thread = std::move(thread_);
+    }
+    changed_.notify_all();
+    if (thread.joinable()) thread.join();
+  }
+
+  /// Wait for `job.key`'s previous commit, check that the step advances
+  /// past the manifest (which by then holds every step submitted before),
+  /// and queue the job.
+  void submit(CommitJob job) EXCLUDES(mutex_) {
+    std::unique_ptr<TrainState> landed;  // freed after the lock is released
+    common::MutexLock lock(mutex_);
+    landed = await(job.key, lock, /*rethrow=*/true);
+    const std::vector<ManifestEntry> current = read_manifest(job.dir);
+    AVGPIPE_CHECK(current.empty() || job.entry.step > current.back().step,
+                  "checkpoint step " << job.entry.step
+                                     << " does not advance past the newest "
+                                        "submitted step "
+                                     << current.back().step << " in '"
+                                     << job.dir << "'");
+    slots_[job.key].busy = true;
+    queue_.push_back(std::move(job));
+    if (!thread_.joinable()) thread_ = std::thread([this] { run(); });
+    changed_.notify_all();
+  }
+
+  /// Block until no commit for `key` is queued or running, and free the
+  /// state it hands back; with `rethrow`, raise (and clear) the error a
+  /// failed commit left for it.
+  void wait(const std::string& key, bool rethrow) EXCLUDES(mutex_) {
+    std::unique_ptr<TrainState> landed;  // freed after the lock is released
+    common::MutexLock lock(mutex_);
+    landed = await(key, lock, rethrow);
+  }
+
+ private:
+  /// Per directory: whether a commit is queued or running, the state the
+  /// last one committed, and the error a failed one left.
+  struct Slot {
+    bool busy = false;
+    std::unique_ptr<TrainState> landed;
+    std::string error;
+  };
+
+  CommitWriter() = default;
+
+  /// Returns the landed state for the caller to free on its own thread, so
+  /// its tensor storage goes back to the arena cache of the thread that
+  /// captures the next state instead of piling up in the writer's.
+  std::unique_ptr<TrainState> await(const std::string& key,
+                                    common::MutexLock& lock, bool rethrow)
+      REQUIRES(mutex_) {
+    auto slot = slots_.find(key);
+    while (slot != slots_.end() && slot->second.busy) {
+      changed_.wait(mutex_, lock);
+      slot = slots_.find(key);  // another waiter may have retired it
+    }
+    if (slot == slots_.end()) return nullptr;
+    std::unique_ptr<TrainState> landed = std::move(slot->second.landed);
+    if (slot->second.error.empty()) {
+      slots_.erase(slot);
+    } else if (rethrow) {
+      const std::string error = std::move(slot->second.error);
+      slots_.erase(slot);
+      AVGPIPE_THROW(error);
+    }
+    return landed;
+  }
+
+  void run() EXCLUDES(mutex_) {
+    // This thread is the only writer thread: the role is uniquely its own.
+    common::RoleGuard writer(writer_role_);
+    for (;;) {
+      CommitJob job;
+      {
+        common::MutexLock lock(mutex_);
+        while (queue_.empty() && !stop_) changed_.wait(mutex_, lock);
+        if (queue_.empty()) return;
+        job = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      std::string error;
+      try {
+        commit(job, image_);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+      {
+        common::MutexLock lock(mutex_);
+        Slot& slot = slots_[job.key];
+        slot.busy = false;
+        slot.landed = std::move(job.owned);
+        if (!error.empty()) {
+          slot.error = "checkpoint commit of step " +
+                       std::to_string(job.entry.step) + " to '" + job.dir +
+                       "' failed: " + error;
+        }
+      }
+      changed_.notify_all();
+    }
+  }
+
+  common::Mutex mutex_;
+  /// Signalled when a job is queued, when one lands, and at shutdown.
+  common::CondVar changed_;
+  std::deque<CommitJob> queue_ GUARDED_BY(mutex_);
+  std::map<std::string, Slot> slots_ GUARDED_BY(mutex_);
+  bool stop_ GUARDED_BY(mutex_) = false;
+  std::thread thread_ GUARDED_BY(mutex_);
+  /// Held by the writer thread for its whole life.
+  common::Role writer_role_;
+  CheckpointWriter image_ GUARDED_BY(writer_role_);  ///< the reused file image
+};
+
 }  // namespace
 
 // -- CheckpointWriter ---------------------------------------------------------
@@ -237,6 +463,14 @@ CheckpointWriter::CheckpointWriter() {
   image_.u32(kFormatVersion);
   image_.u32(0);  // record count, patched as each record closes
   crc_end_ = image_.size();
+}
+
+void CheckpointWriter::clear() {
+  image_.truncate(kHeaderBytes);
+  image_.patch_u32(kCountOffset, 0);
+  names_.clear();
+  body_crc_ = 0;
+  crc_end_ = kHeaderBytes;
 }
 
 void CheckpointWriter::reserve(std::size_t bytes) {
@@ -356,84 +590,55 @@ CheckpointDir::CheckpointDir(std::string dir, std::size_t retain)
     AVGPIPE_CHECK(errno == EEXIST, "mkdir '" << dir_ << "' failed: "
                                              << std::strerror(errno));
   }
+  std::error_code ec;
+  key_ = std::filesystem::canonical(dir_, ec).string();
+  AVGPIPE_CHECK(!ec, "cannot resolve '" << dir_ << "': " << ec.message());
 }
 
 std::vector<ManifestEntry> CheckpointDir::entries() const {
-  std::vector<ManifestEntry> out;
-  std::vector<std::uint8_t> raw;
-  std::string error;
-  if (!read_file(dir_ + "/" + kManifestName, &raw, &error)) return out;
-  const std::string text(raw.begin(), raw.end());
-  std::string format;
-  AVGPIPE_CHECK(find_string(text, "format", &format) && format == kManifestFormat,
-                "manifest '" << dir_ << "/" << kManifestName
-                             << "': unknown format");
-  for (const auto& obj : array_objects(text, "entries")) {
-    ManifestEntry e;
-    double v = 0;
-    AVGPIPE_CHECK(find_number(obj, "step", &v), "manifest entry missing step");
-    e.step = static_cast<long>(v);
-    AVGPIPE_CHECK(find_string(obj, "file", &e.file),
-                  "manifest entry missing file");
-    AVGPIPE_CHECK(find_number(obj, "bytes", &v),
-                  "manifest entry missing bytes");
-    e.bytes = static_cast<std::uint64_t>(v);
-    AVGPIPE_CHECK(find_number(obj, "crc", &v), "manifest entry missing crc");
-    e.crc = static_cast<std::uint32_t>(v);
-    out.push_back(std::move(e));
-  }
-  return out;
+  wait();
+  return read_manifest(dir_);
 }
 
-void CheckpointDir::write_manifest(
-    const std::vector<ManifestEntry>& entries) const {
-  std::ostringstream os;
-  // No space after the format colon: find_string matches `"key":"` exactly.
-  os << "{\n  \"format\":\"" << kManifestFormat << "\",\n  \"entries\": [";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& e = entries[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"step\":" << e.step << ",\"file\":\"" << e.file
-       << "\",\"bytes\":" << e.bytes << ",\"crc\":" << e.crc << "}";
-  }
-  os << "\n  ]\n}\n";
-  const std::string text = os.str();
-  atomic_write_file(dir_ + "/" + kManifestName, text.data(), text.size());
+CheckpointDir::~CheckpointDir() { drain(key_); }
+
+ManifestEntry CheckpointDir::submit(TrainState&& state, CommitTrace trace) {
+  auto owned = std::make_unique<TrainState>(std::move(state));
+  const TrainState& queued = *owned;
+  return enqueue(queued, std::move(owned), trace);
+}
+
+ManifestEntry CheckpointDir::enqueue(const TrainState& state,
+                                     std::unique_ptr<TrainState> owned,
+                                     CommitTrace trace) {
+  CommitJob job;
+  job.key = key_;
+  job.dir = dir_;
+  job.retain = retain_;
+  job.state = &state;
+  job.owned = std::move(owned);
+  job.entry.step = state.step;
+  char name[64];
+  std::snprintf(name, sizeof(name), "ckpt-%09ld.avgp", state.step);
+  job.entry.file = name;
+  job.trace = trace;
+  const ManifestEntry entry = job.entry;
+  CommitWriter::instance().submit(std::move(job));
+  return entry;
+}
+
+void CheckpointDir::wait() const {
+  CommitWriter::instance().wait(key_, /*rethrow=*/true);
 }
 
 ManifestEntry CheckpointDir::write(const TrainState& state) {
-  std::vector<ManifestEntry> current = entries();
-  AVGPIPE_CHECK(current.empty() || state.step > current.back().step,
-                "checkpoint step " << state.step
-                                   << " does not advance past the newest "
-                                      "manifest entry (step "
-                                   << current.back().step << ")");
-  char name[64];
-  std::snprintf(name, sizeof(name), "ckpt-%09ld.avgp", state.step);
+  enqueue(state, nullptr, {});
+  wait();
+  return read_manifest(dir_).back();
+}
 
-  CheckpointWriter writer;
-  encode(state, writer);
-  const auto committed = writer.commit(dir_ + "/" + name);
-
-  ManifestEntry entry;
-  entry.step = state.step;
-  entry.file = name;
-  entry.bytes = committed.bytes;
-  entry.crc = committed.crc;
-  current.push_back(entry);
-
-  // Prune: rewrite the manifest first, then unlink. A crash in between
-  // orphans files (harmless) but can never dangle a manifest reference.
-  std::vector<ManifestEntry> keep = current;
-  if (keep.size() > retain_) {
-    keep.erase(keep.begin(),
-               keep.begin() + static_cast<std::ptrdiff_t>(keep.size() - retain_));
-  }
-  write_manifest(keep);
-  for (std::size_t i = 0; i + retain_ < current.size(); ++i) {
-    ::unlink((dir_ + "/" + current[i].file).c_str());
-  }
-  return entry;
+void drain(const std::string& key) noexcept {
+  CommitWriter::instance().wait(key, /*rethrow=*/false);
 }
 
 CheckpointDir::LoadResult CheckpointDir::load_latest(TrainState* state) const {

@@ -21,17 +21,27 @@
 ///      entry on any mismatch (a bit-flipped or truncated checkpoint
 ///      degrades recovery by one round; it never crashes it).
 ///
-/// The manifest is monotonic in `step`: `CheckpointDir::write` rejects a
-/// step that does not advance past the newest entry, which turns a driver
-/// bug (double restore, clock confusion) into a loud error instead of a
-/// silently reordered history.
+/// The manifest is monotonic in `step`: `CheckpointDir::submit` rejects a
+/// step that does not advance past the newest submitted one, which turns a
+/// driver bug (double restore, clock confusion) into a loud error instead of
+/// a silently reordered history.
+///
+/// Commits run off the caller's thread. One process-wide writer thread,
+/// started by the first submit, encodes each submitted state into a reused
+/// file image and runs the protocol above; each directory has at most one
+/// commit queued or running. Every reader of a directory (`entries`,
+/// `load_latest`, through any CheckpointDir over the same path) first waits
+/// for that directory's queued commit, so a process reads its own writes,
+/// and a killed process loses at most the commit in flight.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "ckpt/format.hpp"
+#include "trace/trace.hpp"
 
 namespace avgpipe::ckpt {
 
@@ -59,6 +69,10 @@ class CheckpointWriter {
   /// Pre-size the image for `bytes` of records so encoding never
   /// reallocates it.
   void reserve(std::size_t bytes);
+
+  /// Drop every record but keep the image's capacity, so one writer encodes
+  /// file after file without reallocating.
+  void clear();
 
   /// Add a named record whose payload `fill(ByteWriter&)` appends in place
   /// (names must be unique within a file).
@@ -146,6 +160,13 @@ struct ManifestEntry {
 
 struct TrainState;  // state.hpp
 
+/// Where the writer thread records a commit: a kCheckpointCommit span in
+/// `buffer`, on `tracer`'s clock. The writer is the buffer's only emitter.
+struct CommitTrace {
+  const trace::Tracer* tracer = nullptr;
+  trace::TraceBuffer* buffer = nullptr;
+};
+
 /// A directory of checkpoints governed by the atomic-commit protocol above.
 class CheckpointDir {
  public:
@@ -153,16 +174,34 @@ class CheckpointDir {
   /// \param retain how many newest checkpoints to keep (>= 2, so a corrupted
   ///        newest entry always has a fallback).
   explicit CheckpointDir(std::string dir, std::size_t retain = 2);
+  /// Waits for this directory's queued commit, if any (see `drain`).
+  ~CheckpointDir();
 
   const std::string& dir() const { return dir_; }
 
-  /// Committed checkpoints, oldest first (parsed fresh from MANIFEST.json).
+  /// Committed checkpoints, oldest first (parsed fresh from MANIFEST.json
+  /// once this directory's queued commit has landed).
   std::vector<ManifestEntry> entries() const;
 
-  /// Capture `state` as a new checkpoint. `state.step` must strictly exceed
-  /// the newest manifest entry. Prunes beyond the retention count (manifest
-  /// is rewritten before any file is unlinked, so a crash mid-prune leaves
-  /// only orphaned files, never dangling references).
+  /// Queue `state` for commit on the writer thread and return its entry
+  /// with `step` and `file` set (`bytes` and `crc` are known once the commit
+  /// lands: see `entries()`). Waits first for this directory's previous
+  /// commit, so at most one is in flight and `state.step` must strictly
+  /// exceed every step submitted before. The writer owns `state` until the
+  /// commit lands, then hands it back to the directory's next waiter, which
+  /// frees it on its own thread. Tensor copies share storage, so nothing
+  /// else may write `state`'s tensors meanwhile: submit a fresh capture.
+  /// The commit prunes beyond the retention count (manifest rewritten
+  /// before any file is unlinked, so a crash mid-prune leaves only orphaned
+  /// files, never dangling references).
+  ManifestEntry submit(TrainState&& state, CommitTrace trace = {});
+
+  /// Block until this directory's queued commit, if any, has landed. A
+  /// failed commit's error is raised here as avgpipe::Error, once.
+  void wait() const;
+
+  /// Commit `state` through the writer and wait for it: the committed
+  /// entry, `bytes` and `crc` included. The writer reads `state` in place.
   ManifestEntry write(const TrainState& state);
 
   struct LoadResult {
@@ -173,17 +212,34 @@ class CheckpointDir {
     std::string error;   ///< last failure when !ok
   };
 
-  /// Restore the newest loadable checkpoint into `state`, falling back over
-  /// corrupted entries (CRC or decode failure) newest→oldest. `ok == false`
-  /// means no entry survived (empty manifest or all corrupted).
+  /// Restore the newest loadable checkpoint into `state` (after this
+  /// directory's queued commit has landed), falling back over corrupted
+  /// entries (CRC or decode failure) newest→oldest. `ok == false` means no
+  /// entry survived (empty manifest or all corrupted).
   LoadResult load_latest(TrainState* state) const;
 
+  /// The canonical path: the writer's key for this directory, shared by
+  /// every CheckpointDir over it (see `drain`).
+  const std::string& key() const { return key_; }
+
  private:
-  void write_manifest(const std::vector<ManifestEntry>& entries) const;
+  /// Queue a commit of `state`, which the writer reads until it lands.
+  /// `owned` holds a submitted state for the writer to hand back; it is
+  /// null when the caller keeps `state` and waits (`write`).
+  ManifestEntry enqueue(const TrainState& state,
+                        std::unique_ptr<TrainState> owned, CommitTrace trace);
 
   std::string dir_;
+  std::string key_;
   std::size_t retain_;
 };
+
+/// Block until the commit queued for the directory whose `key()` is `key`,
+/// if any, has landed, and free the state it hands back. Never throws: a
+/// failed commit's error stays for that directory's next `submit`, `wait`,
+/// `entries` or `load_latest`. For destructors: an owner may free the
+/// CheckpointDir before what saved through it.
+void drain(const std::string& key) noexcept;
 
 // -- corruption injection (fault layer + chaos soak) --------------------------
 

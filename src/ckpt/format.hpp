@@ -14,6 +14,7 @@
 /// codecs. These codecs are also the direct prerequisite for the ROADMAP's
 /// socket/shm transport: a tensor that can cross a crash can cross a wire.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -44,6 +45,8 @@ class ByteWriter {
  public:
   /// Pre-size the buffer so appends never reallocate (and copy) it.
   void reserve(std::size_t n) { buf_.reserve(n); }
+  /// Keep only the first `n` bytes (and the buffer's capacity).
+  void truncate(std::size_t n) { buf_.resize(std::min(n, buf_.size())); }
   std::size_t size() const { return buf_.size(); }
 
   /// Overwrite a field already appended at `pos` (counts and lengths whose

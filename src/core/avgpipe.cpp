@@ -68,8 +68,14 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
   // Each replica gets its own pipeline runtime over its own parameters; its
   // stage threads run the sync hooks.
   for (std::size_t i = 0; i < replicas_.size(); ++i) start_runtime(i);
+  if (config_.checkpoints != nullptr) {
+    checkpoint_key_ = config_.checkpoints->key();
+  }
   if (config_.tracer != nullptr) {
     driver_trace_ = config_.tracer->create_buffer();
+    if (config_.checkpoints != nullptr) {
+      commit_trace_ = config_.tracer->create_buffer();
+    }
   }
 }
 
@@ -117,8 +123,11 @@ void AvgPipe::start_runtime(std::size_t i) {
 }
 
 AvgPipe::~AvgPipe() {
-  // Join every stage thread before the state their hooks read goes away.
+  // Join every stage thread before the state their hooks read goes away,
+  // and let the last save's commit land before the trace buffer it records
+  // into may go. By key: config.checkpoints may already be gone.
   for (auto& replica : replicas_) replica->runtime.reset();
+  if (!checkpoint_key_.empty()) ckpt::drain(checkpoint_key_);
 }
 
 AVGPIPE_HOT_PATH
@@ -577,14 +586,15 @@ ckpt::ManifestEntry AvgPipe::save_checkpoint() {
                 "save_checkpoint without config.checkpoints");
   const Seconds t0 =
       driver_trace_ != nullptr ? config_.tracer->wall_now() : 0;
-  const ckpt::ManifestEntry entry =
-      config_.checkpoints->write(capture_state());
+  // At most one save in flight: let the previous commit land (a failed one
+  // raises its error here) before capturing the next state.
+  config_.checkpoints->wait();
+  const ckpt::ManifestEntry entry = config_.checkpoints->submit(
+      capture_state(), {config_.tracer, commit_trace_});
   if (driver_trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::EventKind::kCheckpoint;
     ev.batch = static_cast<std::int32_t>(entry.step);
-    ev.bytes = entry.bytes;
-    ev.value = static_cast<double>(entry.bytes);
     ev.t_begin = t0;
     ev.t_end = config_.tracer->wall_now();
     driver_trace_->record(ev);

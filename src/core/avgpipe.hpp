@@ -195,8 +195,14 @@ class AvgPipe : public runtime::TrainerBase {
   /// only, between iterations.
   void restore_state(const ckpt::TrainState& state);
 
-  /// capture_state + durable commit through config.checkpoints (which must
-  /// be set), recorded as a kCheckpoint span. The manifest is monotonic in
+  /// Save a checkpoint through config.checkpoints (which must be set): wait
+  /// for the previous save's commit, capture_state, and hand the state to
+  /// the checkpoint writer thread, which commits it off the training path.
+  /// The driver's stall is recorded as a kCheckpoint span, the writer's
+  /// commit as kCheckpointCommit. Returns the entry's step and file (bytes
+  /// and CRC land with the commit; read them from `entries()`). A failed
+  /// commit is raised as avgpipe::Error by the next save, or by the
+  /// directory's next `entries`/`load_latest`. The manifest is monotonic in
   /// step, so at least one train_iteration must separate two saves.
   ckpt::ManifestEntry save_checkpoint();
 
@@ -315,6 +321,12 @@ class AvgPipe : public runtime::TrainerBase {
   /// wait for published_ >= r before reading broadcast_; the release store
   /// orders the driver's fold before their reads.
   std::atomic<long> published_{0};
+
+  /// The checkpoint writer's commit spans (traced runs with checkpoints);
+  /// the writer thread is its only emitter.
+  trace::TraceBuffer* commit_trace_ = nullptr;
+  /// config.checkpoints' key(), for the destructor's drain.
+  std::string checkpoint_key_;
 };
 
 }  // namespace avgpipe::core

@@ -350,10 +350,18 @@ Seconds TraceAnalysis::checkpoint_time() const {
   return total;
 }
 
+Seconds TraceAnalysis::checkpoint_commit_time() const {
+  Seconds total = 0;
+  for (const auto& ev : events_) {
+    if (ev.kind == EventKind::kCheckpointCommit) total += ev.t_end - ev.t_begin;
+  }
+  return total;
+}
+
 std::uint64_t TraceAnalysis::checkpoint_bytes() const {
   std::uint64_t total = 0;
   for (const auto& ev : events_) {
-    if (ev.kind == EventKind::kCheckpoint) total += ev.bytes;
+    if (ev.kind == EventKind::kCheckpointCommit) total += ev.bytes;
   }
   return total;
 }

@@ -135,14 +135,17 @@ class TraceAnalysis {
 
   // -- durability metrics (src/ckpt) ----------------------------------------
 
-  /// kCheckpoint spans in time order (value/bytes = bytes on disk).
+  /// kCheckpoint spans (the driver's stall per save) in time order.
   std::vector<TraceEvent> checkpoint_events() const;
   /// kRestore spans in time order (value = manifest fallbacks taken).
   std::vector<TraceEvent> restore_events() const;
-  /// Total time spent capturing and durably committing checkpoints — the
-  /// overhead side of the recovery-latency trade the soak bench reports.
+  /// Total time the driver stalled for checkpoints (capture and hand-off) —
+  /// the overhead side of the recovery-latency trade the soak bench reports.
   Seconds checkpoint_time() const;
-  /// Bytes committed durably across all kCheckpoint spans.
+  /// Total time the checkpoint writer spent committing saves, off the
+  /// driver's path.
+  Seconds checkpoint_commit_time() const;
+  /// Bytes committed durably across all kCheckpointCommit spans.
   std::uint64_t checkpoint_bytes() const;
 
  private:

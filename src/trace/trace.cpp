@@ -26,6 +26,7 @@ const char* to_string(EventKind kind) {
     case EventKind::kWeightPrediction: return "weight_prediction";
     case EventKind::kCheckpoint: return "checkpoint";
     case EventKind::kRestore: return "restore";
+    case EventKind::kCheckpointCommit: return "checkpoint_commit";
   }
   return "?";
 }
@@ -35,7 +36,6 @@ const char* to_string(CounterId id) {
     case CounterId::kNone: return "none";
     case CounterId::kUtilization: return "utilization";
     case CounterId::kQueueDepth: return "queue_depth";
-    case CounterId::kStaleness: return "staleness";
     case CounterId::kAlivePipelines: return "alive_pipelines";
     case CounterId::kRecvRetry: return "recv_retry";
     case CounterId::kSyncLag: return "sync_lag";

@@ -70,12 +70,16 @@ enum class EventKind : std::uint8_t {
   // shard).
   kPolicyBroadcast,
   kWeightPrediction,
-  // Durability spans (src/ckpt). kCheckpoint covers a round-boundary state
-  // capture plus its crash-consistent write (value = bytes on disk);
-  // kRestore covers loading a durable checkpoint back into the live system
-  // (value = manifest entries skipped before one decoded cleanly).
+  // Durability spans (src/ckpt). kCheckpoint covers the driver's stall for
+  // a save: the round-boundary capture, its hand-off to the checkpoint
+  // writer, and any wait for the previous save; kRestore covers loading a
+  // durable checkpoint back into the live system (value = manifest entries
+  // skipped before one decoded cleanly); kCheckpointCommit covers the
+  // writer thread's crash-consistent commit of one save (value = bytes on
+  // disk).
   kCheckpoint,
   kRestore,
+  kCheckpointCommit,
 };
 
 /// Named counter series for EventKind::kCounter events.
@@ -83,7 +87,6 @@ enum class CounterId : std::uint8_t {
   kNone = 0,
   kUtilization,  ///< GPU utilization φ(t); span = constant segment
   kQueueDepth,   ///< channel occupancy observed at a recv
-  kStaleness,    ///< reference-model updates accumulated but not yet applied
   kAlivePipelines,  ///< pipelines attached to the elastic group
   kRecvRetry,    ///< bounded-pop timeouts survived before a message arrived
   kSyncLag,      ///< reference applies in flight behind training (async)

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "data/synthetic.hpp"
 #include "fault/fault_plan.hpp"
 #include "nn/models.hpp"
+#include "trace/analysis.hpp"
 #include "trace/trace.hpp"
 
 namespace avgpipe {
@@ -565,6 +567,225 @@ TEST(CkptDirTest, EmptyDirectoryLoadsNothing) {
   EXPECT_TRUE(dir.entries().empty());
 }
 
+// -- asynchronous commits (one writer thread) --------------------------------------------
+
+TEST(CkptAsyncTest, EveryReaderOfThePathSeesASubmittedSave) {
+  // Read-your-writes: once submit returns, entries() and load_latest() on
+  // the owning dir, and on a fresh dir over the same path spelled
+  // differently, wait for the queued commit instead of missing it.
+  TempDir tmp;
+  ckpt::CheckpointDir dir(tmp.path);
+  const ckpt::ManifestEntry queued = dir.submit(tiny_state(1));
+  EXPECT_EQ(queued.step, 1);
+  EXPECT_EQ(queued.file, "ckpt-000000001.avgp");
+
+  ckpt::CheckpointDir other(tmp.path + "/.");
+  ckpt::TrainState loaded;
+  const auto res = other.load_latest(&loaded);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.step, 1);
+  EXPECT_EQ(res.fallbacks, 0);
+  expect_states_equal(loaded, tiny_state(1));
+
+  dir.submit(tiny_state(2));
+  const auto entries = other.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries.back().step, 2);
+  EXPECT_GT(entries.back().bytes, 0u);
+  // write() is submit + wait: it returns the committed entry in full.
+  const ckpt::ManifestEntry written = dir.write(tiny_state(3));
+  EXPECT_EQ(written.step, 3);
+  EXPECT_EQ(written.bytes, ckpt::file_size(tmp.path + "/" + written.file));
+}
+
+TEST(CkptAsyncTest, BackToBackSubmitsWithTheSameStepAreRejected) {
+  // The second submit is checked against the step submitted first, even
+  // though that commit may still be in flight when it arrives.
+  TempDir tmp;
+  ckpt::CheckpointDir dir(tmp.path);
+  dir.submit(tiny_state(4));
+  EXPECT_THROW(dir.submit(tiny_state(4)), Error);
+  const auto entries = dir.entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.back().step, 4);
+}
+
+TEST(CkptAsyncTest, BackToBackSavesOfOneStepAreRejected) {
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  TempDir tmp;
+  ckpt::CheckpointDir ckpts(tmp.path);
+  AvgPipeConfig cfg;
+  cfg.num_pipelines = 2;
+  cfg.micro_batches = 3;
+  cfg.boundaries = {2};
+  cfg.checkpoints = &ckpts;
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
+  system.train_iteration({loader.batch(0, 0), loader.batch(0, 1)});
+  EXPECT_EQ(system.save_checkpoint().step, 1);
+  EXPECT_THROW(system.save_checkpoint(), Error);
+  system.train_iteration({loader.batch(1, 0), loader.batch(1, 1)});
+  EXPECT_EQ(system.save_checkpoint().step, 2);
+  EXPECT_EQ(ckpts.entries().back().step, 2);
+}
+
+/// Replace the directory at `path` by a regular file (the directory moves
+/// to `path.moved`), or undo that.
+void swap_dir_for_file(const std::string& path, bool swap) {
+  if (swap) {
+    std::filesystem::rename(path, path + ".moved");
+    std::ofstream(path) << "not a directory";
+  } else {
+    std::filesystem::remove(path);
+    std::filesystem::rename(path + ".moved", path);
+  }
+}
+
+bool has_tmp_file(const std::string& dir) {
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".tmp") return true;
+  }
+  return false;
+}
+
+TEST(CkptAsyncTest, WriterFailureIsRaisedOnceByTheNextCall) {
+  // An I/O failure on the writer thread is never swallowed: the next call
+  // on the directory raises it (entries and write here), exactly once, and
+  // the directory keeps no .tmp and still names only committed files.
+  TempDir tmp;
+  const std::string path = tmp.path + "/ckpts";
+  ckpt::CheckpointDir dir(path);
+  dir.write(tiny_state(1));
+
+  swap_dir_for_file(path, true);
+  dir.submit(tiny_state(2));  // queued; the commit fails on the writer thread
+  EXPECT_THROW(dir.entries(), Error);
+  EXPECT_THROW(dir.write(tiny_state(3)), Error);
+  swap_dir_for_file(path, false);
+
+  const auto entries = dir.entries();  // the error was raised already
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.back().step, 1);
+  EXPECT_FALSE(has_tmp_file(path));
+  EXPECT_EQ(dir.write(tiny_state(2)).step, 2);
+
+  swap_dir_for_file(path, true);
+  dir.submit(tiny_state(3));
+  ckpt::TrainState loaded;
+  EXPECT_THROW(dir.load_latest(&loaded), Error);
+  swap_dir_for_file(path, false);
+  const auto res = dir.load_latest(&loaded);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.step, 2);
+  EXPECT_FALSE(has_tmp_file(path));
+}
+
+TEST(CkptAsyncTest, FailedCommitIsRaisedByTheNextSave) {
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  TempDir tmp;
+  const std::string path = tmp.path + "/ckpts";
+  ckpt::CheckpointDir ckpts(path);
+  AvgPipeConfig cfg;
+  cfg.num_pipelines = 2;
+  cfg.micro_batches = 3;
+  cfg.boundaries = {2};
+  cfg.checkpoints = &ckpts;
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
+  for (std::size_t iter = 0; iter < 3; ++iter) {
+    system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
+    if (iter == 1) {
+      ckpts.wait();  // let the first save land before the directory goes
+      swap_dir_for_file(path, true);
+    }
+    if (iter < 2) {
+      system.save_checkpoint();  // the second one fails off the driver
+    } else {
+      EXPECT_THROW(system.save_checkpoint(), Error);
+    }
+  }
+  swap_dir_for_file(path, false);
+  EXPECT_EQ(ckpts.entries().back().step, 1);
+  EXPECT_FALSE(has_tmp_file(path));
+  system.train_iteration({loader.batch(3, 0), loader.batch(3, 1)});
+  EXPECT_EQ(system.save_checkpoint().step, 4);
+  EXPECT_EQ(ckpts.entries().back().step, 4);
+}
+
+TEST(CkptAsyncTest, DirectoryMayGoBeforeThePipeThatSavedThroughIt) {
+  // Owners often hold the CheckpointDir beside the AvgPipe and free it
+  // first. Its destructor waits for the queued commit, and the pipe's
+  // destructor drains by key, never through the freed directory.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  TempDir tmp;
+  trace::Tracer tracer;
+  auto ckpts = std::make_unique<ckpt::CheckpointDir>(tmp.path);
+  AvgPipeConfig cfg;
+  cfg.num_pipelines = 2;
+  cfg.micro_batches = 3;
+  cfg.boundaries = {2};
+  cfg.checkpoints = ckpts.get();
+  cfg.tracer = &tracer;
+  auto system = std::make_unique<AvgPipe>(mlp_factory(6, 8, 2, 2),
+                                          sgd_factory(0.1), cfg);
+  system->train_iteration({loader.batch(0, 0), loader.batch(0, 1)});
+  system->save_checkpoint();
+  ckpts.reset();
+  // Another directory's commit keeps the writer's table non-empty, so a
+  // drain through the freed directory would read its freed key.
+  ckpt::CheckpointDir other(tmp.path + "/other");
+  other.submit(tiny_state(1));
+  system.reset();
+  const auto entries = ckpt::CheckpointDir(tmp.path).entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.back().step, 1);
+  std::size_t commits = 0;
+  for (const auto& ev : tracer.collect()) {
+    commits += ev.kind == trace::EventKind::kCheckpointCommit ? 1 : 0;
+  }
+  EXPECT_EQ(commits, 1u);
+}
+
+TEST(CkptAsyncTest, StallAndCommitAreSeparateSpans) {
+  // kCheckpoint is the driver's stall; the writer records the commit, with
+  // the bytes on disk, as kCheckpointCommit in a buffer of its own.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  TempDir tmp;
+  ckpt::CheckpointDir ckpts(tmp.path);
+  trace::Tracer tracer;
+  AvgPipeConfig cfg;
+  cfg.num_pipelines = 2;
+  cfg.micro_batches = 3;
+  cfg.boundaries = {2};
+  cfg.checkpoints = &ckpts;
+  cfg.tracer = &tracer;
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
+  for (std::size_t iter = 0; iter < 2; ++iter) {
+    system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
+    system.save_checkpoint();
+  }
+  const auto entries = ckpts.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  std::vector<trace::TraceEvent> stalls, commits;
+  for (const auto& ev : tracer.collect()) {
+    if (ev.kind == trace::EventKind::kCheckpoint) stalls.push_back(ev);
+    if (ev.kind == trace::EventKind::kCheckpointCommit) commits.push_back(ev);
+  }
+  ASSERT_EQ(stalls.size(), 2u);
+  ASSERT_EQ(commits.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(stalls[i].batch, entries[i].step);
+    EXPECT_EQ(commits[i].batch, entries[i].step);
+    EXPECT_EQ(commits[i].bytes, entries[i].bytes);
+    EXPECT_GE(commits[i].t_begin, stalls[i].t_begin);
+  }
+  const trace::TraceAnalysis analysis(tracer.collect());
+  EXPECT_EQ(analysis.checkpoint_bytes(), entries[0].bytes + entries[1].bytes);
+  EXPECT_GT(analysis.checkpoint_commit_time(), 0.0);
+}
+
 // -- RNG streams -------------------------------------------------------------------------
 
 TEST(CkptRngTest, RngSaveRestoreResumesTheDrawSequenceExactly) {
@@ -623,7 +844,8 @@ TEST_P(CkptResumeParityTest, ThreadedResumeIsBitIdenticalToUninterruptedRun) {
     }
     const auto entry = first.save_checkpoint();
     EXPECT_EQ(entry.step, static_cast<long>(kHalf));
-    EXPECT_GT(entry.bytes, 0u);
+    // The size is known once the writer's commit lands; entries() waits.
+    EXPECT_GT(ckpts.entries().back().bytes, 0u);
   }
 
   AvgPipe resumed(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg_ck);

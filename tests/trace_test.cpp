@@ -53,10 +53,10 @@ TEST(TraceEventTest, KindClassification) {
 }
 
 TEST(TraceEventTest, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(EventKind::kCounter); ++k) {
+  for (int k = 0; k <= static_cast<int>(EventKind::kCheckpointCommit); ++k) {
     EXPECT_STRNE(to_string(static_cast<EventKind>(k)), "?");
   }
-  for (int c = 0; c <= static_cast<int>(CounterId::kStaleness); ++c) {
+  for (int c = 0; c <= static_cast<int>(CounterId::kSyncBytesRaw); ++c) {
     EXPECT_STRNE(to_string(static_cast<CounterId>(c)), "?");
   }
 }
@@ -205,7 +205,7 @@ std::vector<TraceEvent> diverse_events() {
   events.push_back(span(EventKind::kReferenceApply, 0, 0, -1, 6.5, 6.75));
   events.push_back(counter(CounterId::kUtilization, 2, 1.5, 0.625));
   events.push_back(counter(CounterId::kQueueDepth, 1, 2.25, 17.0));
-  events.push_back(counter(CounterId::kStaleness, 0, 3.5, 2.0));
+  events.push_back(counter(CounterId::kSyncLag, 0, 3.5, 2.0));
   // Awkward precision: values that lose bits unless exported at %.17g.
   events.push_back(span(EventKind::kForward, 0, 0, 1, 0.1 + 0.2, 1.0 / 7.0 + 1));
   return events;
@@ -332,7 +332,7 @@ TEST(TraceAnalysisTest, CounterQuantiles) {
   EXPECT_NEAR(analysis.counter_quantile(0, CounterId::kQueueDepth, 0.5), 2.5,
               1e-12);
   // No samples on that stage/series -> 0.
-  EXPECT_EQ(analysis.counter_quantile(3, CounterId::kStaleness, 0.5), 0.0);
+  EXPECT_EQ(analysis.counter_quantile(3, CounterId::kSyncLag, 0.5), 0.0);
 }
 
 TEST(TraceAnalysisTest, StageOpsReplaysComputeInstructionsInOrder) {
