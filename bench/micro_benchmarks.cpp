@@ -10,15 +10,18 @@
 ///   micro_benchmarks --json=BENCH_kernels.json [--kernels-only]
 ///
 /// The JSON records the GEMM micro-kernel in use (`gemm_isa`), GFLOP/s and
-/// ns/op for the blocked GEMM vs the reference loop per shape and transpose
-/// form (`op`), fused vs unfused SGD kernels, ns/element of the vector
-/// tanh/exp kernels vs the libm loop, heap allocations per steady-state
-/// training step from the arena counters, the checkpoint CRC-32 kernel's
-/// GB/s, a strided NT GEMM (the attention score GEMM reading q and k in
-/// place) against the same GEMM on packed copies, and the attention node's
-/// forward+backward at bert_ckpt's shape. The kernel suite also re-checks
-/// blocked-vs-reference parity, the vector kernels' ulp bound against libm,
-/// and the CRC check value and chaining identity, and exits non-zero on a
+/// ns/op for the blocked GEMM vs the plain loop (tests/gemm_oracle.hpp) per
+/// shape and transpose form (`op`), ns/call of every supported ISA build of
+/// the small GEMM (gemm_reference) vs the same loop at mlp_tiny's
+/// per-micro-batch shapes (`small_gemm`), fused vs unfused SGD kernels,
+/// ns/element of the vector tanh/exp kernels vs the libm loop, heap
+/// allocations per steady-state training step from the arena counters, the
+/// checkpoint CRC-32 kernel's GB/s, a strided NT GEMM (the attention score
+/// GEMM reading q and k in place) against the same GEMM on packed copies,
+/// and the attention node's forward+backward at bert_ckpt's shape. The
+/// kernel suite also re-checks blocked-vs-loop parity, the small GEMM's
+/// bits against the loop, the vector kernels' ulp bound against libm, and
+/// the CRC check value and chaining identity, and exits non-zero on a
 /// failure, so CI's perf-smoke job doubles as a correctness gate.
 
 #include <benchmark/benchmark.h>
@@ -36,6 +39,7 @@
 #include "ckpt/format.hpp"
 #include "common/queue.hpp"
 #include "common/thread_pool.hpp"
+#include "gemm_oracle.hpp"
 #include "nn/models.hpp"
 #include "optim/optimizer.hpp"
 #include "sim/resources.hpp"
@@ -198,8 +202,8 @@ GemmResult bench_gemm(std::size_t m, std::size_t n, std::size_t k,
   GemmResult r{m, n, k, trans_a, trans_b, 0, 0, 0, 0, 0, 0};
   r.ref_ns = time_ns(
       [&] {
-        tensor::gemm_reference(a.data(), b.data(), c_ref.data(), m, n, k,
-                               trans_a, trans_b, false);
+        oracle::gemm_loop(a.data(), b.data(), c_ref.data(), m, n, k, trans_a,
+                          trans_b, false);
       },
       reps);
   r.blocked_ns = time_ns(
@@ -216,6 +220,48 @@ GemmResult bench_gemm(std::size_t m, std::size_t n, std::size_t k,
     r.max_rel_err = std::max(r.max_rel_err,
                              std::abs(c_blk[i] - c_ref[i]) / denom);
   }
+  return r;
+}
+
+struct SmallGemmResult {
+  std::size_t m, n, k;
+  bool trans_a, trans_b;
+  tensor::detail::GemmIsa isa;
+  double loop_ns, kernel_ns, kernel_gflops, speedup;
+  bool bits_ok;  ///< the kernel's C equals the loop's bit for bit
+};
+
+/// ns per call of the plain loop against gemm_reference's build for `isa`,
+/// each timed over batches of calls (one call is a few hundred ns).
+SmallGemmResult bench_small_gemm(std::size_t m, std::size_t n, std::size_t k,
+                                 bool trans_a, bool trans_b,
+                                 tensor::detail::GemmIsa isa) {
+  Rng rng(0x5A4);
+  const auto a = bench_vec(m * k, rng);
+  const auto b = bench_vec(k * n, rng);
+  std::vector<Scalar> c_loop(m * n), c(m * n);
+  constexpr int kCalls = 100;
+  const auto per_call = [&](auto&& call) {
+    return time_ns(
+               [&] {
+                 for (int i = 0; i < kCalls; ++i) call();
+               },
+               200) /
+           kCalls;
+  };
+  SmallGemmResult r{m, n, k, trans_a, trans_b, isa, 0, 0, 0, 0, false};
+  r.loop_ns = per_call([&] {
+    oracle::gemm_loop(a.data(), b.data(), c_loop.data(), m, n, k, trans_a,
+                      trans_b, false);
+  });
+  r.kernel_ns = per_call([&] {
+    tensor::detail::gemm_reference_isa(isa, a.data(), b.data(), c.data(), m,
+                                       n, k, trans_a, trans_b, false);
+  });
+  r.kernel_gflops = 2.0 * static_cast<double>(m) * n * k / r.kernel_ns;
+  r.speedup = r.loop_ns / r.kernel_ns;
+  r.bits_ok = std::memcmp(c.data(), c_loop.data(), c.size() * sizeof(Scalar)) ==
+              0;
   return r;
 }
 
@@ -541,10 +587,40 @@ int run_kernel_suite(const std::string& json_path) {
                    n, k, gemm_op(trans_a, trans_b), g.max_rel_err);
     }
     std::printf(
-        "gemm %4zux%-4zux%-4zu %s ref %8.2f GFLOP/s  blocked %8.2f GFLOP/s  "
+        "gemm %4zux%-4zux%-4zu %s loop %8.2f GFLOP/s  blocked %8.2f GFLOP/s  "
         "speedup %5.2fx  max_rel_err %.2e\n",
         m, n, k, gemm_op(trans_a, trans_b), g.ref_gflops,
         g.blocked_gflops, g.speedup, g.max_rel_err);
+  }
+  // mlp_tiny's GEMMs on 4-row micro-batches at widths 16 -> 32 -> 32:
+  // forward (NN), input gradient (NT) and weight gradient (TN).
+  const std::vector<Shape> small_shapes = {{4, 32, 16, false, false},
+                                           {4, 32, 32, false, false},
+                                           {4, 32, 32, false, true},
+                                           {32, 32, 4, true, false}};
+  std::vector<SmallGemmResult> small_gemms;
+  for (const auto isa : {tensor::detail::GemmIsa::kPortable,
+                         tensor::detail::GemmIsa::kAvx2,
+                         tensor::detail::GemmIsa::kAvx512}) {
+    if (!tensor::detail::gemm_isa_supported(isa)) continue;
+    for (const auto& [m, n, k, trans_a, trans_b] : small_shapes) {
+      small_gemms.push_back(bench_small_gemm(m, n, k, trans_a, trans_b, isa));
+      const auto& g = small_gemms.back();
+      if (!g.bits_ok) {
+        parity_ok = false;
+        std::fprintf(stderr,
+                     "PARITY FAIL small gemm %zux%zux%zu %s %s: bits differ "
+                     "from the loop\n",
+                     m, n, k, gemm_op(trans_a, trans_b),
+                     tensor::detail::to_string(isa));
+      }
+      std::printf(
+          "small gemm %2zux%-2zux%-2zu %s %-8s loop %6.0f ns  kernel %6.0f ns "
+          "(%6.2f GFLOP/s)  speedup %5.2fx  bits %s\n",
+          m, n, k, gemm_op(trans_a, trans_b), tensor::detail::to_string(isa),
+          g.loop_ns, g.kernel_ns, g.kernel_gflops, g.speedup,
+          g.bits_ok ? "ok" : "FAIL");
+    }
   }
   const std::vector<FusedResult> fused = {bench_fused_sgd()};
   for (const auto& f : fused) {
@@ -630,6 +706,18 @@ int run_kernel_suite(const std::string& json_path) {
         << ", \"speedup\": " << g.speedup
         << ", \"max_rel_err\": " << g.max_rel_err << "}"
         << (i + 1 < gemms.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"small_gemm\": [\n";
+  for (std::size_t i = 0; i < small_gemms.size(); ++i) {
+    const auto& g = small_gemms[i];
+    out << "    {\"m\": " << g.m << ", \"n\": " << g.n << ", \"k\": " << g.k
+        << ", \"op\": \"" << gemm_op(g.trans_a, g.trans_b) << "\""
+        << ", \"isa\": \"" << tensor::detail::to_string(g.isa) << "\""
+        << ", \"loop_ns\": " << g.loop_ns << ", \"kernel_ns\": " << g.kernel_ns
+        << ", \"kernel_gflops\": " << g.kernel_gflops
+        << ", \"speedup\": " << g.speedup
+        << ", \"bits_ok\": " << (g.bits_ok ? "true" : "false") << "}"
+        << (i + 1 < small_gemms.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"fused\": [\n";
   for (std::size_t i = 0; i < fused.size(); ++i) {

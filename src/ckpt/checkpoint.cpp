@@ -662,6 +662,7 @@ CheckpointDir::LoadResult CheckpointDir::load_latest(TrainState* state) const {
       ++result.fallbacks;
       continue;
     }
+    TrainState decoded;
     try {
       // Strict parse of the image already read (one CRC pass checks the
       // manifest's whole-file CRC and every record CRC) + decode under
@@ -669,12 +670,23 @@ CheckpointDir::LoadResult CheckpointDir::load_latest(TrainState* state) const {
       // validation still falls back.
       const CheckpointReader reader =
           CheckpointReader::parse(std::move(image), it->file, &it->crc);
-      *state = decode(reader);
+      decoded = decode(reader);
     } catch (const Error& e) {
       result.error = e.what();
       ++result.fallbacks;
       continue;
     }
+    // The whole-file CRC depends only on the record layout (each record
+    // carries its own CRC), so a valid file of another step under this
+    // entry's name passes it; the decoded step tells them apart.
+    if (decoded.step != it->step) {
+      result.error = "'" + it->file + "' holds step " +
+                     std::to_string(decoded.step) + ", its manifest entry " +
+                     "step " + std::to_string(it->step);
+      ++result.fallbacks;
+      continue;
+    }
+    *state = std::move(decoded);
     result.ok = true;
     result.step = it->step;
     result.file = it->file;

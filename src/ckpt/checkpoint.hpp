@@ -214,8 +214,9 @@ class CheckpointDir {
 
   /// Restore the newest loadable checkpoint into `state` (after this
   /// directory's queued commit has landed), falling back over corrupted
-  /// entries (CRC or decode failure) newest→oldest. `ok == false` means no
-  /// entry survived (empty manifest or all corrupted).
+  /// entries (CRC or decode failure, or a file whose decoded step is not
+  /// its entry's) newest→oldest. `ok == false` means no entry survived
+  /// (empty manifest or all corrupted); `state` is then untouched.
   LoadResult load_latest(TrainState* state) const;
 
   /// The canonical path: the writer's key for this directory, shared by

@@ -20,12 +20,9 @@ std::uint64_t thread_flops() { return tls_flops; }
 
 namespace detail {
 void add_thread_flops(std::uint64_t n) { tls_flops += n; }
-}  // namespace detail
 
-namespace {
-/// `opts` with the packed row lengths filled in for unset leading dimensions.
-GemmOpts resolve(GemmOpts opts, std::size_t m, std::size_t n, std::size_t k,
-                 bool trans_a, bool trans_b) {
+GemmOpts resolve_gemm_opts(GemmOpts opts, std::size_t m, std::size_t n,
+                           std::size_t k, bool trans_a, bool trans_b) {
   const std::size_t a_row = trans_a ? m : k, b_row = trans_b ? k : n;
   if (opts.lda == 0) opts.lda = a_row;
   if (opts.ldb == 0) opts.ldb = b_row;
@@ -34,29 +31,7 @@ GemmOpts resolve(GemmOpts opts, std::size_t m, std::size_t n, std::size_t k,
                 "gemm leading dimension below the stored row length");
   return opts;
 }
-}  // namespace
-
-void gemm_reference(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
-                    std::size_t n, std::size_t k, bool trans_a, bool trans_b,
-                    bool accumulate, const GemmOpts& opts) {
-  const auto [lda, ldb, ldc] = resolve(opts, m, n, k, trans_a, trans_b);
-  // Index helpers: a is m x k after op, b is k x n after op.
-  auto ai = [&](std::size_t i, std::size_t p) {
-    return trans_a ? a[p * lda + i] : a[i * lda + p];
-  };
-  auto bi = [&](std::size_t p, std::size_t j) {
-    return trans_b ? b[j * ldb + p] : b[p * ldb + j];
-  };
-  for (std::size_t i = 0; i < m; ++i) {
-    Scalar* crow = c + i * ldc;
-    if (!accumulate) std::fill(crow, crow + n, 0.0);
-    for (std::size_t p = 0; p < k; ++p) {
-      const Scalar av = ai(i, p);
-      if (av == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * bi(p, j);
-    }
-  }
-}
+}  // namespace detail
 
 namespace {
 
@@ -256,7 +231,8 @@ void gemm_blocked_with(MicroKernel kernel, const Scalar* a, const Scalar* b,
                        bool trans_a, bool trans_b, bool accumulate,
                        const GemmOpts& opts) {
   if (m == 0 || n == 0) return;
-  const auto [lda, ldb, ldc] = resolve(opts, m, n, k, trans_a, trans_b);
+  const auto [lda, ldb, ldc] =
+      detail::resolve_gemm_opts(opts, m, n, k, trans_a, trans_b);
   if (k == 0) {
     if (!accumulate) {
       for (std::size_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0);

@@ -23,9 +23,13 @@
 /// and write column blocks of a wider row-major matrix in place; packing
 /// absorbs the strides the same way it absorbs transposes.
 ///
-/// `gemm_reference` keeps the original unblocked triple loop as the parity
-/// oracle (tests/kernel_test.cpp) and the baseline the micro-benchmarks
-/// measure speedups against.
+/// Problems below kGemmBlockedThreshold run `gemm_reference` instead
+/// (small_gemm.cpp): no packing, one C row strip held in registers across
+/// the whole reduction, and per element exactly the arithmetic of the
+/// unblocked i-p-j loop (no FMA, zero terms of op(A) skipped), so its
+/// baseline, AVX2 and AVX-512F builds all give that loop's bits. The loop
+/// itself lives on as the oracle in tests/gemm_oracle.hpp, which the kernel
+/// tests and the micro-benchmarks compare against.
 
 #include <cstddef>
 #include <cstdint>
@@ -57,9 +61,10 @@ namespace detail {
 /// dispatch; not meant for user code).
 void add_thread_flops(std::uint64_t n);
 
-/// The instruction sets the GEMM micro-kernels and the vector math kernels
-/// are built for. The dispatchers pick the widest one the CPU supports;
-/// tests reach each build through gemm_blocked_isa / vec_*_isa.
+/// The instruction sets the GEMM kernels and the vector math kernels are
+/// built for. The dispatchers pick the widest one the CPU supports; tests
+/// reach each build through gemm_blocked_isa / gemm_reference_isa /
+/// vec_*_isa.
 enum class GemmIsa { kPortable, kAvx2, kAvx512 };
 const char* to_string(GemmIsa isa);
 bool gemm_isa_supported(GemmIsa isa);
@@ -71,6 +76,17 @@ void gemm_blocked_isa(GemmIsa isa, const Scalar* a, const Scalar* b,
                       bool trans_a, bool trans_b, bool accumulate,
                       const GemmOpts& opts = {});
 
+/// gemm_reference with the build for `isa` (which must be supported).
+void gemm_reference_isa(GemmIsa isa, const Scalar* a, const Scalar* b,
+                        Scalar* c, std::size_t m, std::size_t n, std::size_t k,
+                        bool trans_a, bool trans_b, bool accumulate,
+                        const GemmOpts& opts = {});
+
+/// `opts` with unset (0) leading dimensions replaced by the packed row
+/// lengths; throws if one is below its stored row length.
+GemmOpts resolve_gemm_opts(GemmOpts opts, std::size_t m, std::size_t n,
+                           std::size_t k, bool trans_a, bool trans_b);
+
 /// vec_tanh / vec_exp with the build for `isa` (which must be supported).
 void vec_tanh_isa(GemmIsa isa, const Scalar* x, Scalar* y, std::size_t n);
 void vec_exp_isa(GemmIsa isa, const Scalar* x, Scalar* y, std::size_t n);
@@ -80,8 +96,12 @@ void vec_exp_isa(GemmIsa isa, const Scalar* x, Scalar* y, std::size_t n);
 /// "avx2" or "portable".
 const char* gemm_isa();
 
-/// The pre-optimisation scalar GEMM (unblocked i-p-j loops). Kept as the
-/// parity/benchmark reference. C (+)= op(A) * op(B).
+/// The small-problem GEMM: C (+)= op(A) * op(B), bit-identical to the
+/// unblocked i-p-j loop on every ISA. Each element starts at +0.0 (or at C
+/// when accumulating) and adds the rounded product op(A)[i][p] * op(B)[p][j]
+/// for p ascending, skipping the terms whose op(A)[i][p] == 0. Row strips
+/// of C stay in registers across p; trans_b first transposes op(B) into
+/// k x n arena scratch.
 void gemm_reference(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
                     std::size_t n, std::size_t k, bool trans_a, bool trans_b,
                     bool accumulate, const GemmOpts& opts = {});
@@ -101,7 +121,7 @@ void vec_exp(const Scalar* x, Scalar* y, std::size_t n);
 
 /// Problem-size threshold (in multiply-adds, m*n*k) below which the packing
 /// overhead of the blocked kernel is not worth it and `gemm` dispatches to
-/// the reference loop.
+/// gemm_reference.
 inline constexpr std::size_t kGemmBlockedThreshold = 8192;
 
 }  // namespace avgpipe::tensor

@@ -36,7 +36,9 @@ void gemm(const Scalar* a, const Scalar* b, Scalar* c, std::size_t m,
           std::size_t n, std::size_t k, bool trans_a, bool trans_b,
           bool accumulate, const GemmOpts& opts) {
   // All matmul-family ops (linear, LSTM gates, attention) route through this
-  // dispatcher, so counting here covers the pipeline compute path.
+  // dispatcher, so counting here covers the pipeline compute path. Small
+  // problems take gemm_reference, whose bits are the plain loop's; the rest
+  // take the packed FMA kernel.
   detail::add_thread_flops(2ull * m * n * k);
   if (m * n * k < kGemmBlockedThreshold) {
     gemm_reference(a, b, c, m, n, k, trans_a, trans_b, accumulate, opts);

@@ -543,6 +543,31 @@ TEST(CkptDirTest, LoadLatestFallsBackOverATornNewestEntry) {
   EXPECT_EQ(res.fallbacks, 1);
 }
 
+TEST(CkptDirTest, LoadLatestFallsBackOverAnotherStepsFileUnderTheNewestName) {
+  // Files of one layout share their whole-file CRC, so an older valid file
+  // copied over the newest entry's name passes every CRC; only its decoded
+  // step shows it is not that entry.
+  TempDir tmp;
+  ckpt::CheckpointDir dir(tmp.path, /*retain=*/3);
+  for (long step = 1; step <= 3; ++step) dir.write(tiny_state(step));
+  const auto entries = dir.entries();
+  ASSERT_EQ(entries.size(), 3u);
+  ASSERT_EQ(entries.front().crc, entries.back().crc);
+  std::filesystem::copy_file(
+      tmp.path + "/" + entries.front().file,
+      tmp.path + "/" + entries.back().file,
+      std::filesystem::copy_options::overwrite_existing);
+
+  ckpt::TrainState state;
+  const auto res = dir.load_latest(&state);
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.step, 2);
+  EXPECT_EQ(res.fallbacks, 1);
+  EXPECT_NE(res.error.find("holds step 1"), std::string::npos) << res.error;
+  EXPECT_NE(res.error.find("entry step 3"), std::string::npos) << res.error;
+  expect_states_equal(state, tiny_state(2));
+}
+
 TEST(CkptDirTest, LoadLatestReportsFailureWhenEverythingIsCorrupted) {
   TempDir tmp;
   ckpt::CheckpointDir dir(tmp.path);

@@ -1,5 +1,6 @@
-// Parity and correctness suite for the performance layer: blocked GEMM vs
-// the reference loop, the vector tanh/exp kernels vs libm and across ISAs,
+// Parity and correctness suite for the performance layer: the small and
+// the blocked GEMM vs the plain loop (tests/gemm_oracle.hpp), the vector
+// tanh/exp kernels vs libm and across ISAs,
 // fused optimizer kernels vs their unfused
 // formulations, in-place op variants vs the allocating ones, the arena
 // allocator's recycling behaviour, and thread-pool determinism.
@@ -22,6 +23,7 @@
 #include "common/affinity.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "gemm_oracle.hpp"
 #include "nn/lstm.hpp"
 #include "optim/optimizer.hpp"
 #include "tensor/arena.hpp"
@@ -59,6 +61,16 @@ std::vector<Scalar> with_stride(const std::vector<Scalar>& src,
               out.begin() + r * ld);
   }
   return out;
+}
+
+/// `x` (rows x cols, packed) transposed.
+std::vector<Scalar> transposed(const std::vector<Scalar>& x, std::size_t rows,
+                               std::size_t cols) {
+  std::vector<Scalar> t(x.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = x[r * cols + c];
+  }
+  return t;
 }
 
 /// Operands of one GEMM call, either packed or re-laid with leading
@@ -118,8 +130,8 @@ TEST_P(GemmParity, MatchesReferenceForAllTransposeCombos) {
                                    strided);
           auto c_ref = ops.c;
           auto c_blk = ops.c;  // same starting C so accumulate paths match
-          tensor::gemm_reference(ops.a.data(), ops.b.data(), c_ref.data(), m,
-                                 n, k, trans_a, trans_b, accumulate, ops.opts);
+          oracle::gemm_loop(ops.a.data(), ops.b.data(), c_ref.data(), m, n, k,
+                            trans_a, trans_b, accumulate, ops.opts);
           tensor::gemm_blocked(ops.a.data(), ops.b.data(), c_blk.data(), m, n,
                                k, trans_a, trans_b, accumulate, ops.opts);
           ASSERT_TRUE(gaps_untouched(c_ref, n, ops.ldc));
@@ -156,27 +168,34 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{200, 3, 2}));  // tall and skinny
 
 TEST(GemmParity, ZeroSizedDims) {
-  std::vector<Scalar> a(12, 1.0), b(12, 2.0), c(6, 7.0);
   // k == 0 must clear C when not accumulating and leave it when accumulating.
-  tensor::gemm_blocked(a.data(), b.data(), c.data(), 2, 3, 0, false, false,
-                       true);
-  EXPECT_EQ(c[0], 7.0);
-  tensor::gemm_blocked(a.data(), b.data(), c.data(), 2, 3, 0, false, false,
-                       false);
-  EXPECT_EQ(c[0], 0.0);
+  for (const auto gemm : {tensor::gemm_blocked, tensor::gemm_reference}) {
+    std::vector<Scalar> a(12, 1.0), b(12, 2.0), c(6, 7.0);
+    for (const bool trans_b : {false, true}) {
+      gemm(a.data(), b.data(), c.data(), 2, 3, 0, false, trans_b, true, {});
+      EXPECT_EQ(c, std::vector<Scalar>(6, 7.0));
+    }
+    gemm(a.data(), b.data(), c.data(), 2, 3, 0, false, false, false, {});
+    EXPECT_EQ(c, std::vector<Scalar>(6, 0.0));
+    // An empty C is not touched, whatever k is.
+    c.assign(6, 7.0);
+    gemm(a.data(), b.data(), c.data(), 0, 3, 4, false, true, false, {});
+    gemm(a.data(), b.data(), c.data(), 2, 0, 4, false, true, false, {});
+    EXPECT_EQ(c, std::vector<Scalar>(6, 7.0));
+  }
 }
 
 TEST(GemmDispatch, SmallProblemsStayExact) {
-  // Below the dispatch threshold gemm() runs the reference loop, so results
-  // must be bit-identical to gemm_reference.
+  // Below the dispatch threshold gemm() runs gemm_reference, so results
+  // must be bit-identical to the plain loop.
   Rng rng(42);
   const std::size_t m = 4, n = 4, k = 4;
   const auto a = random_vec(m * k, rng);
   const auto b = random_vec(k * n, rng);
   std::vector<Scalar> c1(m * n, 0.0), c2(m * n, 0.0);
   tensor::gemm(a.data(), b.data(), c1.data(), m, n, k, false, false, false);
-  tensor::gemm_reference(a.data(), b.data(), c2.data(), m, n, k, false, false,
-                         false);
+  oracle::gemm_loop(a.data(), b.data(), c2.data(), m, n, k, false, false,
+                    false);
   EXPECT_EQ(c1, c2);
 }
 
@@ -262,9 +281,8 @@ TEST(GemmMicroKernels, FmaKernelsMatchFmaOracleBitExactPortableWithinTolerance) 
             gemm_fma_oracle(ops.a.data(), ops.b.data(), c_fma.data(), m, n, k,
                             trans_a, trans_b, accumulate, ops.opts);
             auto c_ref = ops.c;
-            tensor::gemm_reference(ops.a.data(), ops.b.data(), c_ref.data(),
-                                   m, n, k, trans_a, trans_b, accumulate,
-                                   ops.opts);
+            oracle::gemm_loop(ops.a.data(), ops.b.data(), c_ref.data(), m, n,
+                              k, trans_a, trans_b, accumulate, ops.opts);
             for (const GemmIsa isa : isas) {
               auto c = ops.c;
               tensor::detail::gemm_blocked_isa(isa, ops.a.data(),
@@ -299,6 +317,111 @@ TEST(GemmMicroKernels, FmaKernelsMatchFmaOracleBitExactPortableWithinTolerance) 
   }
 }
 
+// -- the small GEMM ------------------------------------------------------------
+
+/// `got` and `want` hold the same bits at every element, gaps included.
+::testing::AssertionResult same_bits(const std::vector<Scalar>& got,
+                                     const std::vector<Scalar>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(Scalar)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Stored A, B and a starting C that probe the small GEMM's contract:
+///  - zeros of both signs scattered through op(A), and op(A)'s last column
+///    all zeros facing a row of op(B) that holds +Inf, -Inf and NaN, so a
+///    kernel that adds 0 * Inf instead of skipping the term writes NaN;
+///  - a NaN at op(A)[0][0], which must reach all of C's first row;
+///  - op(A)'s last row all zeros, so C's last row keeps its starting value
+///    (a -0.0 stays -0.0 only if nothing is added to it);
+///  - products of 1e-200 and -1e-200, which round to -0.0;
+///  - -0.0 and +0.0 in the starting C.
+struct GemmEdgeOperands {
+  std::vector<Scalar> a, b, c;
+};
+
+GemmEdgeOperands gemm_edge_operands(std::size_t m, std::size_t n,
+                                    std::size_t k, bool trans_a, bool trans_b,
+                                    Rng& rng) {
+  constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  constexpr Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  constexpr Scalar kTiny = 1e-200;
+  std::vector<Scalar> op_a(m * k), op_b(k * n), c(m * n);
+  for (std::size_t i = 0; i < op_a.size(); ++i) {
+    constexpr Scalar kPattern[] = {0.0, -0.0, -kTiny};
+    op_a[i] = i % 5 < 3 ? kPattern[i % 5] : rng.normal(0.0, 1.0);
+  }
+  for (std::size_t i = 0; i < op_b.size(); ++i) {
+    op_b[i] = i % 2 == 0 ? kTiny : rng.normal(0.0, 1.0);
+  }
+  const std::size_t dead = k - 1;
+  for (std::size_t i = 0; i < m; ++i) op_a[i * k + dead] = i % 2 ? -0.0 : 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    constexpr Scalar kSpecials[] = {kInf, -kInf, kNaN};
+    op_b[dead * n + j] = kSpecials[j % 3];
+  }
+  if (m >= 2) {
+    for (std::size_t p = 0; p < k; ++p) op_a[(m - 1) * k + p] = -0.0;
+  }
+  if (k >= 2) op_a[0] = kNaN;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c[i] = i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : rng.normal(0.0, 1.0);
+  }
+  return {trans_a ? transposed(op_a, m, k) : op_a,
+          trans_b ? transposed(op_b, k, n) : op_b, std::move(c)};
+}
+
+TEST(SmallGemm, EveryIsaBitEqualToTheLoop) {
+  using tensor::detail::GemmIsa;
+  // Both sides of every strip width (16 and 32 columns) and of the vector
+  // widths inside them.
+  const std::size_t dims[] = {1, 3, 4, 7, 16, 17, 31, 32, 33};
+  const auto isas = supported_gemm_isas();
+  Rng rng(0x5A11);
+  for (const std::size_t m : dims) {
+    for (const std::size_t n : dims) {
+      for (const std::size_t k : dims) {
+        for (const bool edge : {false, true}) {
+          for (const bool trans_a : {false, true}) {
+            for (const bool trans_b : {false, true}) {
+              const auto [a, b, c0] =
+                  edge ? gemm_edge_operands(m, n, k, trans_a, trans_b, rng)
+                       : GemmEdgeOperands{random_vec(m * k, rng),
+                                          random_vec(k * n, rng),
+                                          random_vec(m * n, rng)};
+              for (const bool accumulate : {false, true}) {
+                for (const bool strided : {false, true}) {
+                  const auto ops = gemm_operands(a, b, c0, m, n, k, trans_a,
+                                                 trans_b, strided);
+                  auto want = ops.c;
+                  oracle::gemm_loop(ops.a.data(), ops.b.data(), want.data(), m,
+                                    n, k, trans_a, trans_b, accumulate,
+                                    ops.opts);
+                  for (const GemmIsa isa : isas) {
+                    auto c = ops.c;
+                    tensor::detail::gemm_reference_isa(
+                        isa, ops.a.data(), ops.b.data(), c.data(), m, n, k,
+                        trans_a, trans_b, accumulate, ops.opts);
+                    ASSERT_TRUE(same_bits(c, want))
+                        << tensor::detail::to_string(isa) << " m=" << m
+                        << " n=" << n << " k=" << k << " edge=" << edge
+                        << " ta=" << trans_a << " tb=" << trans_b
+                        << " acc=" << accumulate << " strided=" << strided;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmDispatch, StridesAndTransposesMatchCopiesBitExact) {
   // What the attention node relies on: reading an operand in place through
   // a leading dimension, or reading it transposed, gives exactly the bits
@@ -311,20 +434,16 @@ TEST(GemmDispatch, StridesAndTransposesMatchCopiesBitExact) {
                                     bool, bool, bool, const tensor::GemmOpts&)>;
   std::vector<std::pair<std::string, GemmFn>> fns{
       {"gemm", [](auto... args) { tensor::gemm(args...); }},
-      {"reference", [](auto... args) { tensor::gemm_reference(args...); }}};
+      {"loop", [](auto... args) { oracle::gemm_loop(args...); }}};
   for (const GemmIsa isa : supported_gemm_isas()) {
-    fns.emplace_back(tensor::detail::to_string(isa), [isa](auto... args) {
+    const std::string name = tensor::detail::to_string(isa);
+    fns.emplace_back("blocked " + name, [isa](auto... args) {
       tensor::detail::gemm_blocked_isa(isa, args...);
     });
+    fns.emplace_back("reference " + name, [isa](auto... args) {
+      tensor::detail::gemm_reference_isa(isa, args...);
+    });
   }
-  const auto transposed = [](const std::vector<Scalar>& x, std::size_t rows,
-                             std::size_t cols) {
-    std::vector<Scalar> t(x.size());
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = x[r * cols + c];
-    }
-    return t;
-  };
   Rng rng(0x5EED);
   // 16*16*16 sits below the threshold and 32*32*16 above it (the attention
   // score shape); 40*24*300 crosses a KC panel.
@@ -849,7 +968,7 @@ TEST(ThreadPoolTest, ParseNumThreads) {
 
 TEST(StagePartitionKernels, GemmBitIdenticalAcrossWorkerShares) {
   // The same GEMM under worker shares {1, 2, 4} (what AVGPIPE_STAGE_THREADS
-  // installs per stage thread) must match the reference loop and be
+  // installs per stage thread) must match the plain loop and be
   // bit-identical across shares: row-block ownership is disjoint, so the
   // fan-out width can only change timing, never results.
   Rng rng(77);
@@ -857,8 +976,8 @@ TEST(StagePartitionKernels, GemmBitIdenticalAcrossWorkerShares) {
   const auto a = random_vec(m * k, rng);
   const auto b = random_vec(k * n, rng);
   std::vector<Scalar> ref(m * n, 0.0);
-  tensor::gemm_reference(a.data(), b.data(), ref.data(), m, n, k, false,
-                         false, false);
+  oracle::gemm_loop(a.data(), b.data(), ref.data(), m, n, k, false, false,
+                    false);
   std::vector<Scalar> base;
   for (const std::size_t share : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}}) {
