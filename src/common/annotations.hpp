@@ -45,7 +45,6 @@
 #define REQUIRES(...) AVGPIPE_TSA(requires_capability(__VA_ARGS__))
 #define EXCLUDES(...) AVGPIPE_TSA(locks_excluded(__VA_ARGS__))
 #define RETURN_CAPABILITY(x) AVGPIPE_TSA(lock_returned(x))
-#define NO_THREAD_SAFETY_ANALYSIS AVGPIPE_TSA(no_thread_safety_analysis)
 
 /// Marker consumed by tools/avgpipe_lint (rule `hot-path-alloc`): place on
 /// the line immediately before a function *definition* to ban heap

@@ -1,6 +1,5 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 #include "common/annotations.hpp"
@@ -8,7 +7,7 @@
 namespace avgpipe {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+constexpr LogLevel kLevel = LogLevel::kWarn;
 common::Mutex g_mutex;
 
 const char* level_name(LogLevel level) {
@@ -23,10 +22,7 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
+LogLevel log_level() { return kLevel; }
 
 namespace detail {
 void log_write(LogLevel level, const std::string& msg) {

@@ -11,9 +11,8 @@ namespace avgpipe {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global minimum level; messages below it are dropped.
+/// Minimum level (kWarn); messages below it are dropped.
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 namespace detail {
 void log_write(LogLevel level, const std::string& msg);

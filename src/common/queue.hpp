@@ -3,13 +3,17 @@
 /// \file queue.hpp
 /// Bounded, closable channels: an MPMC `Channel` and an SPSC specialization.
 ///
-/// These are the message-passing primitives AvgPipe's runtime is built on:
-/// stage workers exchange activations/gradients through channels, and
-/// parallel pipelines ship local updates to the reference-model process
-/// through them (paper §3.2, steps ❸–❹). The design mirrors MPI-style
-/// cooperative send/recv: a bounded buffer provides back-pressure, and
-/// `close()` gives a clean end-of-stream so pipelines can drain and join
-/// deterministically.
+/// These are the message-passing primitives AvgPipe's runtime is built on
+/// (paper §3.2): stage workers exchange activations/gradients over
+/// point-to-point `SpscChannel` links, and the MPMC `Channel` carries the
+/// coordination traffic — per-stage start tokens, the done barrier and the
+/// thread pool's task queue. The design mirrors MPI-style cooperative
+/// send/recv: a bounded buffer provides back-pressure, and `close()` gives a
+/// clean end-of-stream so pipelines can drain and join deterministically.
+/// Each channel keeps only the operations the runtime calls: `Channel` has
+/// `send`/`recv`/`close`; `SpscChannel` adds the timed `recv_for` of the
+/// fault-tolerant receive path and the `size`/`capacity` and spin/park
+/// readings its assertions and counters sample.
 ///
 /// Latency model: a condvar wakeup costs ~5–20µs — comparable to an entire
 /// micro-batch forward on the small stages the runtime drives, so parking on
@@ -39,11 +43,11 @@
 
 namespace avgpipe {
 
-/// Outcome of a timed channel operation (recv_for / send_for).
+/// Outcome of the one timed channel operation, `SpscChannel::recv_for`.
 enum class ChannelStatus {
-  kOk,       ///< item transferred
+  kOk,       ///< item received
   kTimeout,  ///< deadline elapsed; channel still open
-  kClosed,   ///< channel closed (and, for recv, drained)
+  kClosed,   ///< channel closed and drained
 };
 
 namespace detail {
@@ -64,13 +68,6 @@ inline void cpu_relax() {
 inline bool spin_profitable() {
   static const bool multi = std::thread::hardware_concurrency() > 1;
   return multi;
-}
-
-/// A timed wait's absolute deadline, from a relative budget in seconds.
-inline std::chrono::steady_clock::time_point deadline_after(Seconds timeout) {
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(timeout));
 }
 
 /// Bounded adaptive spin: the budget doubles (up to a cap) when the awaited
@@ -121,10 +118,6 @@ class SpinPolicy {
 ///  * `close` wakes *all* blocked producers and consumers; a `send` issued
 ///    after close returns false immediately instead of blocking, and pending
 ///    items remain receivable (clean end-of-stream).
-///  * `recv_for` / `send_for` are the bounded variants used by the fault-
-///    tolerant runtime: they give the caller back control after a timeout so
-///    a worker can back off, record a health signal, and eventually declare
-///    a silent peer dead rather than blocking forever.
 ///
 /// Blocking ops spin briefly on lock-free occupancy hints before taking the
 /// mutex + condvar slow path, so a peer that responds quickly is observed
@@ -133,7 +126,7 @@ template <typename T>
 class Channel {
  public:
   /// \param capacity maximum buffered items; must be >= 1.
-  explicit Channel(std::size_t capacity = 64) : capacity_(capacity) {
+  explicit Channel(std::size_t capacity) : capacity_(capacity) {
     AVGPIPE_CHECK(capacity >= 1, "channel capacity must be positive");
   }
 
@@ -158,38 +151,6 @@ class Channel {
     return true;
   }
 
-  /// Timed send: blocks up to `timeout` seconds for space. On kTimeout and
-  /// kClosed the value is dropped (matching `send`'s closed behaviour).
-  ChannelStatus send_for(T value, Seconds timeout) {
-    const auto deadline = detail::deadline_after(timeout);
-    common::MutexLock lock(mutex_);
-    while (!closed_ && items_.size() >= capacity_) {
-      if (not_full_.wait_until(mutex_, lock, deadline) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (closed_) return ChannelStatus::kClosed;
-    if (items_.size() >= capacity_) return ChannelStatus::kTimeout;
-    items_.push_back(std::move(value));
-    size_hint_.store(items_.size(), std::memory_order_release);
-    lock.unlock();
-    not_empty_.notify_one();
-    return ChannelStatus::kOk;
-  }
-
-  /// Non-blocking send. Returns false if full or closed.
-  bool try_send(T value) {
-    {
-      common::MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(value));
-      size_hint_.store(items_.size(), std::memory_order_release);
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocking receive. Returns nullopt when the channel is closed and empty.
   std::optional<T> recv() {
     spin_not_empty_.spin([&] {
@@ -200,40 +161,6 @@ class Channel {
     while (!closed_ && items_.empty()) {
       not_empty_.wait(mutex_, lock);
     }
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    size_hint_.store(items_.size(), std::memory_order_release);
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Timed receive: blocks up to `timeout` seconds for an item. Pending
-  /// items are still delivered after close (kOk), mirroring `recv`.
-  ChannelStatus recv_for(T* out, Seconds timeout) {
-    const auto deadline = detail::deadline_after(timeout);
-    common::MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
-      if (not_empty_.wait_until(mutex_, lock, deadline) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (items_.empty()) {
-      return closed_ ? ChannelStatus::kClosed : ChannelStatus::kTimeout;
-    }
-    *out = std::move(items_.front());
-    items_.pop_front();
-    size_hint_.store(items_.size(), std::memory_order_release);
-    lock.unlock();
-    not_full_.notify_one();
-    return ChannelStatus::kOk;
-  }
-
-  /// Non-blocking receive.
-  std::optional<T> try_recv() {
-    common::MutexLock lock(mutex_);
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();
@@ -260,21 +187,9 @@ class Channel {
     not_empty_.notify_all();
   }
 
-  bool closed() const {
-    common::MutexLock lock(mutex_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    common::MutexLock lock(mutex_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
  private:
   const std::size_t capacity_;
-  mutable common::Mutex mutex_;
+  common::Mutex mutex_;
   common::CondVar not_full_;
   common::CondVar not_empty_;
   std::deque<T> items_ GUARDED_BY(mutex_);
@@ -304,7 +219,7 @@ class Channel {
 /// role with `common::RoleGuard prod(ch.producer_role())` (resp.
 /// `consumer_role()`) and the compiler rejects cross-role calls — the guard
 /// costs nothing at runtime, it only makes the structural claim checkable.
-/// `close()`/`closed()`/`size()` may be called from any thread. As with
+/// `close()`/`size()` may be called from any thread. As with
 /// `Channel`, items pending at close() remain receivable.
 /// One deliberate difference: a send *racing* with close() may be dropped
 /// even though it returned true — close is a shutdown/failure signal here,
@@ -348,29 +263,7 @@ class SpscChannel {
   /// Blocking send. Returns false (and drops `value`) if closed.
   bool send(T value) REQUIRES(producer_role_) {
     const std::size_t t = tail_.load(std::memory_order_relaxed);
-    if (wait_for_space(t, kForever) != ChannelStatus::kOk) return false;
-    slots_[t % capacity_] = std::move(value);
-    publish_tail(t);
-    return true;
-  }
-
-  /// Timed send: blocks up to `timeout` seconds for space. On kTimeout and
-  /// kClosed the value is dropped.
-  ChannelStatus send_for(T value, Seconds timeout) REQUIRES(producer_role_) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    const ChannelStatus st = wait_for_space(t, timeout);
-    if (st != ChannelStatus::kOk) return st;
-    slots_[t % capacity_] = std::move(value);
-    publish_tail(t);
-    return ChannelStatus::kOk;
-  }
-
-  /// Non-blocking send. Returns false if full or closed.
-  bool try_send(T value) REQUIRES(producer_role_) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    if (closed_.load(std::memory_order_acquire) || !have_space(t)) {
-      return false;
-    }
+    if (!wait_for_space(t)) return false;
     slots_[t % capacity_] = std::move(value);
     publish_tail(t);
     return true;
@@ -399,16 +292,6 @@ class SpscChannel {
     return ChannelStatus::kOk;
   }
 
-  /// Non-blocking receive.
-  std::optional<T> try_recv() REQUIRES(consumer_role_) {
-    if (drained_) return std::nullopt;
-    const std::size_t h = head_.load(std::memory_order_relaxed);
-    if (!item_ready(h)) return std::nullopt;
-    T value = std::move(slots_[h % capacity_]);
-    consume_head(h);
-    return value;
-  }
-
   /// Close the channel; wakes all parked waiters. Idempotent. See the class
   /// comment for the in-flight-send caveat.
   void close() {
@@ -416,8 +299,6 @@ class SpscChannel {
     closed_.store(true, std::memory_order_seq_cst);
     park_cv_.notify_all();
   }
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   /// Buffered item count. Exact when the channel is quiesced; during
   /// concurrent traffic it is a consistent snapshot of one end's progress.
@@ -467,25 +348,25 @@ class SpscChannel {
     }
   }
 
-  ChannelStatus wait_for_space(std::size_t t, Seconds timeout)
-      REQUIRES(producer_role_) {
-    if (closed_.load(std::memory_order_acquire)) return ChannelStatus::kClosed;
-    if (have_space(t)) return ChannelStatus::kOk;
+  /// Blocks until slot `t` is free (true) or the channel is closed (false).
+  bool wait_for_space(std::size_t t) REQUIRES(producer_role_) {
+    if (closed_.load(std::memory_order_acquire)) return false;
+    if (have_space(t)) return true;
     spin_waits_.fetch_add(1, std::memory_order_relaxed);
     spin_send_.spin([&] {
       return have_space(t) || closed_.load(std::memory_order_acquire);
     });
-    if (closed_.load(std::memory_order_acquire)) return ChannelStatus::kClosed;
-    if (have_space(t)) return ChannelStatus::kOk;
-    const ChannelStatus st = park(send_waiters_, timeout, [&] {
+    if (closed_.load(std::memory_order_acquire)) return false;
+    if (have_space(t)) return true;
+    park(send_waiters_, kForever, [&] {
       // seq_cst head load: pairs with consume_head's store for the Dekker
       // handshake (see class comment).
       return t - head_.load(std::memory_order_seq_cst) < capacity_;
     });
-    // Close wins over freed-up space: a send must fail once closed even if
-    // the consumer drained while we were parked (mirrors Channel::send).
-    if (closed_.load(std::memory_order_acquire)) return ChannelStatus::kClosed;
-    return st;
+    // An untimed park returns with space or closed. Close wins over freed-up
+    // space: a send must fail once closed even if the consumer drained while
+    // we were parked (mirrors Channel::send).
+    return !closed_.load(std::memory_order_acquire);
   }
 
   /// Consumer-side wait wrapper: makes the closed-and-drained outcome
@@ -537,7 +418,10 @@ class SpscChannel {
     if (timeout < 0) {
       while (!pred()) park_cv_.wait(park_mutex_, lock);
     } else {
-      const auto deadline = detail::deadline_after(timeout);
+      const auto deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(timeout));
       while (!pred()) {
         if (park_cv_.wait_until(park_mutex_, lock, deadline) ==
             std::cv_status::timeout) {

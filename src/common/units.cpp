@@ -25,12 +25,6 @@ std::string format_bytes(Bytes bytes) {
   return format_scaled(bytes, suffixes, 5, 1024.0);
 }
 
-std::string format_flops(Flops f) {
-  static const char* suffixes[] = {"FLOP", "KFLOP", "MFLOP", "GFLOP", "TFLOP",
-                                   "PFLOP"};
-  return format_scaled(f, suffixes, 6, 1000.0);
-}
-
 std::string format_seconds(Seconds s) {
   char buf[64];
   double a = std::fabs(s);

@@ -44,9 +44,6 @@ std::string format_bytes(Bytes bytes);
 /// "2.5 h", "13.2 min", "42.1 s", "3.1 ms", ...
 std::string format_seconds(Seconds s);
 
-/// "15.7 TFLOP", ...
-std::string format_flops(Flops f);
-
 /// "87.3%"
 std::string format_percent(double fraction);
 

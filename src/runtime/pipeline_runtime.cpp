@@ -33,15 +33,6 @@ Seconds elapsed_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::size_t env_channel_capacity() {
-  // Construction-time read, before any worker thread exists.
-  const auto v = common::env_int_opt("AVGPIPE_CHANNEL_CAPACITY");
-  if (!v.has_value()) return 0;
-  AVGPIPE_CHECK(*v >= 1,
-                "AVGPIPE_CHANNEL_CAPACITY must be >= 1, got " << *v);
-  return static_cast<std::size_t>(*v);
-}
-
 /// Whether to assert the "+1 slack" link-capacity contract on every send.
 /// On by default in debug builds; AVGPIPE_ASSERT_CHANNEL_SLACK=1/0 forces it
 /// either way (CI arms it in release tier-1 runs).
@@ -93,10 +84,7 @@ PipelineRuntime::PipelineRuntime(nn::Sequential model,
 
   faults_ = fault::env_plan();
   faults_active_ = faults_ != nullptr && !faults_->empty();
-  capacity_override_ = env_channel_capacity();
-  // Only meaningful against the schedule-derived capacity: an override can
-  // legitimately park sends (that is the point of the experiment knob).
-  assert_link_slack_ = capacity_override_ == 0 && env_assert_link_slack();
+  assert_link_slack_ = env_assert_link_slack();
 
   done_ = std::make_unique<Channel<int>>(k);
 
@@ -148,7 +136,6 @@ void PipelineRuntime::close_all() {
 }
 
 std::size_t PipelineRuntime::link_capacity(std::size_t micro_batches) const {
-  if (capacity_override_ > 0) return capacity_override_;
   // Schedule-derived bound (see schedule::max_send_run_ahead; the verify::
   // model checker proves the run-ahead is exact for every reachable
   // interleaving), plus one slot of slack so a send at the exact bound
@@ -264,15 +251,12 @@ void PipelineRuntime::record_queue_depth(Stage& stage, std::size_t depth) {
                  static_cast<double>(depth));
 }
 
-// Generic over MPMC Channel and SPSC stage links, so the SPSC role
-// requirement cannot be spelled here; the enclosing run_forward/run_backward
-// hold the RoleGuard instead (allowlisted analysis opt-out).
-template <typename Ch>
-auto PipelineRuntime::robust_recv(Stage& stage, Ch& ch, const char* what)
-    NO_THREAD_SAFETY_ANALYSIS -> decltype(ch.recv()) {
+template <typename T>
+std::optional<T> PipelineRuntime::robust_recv(Stage& stage, SpscChannel<T>& ch,
+                                              const char* what) {
   if (!faults_active_) return ch.recv();
   fault::Backoff backoff(kRecvInitialWait, kRecvMaxWait, kRecvDeadline);
-  typename decltype(ch.recv())::value_type out;
+  T out;
   while (backoff.can_retry()) {
     switch (ch.recv_for(&out, backoff.next_timeout())) {
       case ChannelStatus::kOk: return out;  // implicit move (local object)
@@ -292,11 +276,10 @@ auto PipelineRuntime::robust_recv(Stage& stage, Ch& ch, const char* what)
   throw Error(msg.str());
 }
 
-// Same generic-channel analysis opt-out as robust_recv (see the header).
-template <typename Ch, typename T>
-void PipelineRuntime::faulty_send(Stage& stage, Ch& ch, T msg,
+template <typename T>
+void PipelineRuntime::faulty_send(Stage& stage, SpscChannel<T>& ch, T msg,
                                   const schedule::Instr& instr, long step,
-                                  fault::LinkDir dir) NO_THREAD_SAFETY_ANALYSIS {
+                                  fault::LinkDir dir) {
   if (faults_active_) {
     const std::uint64_t key = fault::message_key(
         step, instr.micro_batch, static_cast<int>(stage.index), dir);
@@ -516,8 +499,9 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
     stash.output = loss_var;
   } else {
     // One producer per outbound activation link: this stage thread.
-    common::RoleGuard out_role(acts_[stage.index]->producer_role());
-    faulty_send(stage, *acts_[stage.index],
+    SpscChannel<ActMessage>& out_ch = *acts_[stage.index];
+    common::RoleGuard out_role(out_ch.producer_role());
+    faulty_send(stage, out_ch,
                 ActMessage{instr.micro_batch, out.value(),
                            std::move(msg->targets)},
                 instr, step, fault::LinkDir::kActivation);
@@ -565,8 +549,9 @@ void PipelineRuntime::run_backward(Stage& stage,
     // backward adopts it as a seed and copies on write only while another
     // handle still shares it. One producer per outbound gradient link: this
     // stage thread.
-    common::RoleGuard out_role(grads_[stage.index - 1]->producer_role());
-    faulty_send(stage, *grads_[stage.index - 1],
+    SpscChannel<GradMessage>& out_ch = *grads_[stage.index - 1];
+    common::RoleGuard out_role(out_ch.producer_role());
+    faulty_send(stage, out_ch,
                 GradMessage{instr.micro_batch,
                             std::move(stash.input.mutable_grad())},
                 instr, step, fault::LinkDir::kGradient);

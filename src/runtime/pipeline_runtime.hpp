@@ -178,9 +178,10 @@ class PipelineRuntime {
   void set_thread_slots(std::size_t first_slot, std::size_t total_slots);
 
   /// Bounded per-link capacity of the stage-to-stage channels for a batch of
-  /// `micro_batches` (schedule-derived: the producer's maximum forward
-  /// run-ahead over its consumer, plus one slot of slack). Overridable via
-  /// AVGPIPE_CHANNEL_CAPACITY for experiments. Exposed for tests.
+  /// `micro_batches`: the producer's maximum forward run-ahead over its
+  /// consumer (schedule-derived), plus one slot of slack. Not configurable;
+  /// verify::ModelConfig::link_capacity models other capacities offline.
+  /// Exposed for tests.
   std::size_t link_capacity(std::size_t micro_batches) const;
 
  private:
@@ -243,23 +244,21 @@ class PipelineRuntime {
   /// their start channels); grows capacities monotonically.
   void ensure_channels(std::size_t micro_batches);
 
-  /// recv with fault-plan resilience: timeout + exponential backoff, a
-  /// kRecvRetry counter per timeout, and an overall deadline after which the
-  /// peer is declared unresponsive (throws). Plain blocking recv when no
-  /// plan is active. Templated over the channel type (MPMC Channel or the
-  /// SPSC stage links), which share the recv/recv_for surface — the SPSC
-  /// consumer-role requirement cannot be spelled generically over both, so
-  /// the definition opts out of the analysis (allowlisted in
-  /// tools/lint_allowlist.json); callers assert the role with a RoleGuard.
-  template <typename Ch>
-  auto robust_recv(Stage& stage, Ch& ch, const char* what)
-      -> decltype(ch.recv());
-  /// send through the drop/delay shim; throws after too many consecutive
-  /// injected drops (link declared dead) or when the channel is closed.
-  /// Same analysis opt-out as robust_recv (producer-role side).
-  template <typename Ch, typename T>
-  void faulty_send(Stage& stage, Ch& ch, T msg, const schedule::Instr& instr,
-                   long step, fault::LinkDir dir);
+  /// recv on a stage link with fault-plan resilience: timeout + exponential
+  /// backoff, a kRecvRetry counter per timeout, and an overall deadline
+  /// after which the peer is declared unresponsive (throws). Plain blocking
+  /// recv when no plan is active. The caller holds the link's consumer role
+  /// (a RoleGuard on the same named link it passes in).
+  template <typename T>
+  std::optional<T> robust_recv(Stage& stage, SpscChannel<T>& ch,
+                               const char* what) REQUIRES(ch.consumer_role());
+  /// send on a stage link through the drop/delay shim; throws after too many
+  /// consecutive injected drops (link declared dead) or when the channel is
+  /// closed. The caller holds the link's producer role.
+  template <typename T>
+  void faulty_send(Stage& stage, SpscChannel<T>& ch, T msg,
+                   const schedule::Instr& instr, long step,
+                   fault::LinkDir dir) REQUIRES(ch.producer_role());
 
   nn::Sequential model_;
   LossFn loss_;
@@ -305,12 +304,10 @@ class PipelineRuntime {
   std::unique_ptr<Channel<int>> done_;  // stages report batch done
   std::vector<std::unique_ptr<Channel<std::size_t>>> stage_start_;
   std::size_t channel_micro_batches_ = 0;  ///< capacity ensure_channels saw
-  std::size_t capacity_override_ = 0;      ///< AVGPIPE_CHANNEL_CAPACITY
   /// Assert on every stage-link send that the "+1 slack" holds (a
   /// steady-state send must never find its channel full). Debug default,
-  /// AVGPIPE_ASSERT_CHANNEL_SLACK override; disarmed under a capacity
-  /// override and skipped while a fault plan is active (a crashed peer
-  /// legitimately leaves links full).
+  /// AVGPIPE_ASSERT_CHANNEL_SLACK override; skipped while a fault plan is
+  /// active (a crashed peer legitimately leaves links full).
   bool assert_link_slack_ = false;
   bool stopping_ = false;
 

@@ -5,14 +5,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/env.hpp"
-
 namespace avgpipe::tensor::arena {
 
 namespace {
 
 constexpr std::size_t kAlignment = 64;  // cache line; also max SIMD width
 constexpr std::size_t kGranularity = 8; // round capacities to 8 scalars
+// Per-thread cache cap; a release that would cross it frees eagerly.
+constexpr std::size_t kMaxCachedBytes = std::size_t{256} << 20;
 
 std::atomic<std::uint64_t> g_acquires{0};
 std::atomic<std::uint64_t> g_hits{0};
@@ -20,16 +20,6 @@ std::atomic<std::uint64_t> g_heap_allocs{0};
 std::atomic<std::uint64_t> g_releases{0};
 std::atomic<std::uint64_t> g_heap_frees{0};
 std::atomic<bool> g_enabled{true};
-
-std::size_t max_cached_bytes() {
-  static const std::size_t limit = [] {
-    // Once-guarded read; nothing calls setenv.
-    const long mb = common::env_int("AVGPIPE_ARENA_MAX_MB", 256);
-    return mb >= 0 ? static_cast<std::size_t>(mb) << 20
-                   : std::size_t{256} << 20;
-  }();
-  return limit;
-}
 
 Scalar* heap_acquire(std::size_t capacity) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -103,7 +93,7 @@ void release(Scalar* p, std::size_t n) noexcept {
   if (g_enabled.load(std::memory_order_relaxed)) {
     Cache* c = tl_cache;  // never (re)construct during teardown
     if (c != nullptr &&
-        c->cached_bytes + capacity * sizeof(Scalar) <= max_cached_bytes()) {
+        c->cached_bytes + capacity * sizeof(Scalar) <= kMaxCachedBytes) {
       c->free_lists[capacity].push_back(p);
       c->cached_bytes += capacity * sizeof(Scalar);
       return;

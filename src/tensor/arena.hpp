@@ -7,21 +7,28 @@
 /// (activations, gradients, packed GEMM panels). Routing those buffers
 /// through `operator new` per op dominates small-model step time and
 /// fragments the heap. The arena keeps released buffers in per-thread
-/// free lists keyed by rounded capacity; a steady-state training step is
-/// served entirely from the cache, so the heap-allocation counter flat-lines
-/// after warm-up (the `allocs/op ~ 0` criterion in BENCH_kernels.json).
+/// free lists keyed by rounded capacity. A step that acquires and releases
+/// on one thread is served entirely from the cache after warm-up (the
+/// `heap_allocs_per_step: 0` row of BENCH_kernels.json). A buffer released
+/// on another thread lands in that thread's cache, so its acquirer
+/// heap-allocates a replacement every step: in the pipeline runtime, the
+/// micro-batch input slices the driver cuts in `data::slice_micro_batches`
+/// (released by stage 0) and the boundary gradients a stage sends upstream
+/// (released by the stage before it). The heap-allocation counter therefore
+/// flat-lines at that small per-step constant, not at zero, and the
+/// releasing thread's cache grows until it reaches the cap.
 ///
 /// Design rules:
 ///  - Buffers are raw 64-byte-aligned `Scalar` arrays, *uninitialized* on
 ///    acquire. Callers that need zeros must fill explicitly (`Tensor(Shape)`
 ///    still zero-fills; `Tensor::uninitialized` does not).
 ///  - Free lists are `thread_local`; a buffer released on a different thread
-///    than it was acquired on simply migrates caches. No locks anywhere.
+///    than it was acquired on migrates caches (see above). No locks anywhere.
 ///  - After a thread's cache is destroyed (thread exit / static teardown),
 ///    acquire/release fall back to the plain heap, so tensors with static
 ///    storage duration stay safe.
-///  - The per-thread cache is capped (AVGPIPE_ARENA_MAX_MB, default 256);
-///    releases beyond the cap free eagerly.
+///  - The per-thread cache is capped at a fixed 256 MB; releases beyond the
+///    cap free eagerly.
 
 #include <cstddef>
 #include <cstdint>

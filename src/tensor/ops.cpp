@@ -115,8 +115,6 @@ Variable mul(const Variable& a, const Variable& b) {
   });
 }
 
-Variable neg(const Variable& a) { return scale(a, -1.0); }
-
 Variable scale(const Variable& a, Scalar s) {
   Tensor out = Tensor::uninitialized(a.shape());
   const auto av = a.value().data();

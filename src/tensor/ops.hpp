@@ -20,7 +20,6 @@ namespace avgpipe::tensor {
 Variable add(const Variable& a, const Variable& b);   ///< same shape
 Variable sub(const Variable& a, const Variable& b);   ///< same shape
 Variable mul(const Variable& a, const Variable& b);   ///< same shape (Hadamard)
-Variable neg(const Variable& a);
 Variable scale(const Variable& a, Scalar s);
 /// x + bias where bias has shape [C] and x's last dim is C.
 Variable add_bias(const Variable& x, const Variable& bias);

@@ -41,12 +41,6 @@ Tensor Tensor::randn(Shape shape, Rng& rng, Scalar stddev) {
   return t;
 }
 
-Tensor Tensor::rand_uniform(Shape shape, Rng& rng, Scalar lo, Scalar hi) {
-  Tensor t = uninitialized(std::move(shape));
-  for (auto& x : t.data()) x = rng.uniform(lo, hi);
-  return t;
-}
-
 Tensor Tensor::from(std::initializer_list<Scalar> values) {
   return Tensor({values.size()}, std::vector<Scalar>(values));
 }
@@ -165,10 +159,6 @@ std::string Tensor::to_string(std::size_t max_elems) const {
   if (numel() > max_elems) os << ", ...";
   os << '}';
   return os.str();
-}
-
-bool same_shape(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape();
 }
 
 }  // namespace avgpipe::tensor

@@ -101,8 +101,6 @@ class Tensor {
   static Tensor ones(Shape shape) { return full(std::move(shape), 1.0); }
   /// Gaussian init with given stddev.
   static Tensor randn(Shape shape, Rng& rng, Scalar stddev = 1.0);
-  /// Uniform init in [lo, hi).
-  static Tensor rand_uniform(Shape shape, Rng& rng, Scalar lo, Scalar hi);
   /// 1-D tensor from a list.
   static Tensor from(std::initializer_list<Scalar> values);
   /// 2-D tensor from nested lists.
@@ -176,8 +174,5 @@ class Tensor {
   std::shared_ptr<detail::Storage> storage_;
   Shape shape_;
 };
-
-/// Shapes equal?
-bool same_shape(const Tensor& a, const Tensor& b);
 
 }  // namespace avgpipe::tensor

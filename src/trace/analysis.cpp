@@ -214,23 +214,6 @@ std::size_t TraceAnalysis::counter_count(std::size_t stage,
   return n;
 }
 
-double TraceAnalysis::achieved_gflops(std::size_t stage) const {
-  const double flops = counter_sum(stage, CounterId::kFlops);
-  const Seconds busy = busy_time(stage);
-  if (flops <= 0 || busy <= 0) return 0;
-  return flops / busy / 1e9;
-}
-
-double TraceAnalysis::steps_per_sec(std::size_t stage) const {
-  const Seconds span = span_end_ - span_begin_;
-  if (span <= 0) return 0;
-  std::size_t updates = 0;
-  for (const auto& ev : events_) {
-    if (ev.stage == stage && ev.kind == EventKind::kUpdate) ++updates;
-  }
-  return static_cast<double>(updates) / span;
-}
-
 double TraceAnalysis::mean_sync_batch() const {
   double total = 0;
   std::size_t n = 0;

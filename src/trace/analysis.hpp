@@ -75,15 +75,6 @@ class TraceAnalysis {
   double counter_sum(std::size_t stage, CounterId id) const;
   std::size_t counter_count(std::size_t stage, CounterId id) const;
 
-  /// Achieved compute rate of a stage: issued FLOPs (kFlops samples, which
-  /// the runtime records per instruction) over the stage's busy time, in
-  /// GFLOP/s. 0 when the stage has no flop samples or no busy time.
-  double achieved_gflops(std::size_t stage) const;
-
-  /// Optimizer steps per second on a stage: kUpdate span count over the
-  /// trace makespan. 0 for an empty trace.
-  double steps_per_sec(std::size_t stage) const;
-
   /// Mean rounds folded per batched reference apply (kSyncBatch samples,
   /// stage-agnostic — the reference process is not a stage). 0 when the
   /// series has no samples; 1.0 means batching never coalesced.

@@ -64,7 +64,8 @@ struct ModelConfig {
   std::size_t num_batches = 1;
   std::size_t advance_num = 0;     ///< AFP advance; 0 derives K-1
   /// Stage-link capacity. 0 derives the runtime's bound (run-ahead + 1);
-  /// any other value models AVGPIPE_CHANNEL_CAPACITY.
+  /// any other value models a capacity the runtime never builds (it has no
+  /// capacity knob), to explore the schedule under tighter or looser links.
   std::size_t link_capacity = 0;
   ElasticMode elastic = ElasticMode::kNone;
   std::size_t sync_lag = 0;        ///< kElastic only; 0 = sync

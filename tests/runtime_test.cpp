@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
@@ -197,21 +196,6 @@ TEST(PipelineRuntimeChannelTest, LinkCapacityDerivesFromSchedule) {
                       schedule::Kind::kAdvanceForward, /*advance_num=*/3);
   EXPECT_EQ(afp.link_capacity(6), 5u);    // min(6, max(3, K-1)+1) + 1
   EXPECT_EQ(afp.link_capacity(2), 3u);    // min(2, 4) + 1
-}
-
-TEST(PipelineRuntimeChannelTest, EnvOverrideWinsOverDerivation) {
-  ASSERT_EQ(setenv("AVGPIPE_CHANNEL_CAPACITY", "9", 1), 0);
-  Sequential model = nn::make_mlp(4, 6, 3, 2, 1);
-  PipelineRuntime runtime(model, {2, 4}, sgd_factory(0.1),
-                          cross_entropy_loss(), schedule::Kind::kOneFOneB);
-  unsetenv("AVGPIPE_CHANNEL_CAPACITY");
-  EXPECT_EQ(runtime.link_capacity(2), 9u);
-  EXPECT_EQ(runtime.link_capacity(64), 9u);
-  // The override must not break execution semantics.
-  SyntheticFeatures ds(16, 4, 2, 3);
-  DataLoader loader(ds, 8, 1);
-  const BatchStats stats = runtime.train_batch(loader.batch(0, 0), 2);
-  EXPECT_TRUE(std::isfinite(stats.loss));
 }
 
 TEST(PipelineRuntimeChannelTest, SteadyStateSendsAreZeroCopy) {
