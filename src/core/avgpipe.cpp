@@ -26,12 +26,10 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
                                : default_alpha(config_.num_pipelines);
   health_.resize(config_.num_pipelines);
 
-  // Thread-placement plan: N*K stage threads issue kernels concurrently, so
-  // each gets a fair share of the global pool unless AVGPIPE_STAGE_THREADS
-  // overrides, and each has its own pin slot.
+  // N*K stage threads issue kernels concurrently, so each gets a fair share
+  // of the global pool unless AVGPIPE_STAGE_THREADS overrides.
   const std::size_t num_stages = config_.boundaries.size() + 1;
   stage_workers_ = stage_workers_from_env(config_.num_pipelines * num_stages);
-  pin_total_slots_ = config_.num_pipelines * num_stages;
   // sync_lag only applies in async mode; sync mode is lag 0.
   ring_size_ = (config_.async_sync ? config_.sync_lag : 0) + 1;
 
@@ -81,29 +79,27 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
 
 void AvgPipe::start_runtime(std::size_t i) {
   Replica& r = *replicas_[i];
-  auto rt = std::make_unique<runtime::PipelineRuntime>(
-      r.model, config_.boundaries, make_optimizer_,
-      runtime::cross_entropy_loss(), config_.kind, config_.advance_num);
-  rt->set_tracer(config_.tracer);
-  rt->set_pipeline_index(i);
-  rt->set_faults(faults_);
-  rt->set_stage_workers(stage_workers_);
-  rt->set_thread_slots(i * rt->num_stages(), pin_total_slots_);
-  if (config_.sync.kind == SyncPolicyKind::kXPipe &&
-      config_.sync.prediction_lookahead != 0.0) {
-    runtime::PredictionConfig pc;
-    pc.lookahead = config_.sync.prediction_lookahead;
-    pc.beta = config_.sync.prediction_beta;
-    rt->set_weight_prediction(pc);
-  }
-  using Hook = runtime::PipelineRuntime::StageHook;
-  const auto hook = [this, i](bool begin) -> Hook {
+  const auto hook = [this, i](bool begin) -> runtime::StageHook {
     return [this, i, begin](std::size_t stage, trace::TraceBuffer* trace) {
       stage_sync(i, stage, trace, begin);
     };
   };
-  rt->set_stage_hooks(policy_->needs_begin() ? hook(true) : Hook{},
-                      hook(false));
+  runtime::RuntimeConfig rc;
+  rc.kind = config_.kind;
+  rc.advance_num = config_.advance_num;
+  rc.micro_batches = config_.micro_batches;
+  rc.stage_workers = stage_workers_;
+  rc.tracer = config_.tracer;
+  rc.pipeline_index = i;
+  rc.faults = faults_;
+  if (config_.sync.kind == SyncPolicyKind::kXPipe) {
+    rc.prediction_lookahead = config_.sync.prediction_lookahead;
+  }
+  if (policy_->needs_begin()) rc.begin_hook = hook(true);
+  rc.end_hook = hook(false);
+  auto rt = std::make_unique<runtime::PipelineRuntime>(
+      r.model, config_.boundaries, make_optimizer_,
+      runtime::cross_entropy_loss(), std::move(rc));
   // Stage parameter lists are consecutive runs of the model's (partition).
   r.stages.assign(rt->num_stages(), StageSync{});
   std::size_t first = 0;
@@ -356,7 +352,7 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
       if (!health_[i].alive) continue;
       try {
-        replicas_[i]->runtime->submit(batches[i], config_.micro_batches);
+        replicas_[i]->runtime->submit(batches[i]);
         completed[i] = 1;  // until wait() says otherwise
       } catch (const std::exception& e) {
         errors[i] = e.what();

@@ -271,14 +271,10 @@ class AvgPipe : public runtime::TrainerBase {
   AvgPipeConfig config_;
   std::unique_ptr<SyncPolicy> policy_;
   SyncCompression compression_;  ///< resolved config/env compression mode
-  // Thread-placement plan shared by every replica runtime: replica i's K
-  // stage threads occupy pin slots [i*K, (i+1)*K) of N*K — pinned only
-  // under AVGPIPE_PIN_THREADS. stage_workers_ is each stage thread's share
-  // of the
-  // global kernel pool (AVGPIPE_STAGE_THREADS, defaulting to a fair split
-  // over all N*K concurrent stage threads).
+  // Each stage thread's share of the global kernel pool
+  // (AVGPIPE_STAGE_THREADS, defaulting to a fair split over all N*K
+  // concurrent stage threads), shared by every replica runtime.
   std::size_t stage_workers_ = 1;
-  std::size_t pin_total_slots_ = 0;
   const fault::FaultPlan* faults_ = nullptr;
   double alpha_ = 0.5;
   long iteration_ = 0;  ///< driver step index (train_iteration count)

@@ -135,17 +135,18 @@ PolicyParity run_parity(const MatrixSpec& spec, SyncPolicyKind policy) {
   // Serial pipelined SGD baseline: same factory seed as AvgPipe's replicas
   // (1234), same partitioning and micro-batching, no sync layer at all.
   nn::Sequential serial_model = matrix_model(spec)(1234);
-  runtime::PipelineRuntime serial(serial_model, spec.boundaries,
-                                  matrix_optimizer(spec),
-                                  runtime::cross_entropy_loss(), cfg.kind,
-                                  cfg.advance_num);
+  runtime::PipelineRuntime serial(
+      serial_model, spec.boundaries, matrix_optimizer(spec),
+      runtime::cross_entropy_loss(),
+      {.kind = cfg.kind,
+       .advance_num = cfg.advance_num,
+       .micro_batches = spec.micro_batches});
 
   const std::size_t per_epoch = loader.batches_per_epoch();
   for (std::size_t step = 0; step < spec.parity_steps; ++step) {
     const data::Batch b = loader.batch(step / per_epoch, step % per_epoch);
     const double avg_loss = system.train_iteration({b});
-    const double serial_loss =
-        serial.train_batch(b, spec.micro_batches).loss;
+    const double serial_loss = serial.train_batch(b).loss;
     parity.loss_delta =
         std::max(parity.loss_delta, std::abs(avg_loss - serial_loss));
   }

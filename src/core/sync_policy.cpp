@@ -32,9 +32,9 @@ SyncPolicyConfig degenerate_config(SyncPolicyKind kind) {
       // α = 0 at N = 1 (driver default) / exact mean assignment at n = 1.
       break;
     case SyncPolicyKind::kBmuf:
-      // W(t) = mean(x_i) exactly (filter_apply's assignment fast path).
+      // η = 0, ζ = 1: W(t) = mean(x_i) exactly (filter_apply's assignment
+      // fast path).
       cfg.block_momentum = 0.0;
-      cfg.block_lr = 1.0;
       break;
     case SyncPolicyKind::kXPipe:
       // Elastic degenerate plus prediction off: ŵ = w.
@@ -152,15 +152,13 @@ class BspPolicy : public SyncPolicy {
 };
 
 /// BMUF: BSP's restart protocol, but the reference filters the block delta
-/// through `optim::BlockMomentum` and (optionally) broadcasts the Nesterov
+/// through `optim::BlockMomentum` (ζ = 1 − η) and broadcasts the Nesterov
 /// restart point W + η·Δ.
 class BmufPolicy : public BspPolicy {
  public:
   explicit BmufPolicy(SyncPolicyConfig config)
       : BspPolicy(config),
-        momentum_(config.block_momentum,
-                  config.block_lr > 0.0 ? config.block_lr
-                                        : 1.0 - config.block_momentum) {}
+        momentum_(config.block_momentum, 1.0 - config.block_momentum) {}
 
   std::string name() const override { return "bmuf"; }
 
@@ -177,7 +175,7 @@ class BmufPolicy : public BspPolicy {
   void make_broadcast(const ReferenceModel& reference, ParamSet& out) const
       REQUIRES(reference_capability()) override {
     SyncPolicy::make_broadcast(reference, out);
-    if (config_.nesterov_restart) momentum_.add_restart_offset(out);
+    momentum_.add_restart_offset(out);
   }
 
   const optim::BlockMomentum& momentum() const
@@ -206,8 +204,8 @@ class BmufPolicy : public BspPolicy {
 };
 
 /// XPipe: elastic coupling across replicas; the runtime layer additionally
-/// runs each stage's compute on predicted weights (PredictionConfig wired by
-/// AvgPipe::make_runtime from this policy's config).
+/// runs each stage's compute on predicted weights (the lookahead wired by
+/// AvgPipe::start_runtime from this policy's config).
 class XPipePolicy : public ElasticPolicy {
  public:
   using ElasticPolicy::ElasticPolicy;

@@ -44,8 +44,8 @@
 ///              update Δ(t) = η·Δ(t−1) + ζ·(mean(x_i) − W(t−1)).
 /// * xpipe    — elastic coupling; additionally each pipeline stage runs its
 ///              forward/backward on predicted weights ŵ = w + lookahead·Δ̂
-///              (runtime::PredictionConfig), countering in-pipeline staleness
-///              rather than cross-replica staleness.
+///              (RuntimeConfig::prediction_lookahead), countering
+///              in-pipeline staleness rather than cross-replica staleness.
 ///
 /// Every policy has a *degenerate configuration* (`degenerate_config`) in
 /// which, at N = 1, its trajectory is bit-identical to serial SGD — the
@@ -83,21 +83,18 @@ std::string to_string(SyncPolicyKind kind);
 
 struct SyncPolicyConfig {
   SyncPolicyKind kind = SyncPolicyKind::kElastic;
-  // BMUF: block momentum η, block lr ζ (0 → the classic 1−η default, which
-  // puts the effective rate λ = ζ/(1−η) exactly at the stability bound), and
-  // whether the broadcast is the Nesterov restart point W + η·Δ.
+  // BMUF: block momentum η. The block lr is the classic ζ = 1−η, which puts
+  // the effective rate λ = ζ/(1−η) exactly at the stability bound, and the
+  // broadcast is the Nesterov restart point W + η·Δ.
   double block_momentum = 0.45;
-  double block_lr = 0.0;
-  bool nesterov_restart = true;
-  // XPipe: ŵ = w + lookahead·Δ̂ at batch start, Δ̂ an EMA (weight `beta` on
-  // the old value) of realised per-batch updates. lookahead = 0 disables.
+  // XPipe: ŵ = w + lookahead·Δ̂ at batch start, Δ̂ the last realised
+  // per-batch update. lookahead = 0 disables.
   double prediction_lookahead = 1.0;
-  double prediction_beta = 0.0;
 };
 
 /// The configuration in which `kind` must be bit-identical to serial SGD at
 /// N = 1: elastic/xpipe rely on α = 0 (the driver's 1/N default), BMUF on
-/// η = 0, ζ = 1 (exact-assignment fast path), XPipe additionally on
+/// η = 0, hence ζ = 1 (exact-assignment fast path), XPipe additionally on
 /// lookahead = 0, BSP on exact mean assignment at n = 1.
 SyncPolicyConfig degenerate_config(SyncPolicyKind kind);
 

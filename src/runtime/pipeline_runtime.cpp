@@ -3,8 +3,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "common/affinity.hpp"
-#include "common/env.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -32,18 +30,6 @@ Seconds elapsed_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-/// Whether to assert the "+1 slack" link-capacity contract on every send.
-/// On by default in debug builds; AVGPIPE_ASSERT_CHANNEL_SLACK=1/0 forces it
-/// either way (CI arms it in release tier-1 runs).
-bool env_assert_link_slack() {
-  // Construction-time read, before any worker thread exists.
-#ifdef NDEBUG
-  return common::env_flag("AVGPIPE_ASSERT_CHANNEL_SLACK", false);
-#else
-  return common::env_flag("AVGPIPE_ASSERT_CHANNEL_SLACK", true);
-#endif
-}
 }  // namespace
 
 LossFn cross_entropy_loss() {
@@ -61,53 +47,66 @@ LossFn cross_entropy_loss() {
 PipelineRuntime::PipelineRuntime(nn::Sequential model,
                                  std::vector<std::size_t> boundaries,
                                  const OptimizerFactory& make_optimizer,
-                                 LossFn loss, schedule::Kind kind,
-                                 std::size_t advance_num)
+                                 LossFn loss, RuntimeConfig config)
     : model_(std::move(model)),
       loss_(std::move(loss)),
-      kind_(kind),
-      advance_num_(advance_num) {
-  AVGPIPE_CHECK(kind_ == schedule::Kind::kAfab ||
-                    kind_ == schedule::Kind::kOneFOneB ||
-                    kind_ == schedule::Kind::kAdvanceForward,
+      config_(std::move(config)) {
+  // Validate here rather than in the worker threads: a bad configuration
+  // must surface as an exception to the caller, not terminate a worker.
+  AVGPIPE_CHECK(config_.kind == schedule::Kind::kAfab ||
+                    config_.kind == schedule::Kind::kOneFOneB ||
+                    config_.kind == schedule::Kind::kAdvanceForward,
                 "runtime supports the flushed schedules; got "
-                    << schedule::to_string(kind_));
+                    << schedule::to_string(config_.kind));
+  AVGPIPE_CHECK(config_.prediction_lookahead >= 0.0,
+                "prediction lookahead must be >= 0, got "
+                    << config_.prediction_lookahead);
   auto views = model_.partition(boundaries);
   const std::size_t k = views.size();
-  if (advance_num_ == 0) advance_num_ = k - 1;
-  // Validate here rather than in the worker threads: a bad advance count
-  // must surface as an exception to the caller, not terminate a worker.
-  AVGPIPE_CHECK(kind_ != schedule::Kind::kAdvanceForward ||
-                    advance_num_ + 1 >= k,
-                "advance_num " << advance_num_ << " below the 1F1B minimum "
-                               << k - 1);
+  if (config_.advance_num == 0) config_.advance_num = k - 1;
+  AVGPIPE_CHECK(config_.kind != schedule::Kind::kAdvanceForward ||
+                    config_.advance_num + 1 >= k,
+                "advance_num " << config_.advance_num
+                               << " below the 1F1B minimum " << k - 1);
+  // Intra-stage kernel parallelism: by default each stage thread claims an
+  // equal share of the pool budget (AVGPIPE_STAGE_THREADS overrides).
+  if (config_.stage_workers == 0) {
+    config_.stage_workers = stage_workers_from_env(k);
+  }
+  faults_active_ = config_.faults != nullptr && !config_.faults->empty();
 
-  faults_ = fault::env_plan();
-  faults_active_ = faults_ != nullptr && !faults_->empty();
-  assert_link_slack_ = env_assert_link_slack();
+  // M is fixed, so one schedule serves every batch (and rejects M = 0).
+  schedule::ScheduleParams params;
+  params.kind = config_.kind;
+  params.num_stages = k;
+  params.micro_batches = config_.micro_batches;
+  params.num_batches = 1;
+  params.advance_num = config_.advance_num;
+  auto sched = schedule::make_schedule(params);
 
   done_ = std::make_unique<Channel<int>>(k);
-
-  // Intra-stage kernel parallelism: each stage thread claims an equal share
-  // of the pool budget (AVGPIPE_STAGE_THREADS overrides). A standalone
-  // runtime owns pin slots [0, k); an elastic driver re-plans both via
-  // set_stage_workers / set_thread_slots before the first batch.
-  stage_workers_ = stage_workers_from_env(k);
-  pin_total_slots_ = k;
-
   for (std::size_t i = 0; i < k; ++i) {
     auto stage = std::make_unique<Stage>();
     stage->index = i;
     stage->module = std::move(views[i]);
     stage->optimizer = make_optimizer(stage->module.parameters());
-    stage_start_.push_back(
-        std::make_unique<Channel<std::size_t>>(kStartCapacity));
+    stage->program = std::move(sched.stages[i].instrs);
+    if (config_.tracer != nullptr) {
+      stage->trace_buf = config_.tracer->create_buffer();
+    }
+    stage_start_.push_back(std::make_unique<Channel<long>>(kStartCapacity));
     stages_.push_back(std::move(stage));
   }
-  // Payload links are built for a provisional one-micro-batch batch here so
-  // close_all() can always walk them; the first train_batch resizes them to
-  // the real schedule depth before any worker touches a link.
-  ensure_channels(1);
+  // Every link holds a whole batch's run-ahead without back-pressure. The
+  // driver enqueues the whole batch up front; sizing the feed channel to M
+  // keeps submit from parking mid-dispatch.
+  const std::size_t link_cap = link_capacity(config_.micro_batches);
+  input_ = std::make_unique<SpscChannel<ActMessage>>(
+      std::max(config_.micro_batches, link_cap));
+  for (std::size_t i = 0; i + 1 < k; ++i) {
+    acts_.push_back(std::make_unique<SpscChannel<ActMessage>>(link_cap));
+    grads_.push_back(std::make_unique<SpscChannel<GradMessage>>(link_cap));
+  }
   // Warm the intra-op pool before stage workers start issuing GEMMs, so the
   // first micro-batch doesn't pay worker-thread spawn inside its critical
   // path.
@@ -139,27 +138,10 @@ std::size_t PipelineRuntime::link_capacity(std::size_t micro_batches) const {
   // Schedule-derived bound (see schedule::max_send_run_ahead; the verify::
   // model checker proves the run-ahead is exact for every reachable
   // interleaving), plus one slot of slack so a send at the exact bound
-  // never parks — faulty_send() asserts that contract when
-  // assert_link_slack_ is armed.
-  return schedule::max_send_run_ahead(kind_, stages_.size(), micro_batches,
-                                      advance_num_) +
+  // never parks — faulty_send() asserts that contract.
+  return schedule::max_send_run_ahead(config_.kind, stages_.size(),
+                                      micro_batches, config_.advance_num) +
          1;
-}
-
-void PipelineRuntime::ensure_channels(std::size_t micro_batches) {
-  if (input_ != nullptr && micro_batches <= channel_micro_batches_) return;
-  channel_micro_batches_ = std::max(channel_micro_batches_, micro_batches);
-  const std::size_t link_cap = link_capacity(channel_micro_batches_);
-  // The driver enqueues the whole batch up front; sizing the feed channel to
-  // M keeps train_batch from parking mid-dispatch.
-  const std::size_t input_cap = std::max(channel_micro_batches_, link_cap);
-  input_ = std::make_unique<SpscChannel<ActMessage>>(input_cap);
-  acts_.clear();
-  grads_.clear();
-  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
-    acts_.push_back(std::make_unique<SpscChannel<ActMessage>>(link_cap));
-    grads_.push_back(std::make_unique<SpscChannel<GradMessage>>(link_cap));
-  }
 }
 
 void PipelineRuntime::fail(const std::string& what) {
@@ -176,46 +158,10 @@ std::string PipelineRuntime::failure_message() const {
   return failure_;
 }
 
-void PipelineRuntime::set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
-void PipelineRuntime::set_pipeline_index(std::size_t index) {
-  pipeline_index_ = static_cast<std::uint32_t>(index);
-}
-
-void PipelineRuntime::set_stage_hooks(StageHook begin, StageHook end) {
-  begin_hook_ = std::move(begin);
-  end_hook_ = std::move(end);
-}
-
 std::vector<tensor::Variable> PipelineRuntime::stage_parameters(
     std::size_t k) const {
   AVGPIPE_CHECK(k < stages_.size(), "stage out of range");
   return stages_[k]->module.parameters();
-}
-
-void PipelineRuntime::set_faults(const fault::FaultPlan* plan) {
-  faults_ = plan;
-  faults_active_ = faults_ != nullptr && !faults_->empty();
-}
-
-void PipelineRuntime::set_stage_workers(std::size_t workers) {
-  // 0 keeps the construction-time default (env knob / equal share).
-  if (workers != 0) stage_workers_ = workers;
-}
-
-void PipelineRuntime::set_thread_slots(std::size_t first_slot,
-                                       std::size_t total_slots) {
-  pin_first_slot_ = first_slot;
-  pin_total_slots_ = total_slots;
-}
-
-void PipelineRuntime::set_weight_prediction(const PredictionConfig& config) {
-  AVGPIPE_CHECK(config.lookahead >= 0.0,
-                "prediction lookahead must be >= 0, got " << config.lookahead);
-  AVGPIPE_CHECK(config.beta >= 0.0 && config.beta < 1.0,
-                "prediction beta must be in [0,1), got " << config.beta);
-  prediction_ = config;
-  prediction_active_ = config.lookahead != 0.0;
 }
 
 void PipelineRuntime::record_span(Stage& stage, trace::EventKind kind,
@@ -224,12 +170,12 @@ void PipelineRuntime::record_span(Stage& stage, trace::EventKind kind,
   if (stage.trace_buf == nullptr) return;
   trace::TraceEvent ev;
   ev.kind = kind;
-  ev.pipeline = pipeline_index_;
+  ev.pipeline = static_cast<std::uint32_t>(config_.pipeline_index);
   ev.stage = static_cast<std::uint32_t>(stage.index);
   ev.batch = instr.batch;
   ev.micro_batch = instr.micro_batch;
   ev.t_begin = t_begin;
-  ev.t_end = tracer_->wall_now();
+  ev.t_end = config_.tracer->wall_now();
   stage.trace_buf->record(ev);
 }
 
@@ -239,9 +185,9 @@ void PipelineRuntime::record_counter(Stage& stage, trace::CounterId id,
   trace::TraceEvent ev;
   ev.kind = trace::EventKind::kCounter;
   ev.counter = id;
-  ev.pipeline = pipeline_index_;
+  ev.pipeline = static_cast<std::uint32_t>(config_.pipeline_index);
   ev.stage = static_cast<std::uint32_t>(stage.index);
-  ev.t_begin = ev.t_end = tracer_->wall_now();
+  ev.t_begin = ev.t_end = config_.tracer->wall_now();
   ev.value = value;
   stage.trace_buf->record(ev);
 }
@@ -283,12 +229,12 @@ void PipelineRuntime::faulty_send(Stage& stage, SpscChannel<T>& ch, T msg,
   if (faults_active_) {
     const std::uint64_t key = fault::message_key(
         step, instr.micro_batch, static_cast<int>(stage.index), dir);
-    const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
+    const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
     int attempt = 0;
     Seconds retry = 0;
-    while (faults_->should_drop(static_cast<int>(pipeline_index_),
-                                static_cast<int>(stage.index), step, key,
-                                attempt, &retry)) {
+    while (config_.faults->should_drop(
+        static_cast<int>(config_.pipeline_index),
+        static_cast<int>(stage.index), step, key, attempt, &retry)) {
       ++attempt;
       AVGPIPE_CHECK(attempt < kMaxSendAttempts,
                     "stage " << stage.index << ": message (step " << step
@@ -304,13 +250,16 @@ void PipelineRuntime::faulty_send(Stage& stage, SpscChannel<T>& ch, T msg,
     const int link = dir == fault::LinkDir::kActivation
                          ? static_cast<int>(stage.index)
                          : static_cast<int>(stage.index) - 1;
-    fault::sleep_for(faults_->send_delay(link, step));
+    fault::sleep_for(config_.faults->send_delay(link, step));
   }
-  if (assert_link_slack_ && !faults_active_) {
-    // The producer-side size() read is conservative: head is monotone, so an
-    // observed-full channel really did hold capacity() messages at the
-    // moment our previous send completed — a genuine violation of the
-    // run-ahead + 1 provisioning, never a transient artifact.
+  if (!faults_active_) {
+    // The "+1 slack" contract: a steady-state send never finds its link
+    // full. Skipped under an active fault plan, where a crashed peer
+    // legitimately leaves links full. The producer-side size() read is
+    // conservative: head is monotone, so an observed-full channel really did
+    // hold capacity() messages at the moment our previous send completed — a
+    // genuine violation of the run-ahead + 1 provisioning, never a transient
+    // artifact.
     AVGPIPE_CHECK(ch.size() < ch.capacity(),
                   "stage " << stage.index << ": steady-state send parked ("
                            << ch.size() << "/" << ch.capacity()
@@ -326,34 +275,12 @@ void PipelineRuntime::faulty_send(Stage& stage, SpscChannel<T>& ch, T msg,
 
 AVGPIPE_HOT_PATH
 void PipelineRuntime::worker_loop(Stage& stage) {
-  while (auto m = stage_start_[stage.index]->recv()) {
-    if (tracer_ != nullptr && stage.trace_buf == nullptr) {
-      stage.trace_buf = tracer_->create_buffer();
-    }
-    if (!stage.pinned) {
-      // Pin once, on first batch rather than at spawn: the elastic driver
-      // installs its slot plan (set_thread_slots) between construction and
-      // the first train_batch. No-op unless AVGPIPE_PIN_THREADS is set and
-      // the machine has a core per slot.
-      pin_current_thread(pin_policy_from_env(), pin_first_slot_ + stage.index,
-                         pin_total_slots_);
-      stage.pinned = true;
-    }
-    // Every parallel_for issued from this thread for the rest of the batch
-    // (GEMM row-panel fan-out) is capped at this stage's worker share, so K
-    // concurrently-running stages cannot oversubscribe the pool.
-    PartitionGuard partition(stage_workers_);
-    schedule::ScheduleParams params;
-    params.kind = kind_;
-    params.num_stages = stages_.size();
-    params.micro_batches = *m;
-    params.num_batches = 1;
-    params.advance_num = advance_num_;
-    stage.program =
-        schedule::make_schedule(params).stages[stage.index].instrs;
+  // Every parallel_for issued from this thread (GEMM row-panel fan-out) is
+  // capped at this stage's worker share, so K concurrently-running stages
+  // cannot oversubscribe the pool.
+  PartitionGuard partition(config_.stage_workers);
+  while (const auto step = stage_start_[stage.index]->recv()) {
     stage.loss_sum = 0;
-    stage.micro_batches = *m;
-    const long step = step_.load(std::memory_order_acquire);
 
     // Any exception inside an instruction — a CHECK failure, an injected
     // fault, a model bug — would previously escape the thread and
@@ -362,20 +289,20 @@ void PipelineRuntime::worker_loop(Stage& stage) {
     // channels instead.
     const schedule::Instr* current = nullptr;
     try {
-      if (begin_hook_) begin_hook_(stage.index, stage.trace_buf);
-      begin_prediction(stage, step);
+      if (config_.begin_hook) config_.begin_hook(stage.index, stage.trace_buf);
+      begin_prediction(stage, *step);
       for (const auto& instr : stage.program) {
         current = &instr;
-        run_instr(stage, instr, step);
+        run_instr(stage, instr, *step);
       }
-      if (end_hook_) {
+      if (config_.end_hook) {
         // Flushed schedules end every stage's program with its update, so
         // the hook sees this batch's committed weights.
         AVGPIPE_CHECK(
             stage.program.back().kind == schedule::OpKind::kUpdate,
             "stage program does not end with its update");
         current = nullptr;
-        end_hook_(stage.index, stage.trace_buf);
+        config_.end_hook(stage.index, stage.trace_buf);
       }
     } catch (const std::exception& e) {
       std::ostringstream msg;
@@ -390,8 +317,7 @@ void PipelineRuntime::worker_loop(Stage& stage) {
     }
     if (stage.trace_buf != nullptr) {
       // Spin-vs-park telemetry for this stage's inbound links (the side this
-      // thread blocks on). Per-batch deltas; the clamp survives the counters
-      // resetting when ensure_channels rebuilds the links between batches.
+      // thread blocks on), as per-batch deltas.
       std::uint64_t parks = 0, spins = 0;
       const SpscChannel<ActMessage>& act_in =
           stage.index == 0 ? *input_ : *acts_[stage.index - 1];
@@ -401,16 +327,12 @@ void PipelineRuntime::worker_loop(Stage& stage) {
         parks += grads_[stage.index]->parks();
         spins += grads_[stage.index]->spin_waits();
       }
-      const std::uint64_t dp =
-          parks >= stage.last_parks ? parks - stage.last_parks : parks;
-      const std::uint64_t ds =
-          spins >= stage.last_spins ? spins - stage.last_spins : spins;
+      record_counter(stage, trace::CounterId::kParkCount,
+                     static_cast<double>(parks - stage.last_parks));
+      record_counter(stage, trace::CounterId::kSpinCount,
+                     static_cast<double>(spins - stage.last_spins));
       stage.last_parks = parks;
       stage.last_spins = spins;
-      record_counter(stage, trace::CounterId::kParkCount,
-                     static_cast<double>(dp));
-      record_counter(stage, trace::CounterId::kSpinCount,
-                     static_cast<double>(ds));
     }
     done_->send(static_cast<int>(stage.index));
   }
@@ -419,10 +341,10 @@ void PipelineRuntime::worker_loop(Stage& stage) {
 AVGPIPE_HOT_PATH
 void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
                                 long step) {
+  const int pipeline = static_cast<int>(config_.pipeline_index);
   if (faults_active_ &&
-      faults_->should_kill(static_cast<int>(pipeline_index_),
-                           static_cast<int>(stage.index), step,
-                           instr.micro_batch)) {
+      config_.faults->should_kill(pipeline, static_cast<int>(stage.index),
+                                  step, instr.micro_batch)) {
     // Arbitrary-point crash: die before the instruction runs, leaving any
     // partial activations/gradients of this batch behind. The worker loop
     // flattens this into a failed-batch report; the elastic driver detaches
@@ -434,8 +356,8 @@ void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
   }
   const double slow =
       faults_active_
-          ? faults_->straggler_factor(static_cast<int>(pipeline_index_),
-                                      static_cast<int>(stage.index), step)
+          ? config_.faults->straggler_factor(
+                pipeline, static_cast<int>(stage.index), step)
           : 1.0;
   const auto w0 = std::chrono::steady_clock::now();
   // gemm() accrues its 2mnk count on the issuing thread even when the
@@ -463,7 +385,7 @@ void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
   if (slow > 1.0) {
     // A straggler runs `slow`x slower: stretch the op by sleeping the
     // missing (slow - 1) share of its measured duration.
-    const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
+    const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
     fault::sleep_for((slow - 1.0) * elapsed_since(w0));
     record_span(stage, trace::EventKind::kFaultStraggler, instr, t0);
   }
@@ -478,7 +400,7 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
   // This stage thread is the one consumer of its inbound activation link
   // (the upstream worker — or the driver, for input_ — is the one producer).
   common::RoleGuard in_role(in_ch.consumer_role());
-  const Seconds t_wait = stage.trace_buf ? tracer_->wall_now() : 0;
+  const Seconds t_wait = stage.trace_buf ? config_.tracer->wall_now() : 0;
   auto msg = robust_recv(stage, in_ch, "activation");
   record_span(stage, trace::EventKind::kWaitBubble, instr, t_wait);
   record_queue_depth(stage, in_ch.size());
@@ -488,7 +410,7 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
                          << instr.micro_batch << ", got " << msg->micro_batch);
 
   // The boundary input needs a gradient on every stage but the first.
-  const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
+  const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
   tensor::Variable in(std::move(msg->payload), /*requires_grad=*/!first);
   tensor::Variable out = stage.module.forward(in);
   Stash stash;
@@ -524,7 +446,7 @@ void PipelineRuntime::run_backward(Stage& stage,
   Stash stash = std::move(it->second);
   stage.stash.erase(it);
 
-  Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
+  Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
   if (last) {
     stash.output.backward();  // loss scalar, seed = 1
   } else {
@@ -540,7 +462,7 @@ void PipelineRuntime::run_backward(Stage& stage,
                   "stage " << stage.index << " expected gradient "
                            << instr.micro_batch << ", got "
                            << grad->micro_batch);
-    if (stage.trace_buf) t0 = tracer_->wall_now();
+    if (stage.trace_buf) t0 = config_.tracer->wall_now();
     stash.output.backward(grad->payload);
   }
   if (!first) {
@@ -560,7 +482,7 @@ void PipelineRuntime::run_backward(Stage& stage,
 }
 
 void PipelineRuntime::begin_prediction(Stage& stage, long step) {
-  if (!prediction_active_) return;
+  if (config_.prediction_lookahead == 0.0) return;
   const auto& params = stage.optimizer->params();
   if (stage.pred_true.empty()) {
     stage.pred_true.reserve(params.size());
@@ -582,28 +504,28 @@ void PipelineRuntime::begin_prediction(Stage& stage, long step) {
   // Nothing to extrapolate from until the first realised update: the batch
   // then runs on the true weights (and seeds Δ̂ in run_update).
   if (!stage.pred_have_delta) return;
-  const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
+  const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
   for (std::size_t i = 0; i < params.size(); ++i) {
     const_cast<tensor::Variable&>(params[i]).value().axpy_(
-        prediction_.lookahead, stage.pred_delta[i]);
+        config_.prediction_lookahead, stage.pred_delta[i]);
   }
   if (stage.trace_buf != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::EventKind::kWeightPrediction;
-    ev.pipeline = pipeline_index_;
+    ev.pipeline = static_cast<std::uint32_t>(config_.pipeline_index);
     ev.stage = static_cast<std::uint32_t>(stage.index);
     ev.batch = static_cast<std::int32_t>(step);
     ev.t_begin = t0;
-    ev.t_end = tracer_->wall_now();
+    ev.t_end = config_.tracer->wall_now();
     stage.trace_buf->record(ev);
   }
 }
 
 void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr) {
   // Accumulated micro-batch gradients -> batch-mean gradient.
-  const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
+  const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
   const auto& params = stage.optimizer->params();
-  const bool predicted = prediction_active_ && stage.pred_predicted;
+  const bool predicted = stage.pred_predicted;
   if (predicted) {
     // The batch's gradients were computed at the predicted weights ŵ; the
     // update itself lands on the true weights stashed at batch start (XPipe
@@ -613,22 +535,19 @@ void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr) {
           stage.pred_true[i]);
     }
   }
-  const double inv_m = 1.0 / static_cast<double>(stage.micro_batches);
+  const double inv_m = 1.0 / static_cast<double>(config_.micro_batches);
   for (auto& p : params) {
     const_cast<tensor::Variable&>(p).mutable_grad().scale_(inv_m);
   }
   stage.optimizer->step();
   stage.optimizer->zero_grad();
   if (predicted) {
-    // Fold the realised update w_new − w_old into Δ̂ for the next prediction.
-    const double beta = stage.pred_have_delta ? prediction_.beta : 0.0;
+    // The realised update w_new − w_old becomes Δ̂ for the next prediction.
     for (std::size_t i = 0; i < params.size(); ++i) {
       auto dv = stage.pred_delta[i].data();
       const auto wv = params[i].value().data();
       const auto ov = stage.pred_true[i].data();
-      for (std::size_t j = 0; j < dv.size(); ++j) {
-        dv[j] = beta * dv[j] + (1.0 - beta) * (wv[j] - ov[j]);
-      }
+      for (std::size_t j = 0; j < dv.size(); ++j) dv[j] = wv[j] - ov[j];
     }
     stage.pred_have_delta = true;
     stage.pred_predicted = false;
@@ -636,32 +555,25 @@ void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr) {
   record_span(stage, trace::EventKind::kUpdate, instr, t0);
 }
 
-BatchStats PipelineRuntime::train_batch(const data::Batch& batch,
-                                        std::size_t micro_batches) {
-  submit(batch, micro_batches);
+BatchStats PipelineRuntime::train_batch(const data::Batch& batch) {
+  submit(batch);
   return wait();
 }
 
-void PipelineRuntime::submit(const data::Batch& batch,
-                             std::size_t micro_batches) {
+void PipelineRuntime::submit(const data::Batch& batch) {
   AVGPIPE_CHECK(!stopping_, "runtime already stopped");
-  AVGPIPE_CHECK(in_flight_micro_batches_ == 0,
-                "submit with a batch already in flight");
+  AVGPIPE_CHECK(!in_flight_, "submit with a batch already in flight");
   if (failed()) {
     AVGPIPE_THROW("pipeline permanently failed: " << failure_message());
   }
-  auto micro = data::slice_micro_batches(batch, micro_batches);
-  step_.fetch_add(1, std::memory_order_release);
-  // Safe here: no batch is in flight, so every payload channel is empty and
-  // every worker is parked on its start channel.
-  ensure_channels(micro_batches);
-
+  auto micro = data::slice_micro_batches(batch, config_.micro_batches);
+  const long step = next_step_++;
   for (auto& ch : stage_start_) {
-    if (!ch->send(micro_batches)) {
+    if (!ch->send(step)) {
       AVGPIPE_THROW("pipeline failed: " << failure_message());
     }
   }
-  in_flight_micro_batches_ = micro_batches;
+  in_flight_ = true;
   // The driver thread is the one producer of the stage-0 feed link (no
   // batch is in flight, so no other thread touches input_'s send side).
   common::RoleGuard feed_role(input_->producer_role());
@@ -675,9 +587,8 @@ void PipelineRuntime::submit(const data::Batch& batch,
 }
 
 BatchStats PipelineRuntime::wait() {
-  const std::size_t micro_batches = in_flight_micro_batches_;
-  AVGPIPE_CHECK(micro_batches > 0, "wait without a submitted batch");
-  in_flight_micro_batches_ = 0;
+  AVGPIPE_CHECK(in_flight_, "wait without a submitted batch");
+  in_flight_ = false;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     auto d = done_->recv();
     if (!d.has_value()) {
@@ -688,9 +599,9 @@ BatchStats PipelineRuntime::wait() {
   }
 
   BatchStats stats;
-  stats.micro_batches = micro_batches;
+  stats.micro_batches = config_.micro_batches;
   stats.loss = stages_.back()->loss_sum /
-               static_cast<double>(micro_batches);
+               static_cast<double>(config_.micro_batches);
   return stats;
 }
 
@@ -715,7 +626,7 @@ void PipelineRuntime::import_stage_state(const std::vector<StageState>& state) {
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     Stage& stage = *stages_[i];
     stage.optimizer->import_state(state[i].optimizer);
-    // The EMA buffers are lazily sized by begin_prediction; a restore before
+    // The Δ̂ buffers are lazily sized by begin_prediction; a restore before
     // the first predicted batch recreates them from the snapshot instead.
     stage.pred_delta.clear();
     stage.pred_delta.reserve(state[i].pred_delta.size());

@@ -11,6 +11,11 @@
 /// models and must produce identical numerics (a property the tests check:
 /// the schedule only changes *when* work happens, never *what* is computed).
 ///
+/// A runtime is configured once (`RuntimeConfig`): the schedule, the
+/// micro-batch count M, the stage links, every stage's instruction stream
+/// and the trace buffers are fixed at construction, before the stage threads
+/// start, so a batch only carries its step index to the workers.
+///
 /// Gradients are accumulated over the micro-batches of a batch and applied
 /// once per batch by per-stage optimizers, which reproduces exactly the
 /// update of non-pipelined training on the full batch.
@@ -44,25 +49,59 @@ struct BatchStats {
   std::size_t micro_batches = 0;
 };
 
-/// XPipe-style weight prediction (Guan et al. 2019), per stage and batch-
-/// granular: at batch start each stage runs its forward/backward on predicted
-/// weights ŵ = w + lookahead·Δ̂, where Δ̂ is an EMA (weight `beta` on the old
-/// value) of the realised per-batch optimizer updates; the update itself is
-/// applied to the true weights `w`. lookahead = 0 disables the hook entirely
-/// (bit-identical to no prediction).
-struct PredictionConfig {
-  double lookahead = 0.0;
-  double beta = 0.0;
-};
-
 /// Durable per-stage state for the checkpoint layer (`src/ckpt`): the stage
-/// optimizer's snapshot plus the XPipe weight-prediction EMA. `pred_true` is
+/// optimizer's snapshot plus the XPipe weight-prediction Δ̂. `pred_true` is
 /// deliberately absent — it only holds meaning mid-batch, and stage state may
 /// only be captured/restored between batches.
 struct StageState {
   optim::OptimizerState optimizer;
   std::vector<tensor::Tensor> pred_delta;
   bool pred_have_delta = false;
+};
+
+/// A stage hook gets its stage index and that stage's trace buffer (null
+/// when untraced).
+using StageHook =
+    std::function<void(std::size_t stage, trace::TraceBuffer* trace)>;
+
+/// Everything a runtime is configured with, fixed for its lifetime.
+struct RuntimeConfig {
+  /// One of kAfab / kOneFOneB / kAdvanceForward.
+  schedule::Kind kind = schedule::Kind::kOneFOneB;
+  /// AFP advance count (0 = derive K-1).
+  std::size_t advance_num = 0;
+  /// M: every batch is sliced into this many micro-batches.
+  std::size_t micro_batches = 4;
+  /// Per-stage-thread share of the global kernel pool (PartitionGuard): each
+  /// stage worker fans its tensor kernels out over at most this many threads
+  /// (itself included), so K stages never oversubscribe the pool. 0 derives
+  /// stage_workers_from_env(K) (AVGPIPE_STAGE_THREADS, else a fair split).
+  std::size_t stage_workers = 0;
+  /// Stage workers record wall-clock compute spans, recv-wait spans and
+  /// channel-occupancy counters into it. Must outlive the runtime.
+  trace::Tracer* tracer = nullptr;
+  /// The replica number under core::AvgPipe, which fault-plan records match
+  /// and trace events carry.
+  std::size_t pipeline_index = 0;
+  /// Worker loops consult its step-windowed records — straggler sleeps after
+  /// ops, deterministic send drops with retry penalties, extra send latency —
+  /// and recvs switch to timeout + exponential backoff so a silent peer is
+  /// eventually declared dead. A null or empty plan leaves every hot path
+  /// branch-free. Defaults to the AVGPIPE_FAULT_PLAN plan, so a runtime
+  /// built without a plan still sees an injected one. Must outlive the
+  /// runtime.
+  const fault::FaultPlan* faults = fault::env_plan();
+  /// XPipe-style weight prediction (Guan et al. 2019), per stage and batch-
+  /// granular: at batch start each stage runs its forward/backward on
+  /// predicted weights ŵ = w + lookahead·Δ̂, Δ̂ being the stage's last
+  /// realised per-batch optimizer update; the update itself is applied to
+  /// the true weights w. 0 disables the hook (bit-identical to no prediction).
+  double prediction_lookahead = 0.0;
+  /// Run on each stage thread before the stage's first instruction of every
+  /// batch, and after its last one (the optimizer update). Both run inside
+  /// the batch's failure scope: a throw fails the batch. Either may be empty.
+  StageHook begin_hook = {};
+  StageHook end_hook = {};
 };
 
 /// Pipeline over a partitioned Sequential model.
@@ -72,41 +111,30 @@ class PipelineRuntime {
   /// \param boundaries first layer index of stages 1..K-1 (see
   ///        Sequential::partition).
   /// \param make_optimizer constructs each stage's local optimizer.
-  /// \param kind one of kAfab / kOneFOneB / kAdvanceForward.
-  /// \param advance_num AFP advance count (0 = derive K-1).
+  /// Throws avgpipe::Error on a flush-free schedule kind, an advance count
+  /// below the 1F1B minimum, M = 0 or a negative lookahead.
   PipelineRuntime(nn::Sequential model, std::vector<std::size_t> boundaries,
                   const OptimizerFactory& make_optimizer, LossFn loss,
-                  schedule::Kind kind = schedule::Kind::kOneFOneB,
-                  std::size_t advance_num = 0);
+                  RuntimeConfig config = {});
   ~PipelineRuntime();
 
   PipelineRuntime(const PipelineRuntime&) = delete;
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
 
-  /// Train on one batch sliced into `micro_batches`: submit, then wait.
+  /// Train on one batch sliced into M micro-batches: submit, then wait.
   ///
   /// Throws avgpipe::Error if any stage worker fails (uncaught exception,
   /// injected fault, unresponsive peer, or a throwing stage hook); the
   /// message carries the failing stage index and instruction. A failed
   /// runtime is permanently dead: every later batch rethrows the stored
   /// failure.
-  BatchStats train_batch(const data::Batch& batch, std::size_t micro_batches);
+  BatchStats train_batch(const data::Batch& batch);
   /// Dispatch one batch to the stage threads without blocking, so one
   /// driver thread can run several pipelines at once. One batch at a time.
-  void submit(const data::Batch& batch, std::size_t micro_batches);
+  void submit(const data::Batch& batch);
   /// Block until the submitted batch finished on every stage (its optimizer
   /// step and end hook included).
   BatchStats wait();
-
-  /// A stage hook gets its stage index and that stage's trace buffer (null
-  /// when untraced).
-  using StageHook =
-      std::function<void(std::size_t stage, trace::TraceBuffer* trace)>;
-  /// Run `begin` on each stage thread before the stage's first instruction
-  /// of every batch and `end` after its last one, the optimizer update.
-  /// Both run inside the batch's failure scope: a throw fails the batch.
-  /// Either may be empty. Must be called before the first batch.
-  void set_stage_hooks(StageHook begin, StageHook end);
 
   /// Stage k's parameters (handles sharing the model's), in model order.
   std::vector<tensor::Variable> stage_parameters(std::size_t k) const;
@@ -117,7 +145,7 @@ class PipelineRuntime {
   std::string failure_message() const;
 
   /// Snapshot the durable per-stage state (optimizer slots + prediction
-  /// EMA), ordered by stage index. Only legal between train_batch calls,
+  /// Δ̂), ordered by stage index. Only legal between train_batch calls,
   /// when every worker is parked on its start channel and the driver owns
   /// the stage structs.
   std::vector<StageState> export_stage_state() const;
@@ -136,52 +164,14 @@ class PipelineRuntime {
   /// assertions mirroring the paper's stash bounds).
   std::size_t peak_stash(std::size_t stage) const;
 
-  /// Attach a tracer: stage workers then record wall-clock compute spans,
-  /// recv-wait spans and channel-occupancy counters, tagged with the
-  /// pipeline index. Must be called before the first train_batch; the
-  /// tracer must outlive this runtime.
-  void set_tracer(trace::Tracer* tracer);
-  /// The replica number under core::AvgPipe (default 0), which fault-plan
-  /// records match and trace events carry. Set before the first batch.
-  void set_pipeline_index(std::size_t index);
-
-  /// Attach a fault plan (nullptr to clear): worker loops then consult its
-  /// step-windowed records — straggler sleeps after ops, deterministic send
-  /// drops with retry penalties, extra send latency — and recvs switch to
-  /// timeout + exponential backoff so a silent peer is eventually declared
-  /// dead. Must be called before the first train_batch; the plan must
-  /// outlive this runtime. Defaults to fault::env_plan(). A null or empty
-  /// plan leaves every hot path branch-free.
-  void set_faults(const fault::FaultPlan* plan);
-  const fault::FaultPlan* faults() const { return faults_; }
-
-  /// Enable XPipe-style weight prediction (see PredictionConfig). Must be
-  /// called before the first train_batch; prediction state is worker-thread-
-  /// local per stage, so no cross-thread synchronisation is added.
-  void set_weight_prediction(const PredictionConfig& config);
-  const PredictionConfig& weight_prediction() const { return prediction_; }
-
-  /// Per-stage-thread share of the global kernel pool (PartitionGuard): each
-  /// stage worker fans its tensor kernels out over at most `workers` threads
-  /// (itself included), so K stages never oversubscribe the pool. 0 keeps
-  /// the construction-time default (AVGPIPE_STAGE_THREADS, else a fair split
-  /// over this runtime's stages). Must be called before the first
-  /// train_batch; workers read it after the start-channel recv.
-  void set_stage_workers(std::size_t workers);
-  std::size_t stage_workers() const { return stage_workers_; }
-
-  /// Core-pinning slot layout for this runtime's stage threads under
-  /// AVGPIPE_PIN_THREADS: stage k pins to slot `first_slot + k` of
-  /// `total_slots`. Defaults to [0, num_stages) — core::AvgPipe widens the
-  /// layout across its replicas' N·K stage threads. Must be called
-  /// before the first train_batch.
-  void set_thread_slots(std::size_t first_slot, std::size_t total_slots);
+  /// The resolved kernel-pool share of each stage thread.
+  std::size_t stage_workers() const { return config_.stage_workers; }
 
   /// Bounded per-link capacity of the stage-to-stage channels for a batch of
   /// `micro_batches`: the producer's maximum forward run-ahead over its
-  /// consumer (schedule-derived), plus one slot of slack. Not configurable;
-  /// verify::ModelConfig::link_capacity models other capacities offline.
-  /// Exposed for tests.
+  /// consumer (schedule-derived), plus one slot of slack. The links are
+  /// built at link_capacity(M); verify::ModelConfig::link_capacity models
+  /// other capacities offline. Exposed for tests.
   std::size_t link_capacity(std::size_t micro_batches) const;
 
  private:
@@ -238,12 +228,6 @@ class PipelineRuntime {
   void fail(const std::string& what);
   void close_all();
 
-  /// (Re)build the inter-stage channels so every link can hold a batch of
-  /// `micro_batches` without deadlocking on back-pressure. Only legal when
-  /// no batch is in flight (all payload channels empty, workers parked on
-  /// their start channels); grows capacities monotonically.
-  void ensure_channels(std::size_t micro_batches);
-
   /// recv on a stage link with fault-plan resilience: timeout + exponential
   /// backoff, a kRecvRetry counter per timeout, and an overall deadline
   /// after which the peer is declared unresponsive (throws). Plain blocking
@@ -262,8 +246,10 @@ class PipelineRuntime {
 
   nn::Sequential model_;
   LossFn loss_;
-  schedule::Kind kind_;
-  std::size_t advance_num_;
+  /// Fixed at construction (advance_num and stage_workers resolved), before
+  /// any stage thread starts, so workers read it without synchronisation.
+  RuntimeConfig config_;
+  bool faults_active_ = false;  ///< config_.faults holds any record
 
   struct Stage {
     std::size_t index = 0;
@@ -273,19 +259,17 @@ class PipelineRuntime {
     std::unordered_map<int, Stash> stash;
     std::size_t peak_stash = 0;
     double loss_sum = 0;  // last stage only
-    std::size_t micro_batches = 0;
-    trace::TraceBuffer* trace_buf = nullptr;  // worker-owned, lazily created
+    trace::TraceBuffer* trace_buf = nullptr;  // null when untraced
     // Weight-prediction state (worker-thread-local, touched only between a
     // start-channel recv and the done send): the stashed true weights for
-    // the in-flight batch, and the EMA of realised per-batch updates.
+    // the in-flight batch, and the last realised per-batch update Δ̂.
     std::vector<tensor::Tensor> pred_true;
     std::vector<tensor::Tensor> pred_delta;
     bool pred_have_delta = false;
     bool pred_predicted = false;  ///< this batch runs on predicted weights
-    // Perf-counter state (worker-thread-local): whether this thread has been
-    // pinned, and the last sampled readings of the inbound links' slow-path
-    // counters (per-batch deltas become kParkCount/kSpinCount samples).
-    bool pinned = false;
+    // Perf-counter state (worker-thread-local): the last sampled readings of
+    // the inbound links' slow-path counters (per-batch deltas become
+    // kParkCount/kSpinCount samples).
     std::uint64_t last_parks = 0;
     std::uint64_t last_spins = 0;
     std::thread thread;
@@ -296,49 +280,22 @@ class PipelineRuntime {
   // Every payload link is strictly single-producer/single-consumer (one
   // upstream worker, one downstream worker; input_ is driver -> stage 0),
   // so they use the lock-free SPSC specialization. Capacities are derived
-  // from the schedule in ensure_channels(), not a blanket constant.
+  // from the schedule (link_capacity(M)), not a blanket constant.
   std::vector<std::unique_ptr<SpscChannel<ActMessage>>> acts_;
   std::vector<std::unique_ptr<SpscChannel<GradMessage>>> grads_;
   std::unique_ptr<SpscChannel<ActMessage>> input_;  // feeds stage 0
-  // Per-batch coordination (done_ is many-producers -> driver, so MPMC).
+  // Per-batch coordination (done_ is many-producers -> driver, so MPMC). A
+  // start token carries the batch's step index, which fault-plan windows
+  // and message keys use.
   std::unique_ptr<Channel<int>> done_;  // stages report batch done
-  std::vector<std::unique_ptr<Channel<std::size_t>>> stage_start_;
-  std::size_t channel_micro_batches_ = 0;  ///< capacity ensure_channels saw
-  /// Assert on every stage-link send that the "+1 slack" holds (a
-  /// steady-state send must never find its channel full). Debug default,
-  /// AVGPIPE_ASSERT_CHANNEL_SLACK override; skipped while a fault plan is
-  /// active (a crashed peer legitimately leaves links full).
-  bool assert_link_slack_ = false;
+  std::vector<std::unique_ptr<Channel<long>>> stage_start_;
   bool stopping_ = false;
 
-  // Tracing (optional), pipeline index and stage hooks: written before the
-  // first batch, read by workers after a start-channel recv, so the channel
-  // provides the ordering.
-  trace::Tracer* tracer_ = nullptr;
-  std::uint32_t pipeline_index_ = 0;
-  StageHook begin_hook_;
-  StageHook end_hook_;
-  /// Micro-batches of the submitted batch (0: none in flight). Driver-only.
-  std::size_t in_flight_micro_batches_ = 0;
+  // Driver-only batch state: the next step index and whether a submitted
+  // batch awaits its wait().
+  long next_step_ = 0;
+  bool in_flight_ = false;
 
-  // Weight prediction (optional): written before the first batch, read by
-  // workers after a start-channel recv (channel provides the ordering).
-  PredictionConfig prediction_;
-  bool prediction_active_ = false;
-
-  // Intra-stage parallelism + thread placement: written before the first
-  // batch, read by workers after a start-channel recv (channel provides the
-  // ordering, same contract as tracer_/prediction_).
-  std::size_t stage_workers_ = 1;
-  std::size_t pin_first_slot_ = 0;
-  std::size_t pin_total_slots_ = 0;
-
-  // Fault injection (optional) and failure state. `step_` is the batch
-  // index, bumped by train_batch before dispatch; workers read it after the
-  // start-channel recv, so the channel again provides the ordering.
-  const fault::FaultPlan* faults_ = nullptr;
-  bool faults_active_ = false;
-  std::atomic<long> step_{-1};
   std::atomic<bool> failed_{false};
   mutable common::Mutex failure_mutex_;
   std::string failure_ GUARDED_BY(failure_mutex_);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/synthetic.hpp"
@@ -346,9 +347,9 @@ TEST(RuntimeFaultTest, WorkerExceptionCarriesStageAndInstruction) {
     return tensor::softmax_cross_entropy(logits, targets);
   };
   runtime::PipelineRuntime rt(model, {2, 4}, sgd_factory(0.1), bomb,
-                              schedule::Kind::kOneFOneB);
+                              {.kind = schedule::Kind::kOneFOneB});
   try {
-    rt.train_batch(loader.batch(0, 0), 4);
+    rt.train_batch(loader.batch(0, 0));
     FAIL() << "expected the injected failure to surface";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -358,24 +359,24 @@ TEST(RuntimeFaultTest, WorkerExceptionCarriesStageAndInstruction) {
   }
   EXPECT_TRUE(rt.failed());
   // A failed runtime is permanently dead: the stored failure resurfaces.
-  EXPECT_THROW(rt.train_batch(loader.batch(0, 0), 4), Error);
+  EXPECT_THROW(rt.train_batch(loader.batch(0, 0)), Error);
 }
 
 TEST(RuntimeFaultTest, CertainDropsDeclareTheLinkDead) {
   data::SyntheticFeatures ds(24, 4, 2, 3);
   data::DataLoader loader(ds, 12, 1);
   nn::Sequential model = nn::make_mlp(4, 6, 3, 2, 1);
-  runtime::PipelineRuntime rt(model, {2, 4}, sgd_factory(0.1),
-                              runtime::cross_entropy_loss(),
-                              schedule::Kind::kOneFOneB);
   FaultPlan plan;
   MessageDrop d;
   d.probability = 1.0;  // every retry lost: the sender must give up
   d.retry_timeout = 1e-4;
   plan.drops.push_back(d);
-  rt.set_faults(&plan);
+  runtime::PipelineRuntime rt(model, {2, 4}, sgd_factory(0.1),
+                              runtime::cross_entropy_loss(),
+                              {.kind = schedule::Kind::kOneFOneB,
+                               .faults = &plan});
   try {
-    rt.train_batch(loader.batch(0, 0), 4);
+    rt.train_batch(loader.batch(0, 0));
     FAIL() << "expected the dead link to fail the batch";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("link declared dead"),
@@ -390,14 +391,14 @@ TEST(RuntimeFaultTest, StragglerCompletesAndIsTraced) {
   data::DataLoader loader(ds, 12, 1);
   nn::Sequential model = nn::make_mlp(4, 6, 3, 2, 1);
   trace::Tracer tracer;
-  runtime::PipelineRuntime rt(model, {2}, sgd_factory(0.1),
-                              runtime::cross_entropy_loss(),
-                              schedule::Kind::kOneFOneB);
-  rt.set_tracer(&tracer);
   FaultPlan plan;
   plan.stragglers.push_back({kAny, 0, 1.5, 0.0, kForever, 0, kNoStepLimit});
-  rt.set_faults(&plan);
-  const auto stats = rt.train_batch(loader.batch(0, 0), 4);
+  runtime::PipelineRuntime rt(model, {2}, sgd_factory(0.1),
+                              runtime::cross_entropy_loss(),
+                              {.kind = schedule::Kind::kOneFOneB,
+                               .tracer = &tracer,
+                               .faults = &plan});
+  const auto stats = rt.train_batch(loader.batch(0, 0));
   EXPECT_TRUE(std::isfinite(stats.loss));
   EXPECT_FALSE(rt.failed());
   bool saw_straggler = false;
@@ -406,6 +407,35 @@ TEST(RuntimeFaultTest, StragglerCompletesAndIsTraced) {
                      ev.stage == 0;
   }
   EXPECT_TRUE(saw_straggler);
+}
+
+TEST(RuntimeFaultTest, StragglerWindowCoversOnlyItsSteps) {
+  // A window over step 1 alone slows the second of three batches and no
+  // other: the step each batch runs under is the one its start token
+  // carries.
+  data::SyntheticFeatures ds(24, 4, 2, 3);
+  data::DataLoader loader(ds, 12, 1);
+  nn::Sequential model = nn::make_mlp(4, 6, 3, 2, 1);
+  trace::Tracer tracer;
+  FaultPlan plan;
+  plan.stragglers.push_back({kAny, kAny, 1.5, 0.0, kForever, 1, 2});
+  runtime::PipelineRuntime rt(model, {2}, sgd_factory(0.1),
+                              runtime::cross_entropy_loss(),
+                              {.kind = schedule::Kind::kOneFOneB,
+                               .tracer = &tracer,
+                               .faults = &plan});
+  std::vector<std::size_t> stragglers;  // cumulative, after each batch
+  for (std::size_t b = 0; b < 3; ++b) {
+    rt.train_batch(loader.batch(0, 0));
+    const auto events = tracer.collect();
+    stragglers.push_back(static_cast<std::size_t>(
+        std::count_if(events.begin(), events.end(), [](const auto& ev) {
+          return ev.kind == trace::EventKind::kFaultStraggler;
+        })));
+  }
+  EXPECT_EQ(stragglers[0], 0u);
+  EXPECT_GT(stragglers[1], 0u);
+  EXPECT_EQ(stragglers[2], stragglers[1]);
 }
 
 TEST(RuntimeFaultTest, SurvivableDropsOnlyDelayTheBatch) {
@@ -417,21 +447,21 @@ TEST(RuntimeFaultTest, SurvivableDropsOnlyDelayTheBatch) {
   nn::Sequential clean_model = nn::make_mlp(4, 6, 3, 2, 5);
   runtime::PipelineRuntime clean(clean_model, {2}, sgd_factory(0.1),
                                  runtime::cross_entropy_loss(),
-                                 schedule::Kind::kOneFOneB);
-  const double clean_loss = clean.train_batch(loader.batch(0, 0), 4).loss;
+                                 {.kind = schedule::Kind::kOneFOneB});
+  const double clean_loss = clean.train_batch(loader.batch(0, 0)).loss;
 
   nn::Sequential lossy_model = nn::make_mlp(4, 6, 3, 2, 5);
-  runtime::PipelineRuntime lossy(lossy_model, {2}, sgd_factory(0.1),
-                                 runtime::cross_entropy_loss(),
-                                 schedule::Kind::kOneFOneB);
   FaultPlan plan;
   plan.seed = 3;
   MessageDrop d;
   d.probability = 0.4;
   d.retry_timeout = 1e-4;
   plan.drops.push_back(d);
-  lossy.set_faults(&plan);
-  const double lossy_loss = lossy.train_batch(loader.batch(0, 0), 4).loss;
+  runtime::PipelineRuntime lossy(lossy_model, {2}, sgd_factory(0.1),
+                                 runtime::cross_entropy_loss(),
+                                 {.kind = schedule::Kind::kOneFOneB,
+                                  .faults = &plan});
+  const double lossy_loss = lossy.train_batch(loader.batch(0, 0)).loss;
   EXPECT_DOUBLE_EQ(clean_loss, lossy_loss);
 
   auto cp = clean_model.parameters();

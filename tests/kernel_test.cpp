@@ -14,13 +14,11 @@
 #include <limits>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/affinity.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gemm_oracle.hpp"
@@ -964,7 +962,7 @@ TEST(ThreadPoolTest, ParseNumThreads) {
   EXPECT_EQ(parse_num_threads("5", 3), 5u);
 }
 
-// -- stage partitions and pinning ---------------------------------------------
+// -- stage partitions ----------------------------------------------------------
 
 TEST(StagePartitionKernels, GemmBitIdenticalAcrossWorkerShares) {
   // The same GEMM under worker shares {1, 2, 4} (what AVGPIPE_STAGE_THREADS
@@ -1035,28 +1033,6 @@ TEST(StagePartitionKernels, LstmForwardBackwardBitIdenticalAcrossShares) {
       ASSERT_EQ(grads, base_grads) << "share " << share;
     }
   }
-}
-
-TEST(AffinityTest, ParsePolicies) {
-  EXPECT_EQ(parse_pin_policy(nullptr), PinPolicy::kNone);
-  EXPECT_EQ(parse_pin_policy(""), PinPolicy::kNone);
-  EXPECT_EQ(parse_pin_policy("0"), PinPolicy::kNone);
-  EXPECT_EQ(parse_pin_policy("off"), PinPolicy::kNone);
-  EXPECT_EQ(parse_pin_policy("junk"), PinPolicy::kNone);
-  EXPECT_EQ(parse_pin_policy("compact"), PinPolicy::kCompact);
-  EXPECT_EQ(parse_pin_policy("1"), PinPolicy::kCompact);
-  EXPECT_EQ(parse_pin_policy("scatter"), PinPolicy::kScatter);
-}
-
-TEST(AffinityTest, LayoutMath) {
-  // Compact packs consecutively; scatter spreads 4 slots over 8 cores to
-  // {0, 2, 4, 6}.
-  for (std::size_t slot = 0; slot < 4; ++slot) {
-    EXPECT_EQ(pin_core_for_slot(PinPolicy::kCompact, slot, 4, 8), slot);
-    EXPECT_EQ(pin_core_for_slot(PinPolicy::kScatter, slot, 4, 8), slot * 2);
-  }
-  // Oversubscribed compact wraps rather than going out of range.
-  EXPECT_EQ(pin_core_for_slot(PinPolicy::kCompact, 5, 8, 4), 1u);
 }
 
 // -- sync codecs ----------------------------------------------------------------
@@ -1224,34 +1200,6 @@ TEST(CodecMeta, WireBytesAndNames) {
   const std::vector<Scalar> orig = v;
   tensor::codec_roundtrip(Codec::kNone, v.data(), v.size());
   EXPECT_EQ(v, orig);
-}
-
-TEST(AffinityTest, PinningIsBestEffortAndPreservesResults) {
-  // kNone never pins; an oversubscribed layout never pins. A 1-slot layout
-  // pins on any machine with pthread affinity — run it in a helper thread
-  // (the mask dies with the thread) and check GEMM results are unaffected.
-  EXPECT_FALSE(pin_current_thread(PinPolicy::kNone, 0, 1));
-  EXPECT_FALSE(
-      pin_current_thread(PinPolicy::kCompact, 0, num_cores() + 1));
-  Rng rng(55);
-  const std::size_t m = 64, n = 48, k = 32;
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  std::vector<Scalar> unpinned(m * n, 0.0);
-  tensor::gemm_blocked(a.data(), b.data(), unpinned.data(), m, n, k, false,
-                       false, false);
-  std::vector<Scalar> pinned(m * n, 0.0);
-  bool did_pin = false;
-  std::thread worker([&] {
-    did_pin = pin_current_thread(PinPolicy::kCompact, 0, 1);
-    tensor::gemm_blocked(a.data(), b.data(), pinned.data(), m, n, k, false,
-                         false, false);
-  });
-  worker.join();
-#if defined(__linux__)
-  EXPECT_TRUE(did_pin);
-#endif
-  EXPECT_EQ(pinned, unpinned);
 }
 
 }  // namespace

@@ -50,15 +50,16 @@ TEST_P(PipelineRuntimeTest, MatchesSingleProcessTraining) {
   optim::Sgd ref_opt(reference.parameters(), 0.1);
 
   Sequential piped = nn::make_mlp(6, 8, 3, 3, /*seed=*/77);
-  PipelineRuntime runtime(piped, {2, 4}, sgd_factory(0.1),
-                          cross_entropy_loss(), GetParam(),
-                          GetParam() == schedule::Kind::kAdvanceForward ? 3
-                                                                        : 0);
+  PipelineRuntime runtime(
+      piped, {2, 4}, sgd_factory(0.1), cross_entropy_loss(),
+      {.kind = GetParam(),
+       .advance_num = GetParam() == schedule::Kind::kAdvanceForward ? 3u : 0u,
+       .micro_batches = micro});
 
   for (std::size_t i = 0; i < 4; ++i) {
     const Batch batch = loader.batch(0, i);
     const double ref_loss = reference_step(reference, ref_opt, batch);
-    const BatchStats stats = runtime.train_batch(batch, micro);
+    const BatchStats stats = runtime.train_batch(batch);
     EXPECT_NEAR(stats.loss, ref_loss, 1e-9) << "batch " << i;
   }
   auto pr = reference.parameters();
@@ -91,15 +92,16 @@ TEST(PipelineRuntimeStashTest, OneFOneBRespectsPaperBound) {
 
   Sequential m1 = nn::make_mlp(4, 6, 3, 2, 1);
   PipelineRuntime f1b(m1, {2, 4}, sgd_factory(0.1), cross_entropy_loss(),
-                      schedule::Kind::kOneFOneB);
-  f1b.train_batch(loader.batch(0, 0), micro);
+                      {.kind = schedule::Kind::kOneFOneB,
+                       .micro_batches = micro});
+  f1b.train_batch(loader.batch(0, 0));
   EXPECT_LE(f1b.peak_stash(0), 3u);  // K=3, stage 0 -> K-0 = 3
   EXPECT_LE(f1b.peak_stash(2), 1u);
 
   Sequential m2 = nn::make_mlp(4, 6, 3, 2, 1);
   PipelineRuntime afab(m2, {2, 4}, sgd_factory(0.1), cross_entropy_loss(),
-                       schedule::Kind::kAfab);
-  afab.train_batch(loader.batch(0, 0), micro);
+                       {.kind = schedule::Kind::kAfab, .micro_batches = micro});
+  afab.train_batch(loader.batch(0, 0));
   EXPECT_EQ(afab.peak_stash(0), micro);
 }
 
@@ -108,11 +110,11 @@ TEST(PipelineRuntimeTest, LossDecreasesOverTraining) {
   DataLoader loader(ds, 16, 2);
   Sequential model = nn::make_mlp(8, 16, 2, 4, 33);
   PipelineRuntime runtime(model, {2}, sgd_factory(0.2), cross_entropy_loss(),
-                          schedule::Kind::kAdvanceForward);
+                          {.kind = schedule::Kind::kAdvanceForward});
   double first = 0, last = 0;
   for (std::size_t epoch = 0; epoch < 6; ++epoch) {
     for (std::size_t i = 0; i < loader.batches_per_epoch(); ++i) {
-      const double loss = runtime.train_batch(loader.batch(epoch, i), 4).loss;
+      const double loss = runtime.train_batch(loader.batch(epoch, i)).loss;
       if (epoch == 0 && i == 0) first = loss;
       last = loss;
     }
@@ -134,12 +136,14 @@ TEST(PipelineRuntimeTest, StageWorkerShareIsBitInvariant) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     Sequential model = nn::make_mlp(6, 64, 3, 3, /*seed=*/77);
     PipelineRuntime runtime(model, {2, 4}, sgd_factory(0.1),
-                            cross_entropy_loss(), schedule::Kind::kOneFOneB);
-    runtime.set_stage_workers(workers);
+                            cross_entropy_loss(),
+                            {.kind = schedule::Kind::kOneFOneB,
+                             .micro_batches = micro,
+                             .stage_workers = workers});
     EXPECT_EQ(runtime.stage_workers(), workers);
     std::vector<double> losses;
     for (std::size_t i = 0; i < 4; ++i) {
-      losses.push_back(runtime.train_batch(loader.batch(0, i), micro).loss);
+      losses.push_back(runtime.train_batch(loader.batch(0, i)).loss);
     }
     std::vector<double> params;
     for (auto& p : model.parameters()) {
@@ -160,8 +164,9 @@ TEST(PipelineRuntimeTest, SingleStageWorks) {
   SyntheticFeatures ds(16, 4, 2, 3);
   DataLoader loader(ds, 8, 1);
   Sequential model = nn::make_mlp(4, 6, 1, 2, 1);
-  PipelineRuntime runtime(model, {}, sgd_factory(0.1), cross_entropy_loss());
-  const BatchStats stats = runtime.train_batch(loader.batch(0, 0), 2);
+  PipelineRuntime runtime(model, {}, sgd_factory(0.1), cross_entropy_loss(),
+                          {.micro_batches = 2});
+  const BatchStats stats = runtime.train_batch(loader.batch(0, 0));
   EXPECT_GT(stats.loss, 0.0);
 }
 
@@ -169,7 +174,16 @@ TEST(PipelineRuntimeTest, RejectsFlushFreeKinds) {
   Sequential model = nn::make_mlp(4, 6, 1, 2, 1);
   EXPECT_THROW(PipelineRuntime(model, {}, sgd_factory(0.1),
                                cross_entropy_loss(),
-                               schedule::Kind::kPipeDream),
+                               {.kind = schedule::Kind::kPipeDream}),
+               Error);
+}
+
+TEST(PipelineRuntimeTest, ZeroMicroBatchesThrowsAtConstruction) {
+  // M is fixed for the runtime's life, so a bad M is rejected before any
+  // stage thread starts rather than at the first submit.
+  Sequential model = nn::make_mlp(4, 6, 3, 2, 1);
+  EXPECT_THROW(PipelineRuntime(model, {2, 4}, sgd_factory(0.1),
+                               cross_entropy_loss(), {.micro_batches = 0}),
                Error);
 }
 
@@ -181,19 +195,20 @@ TEST(PipelineRuntimeChannelTest, LinkCapacityDerivesFromSchedule) {
   // 1F1B/AFP are bounded by the warm-up depth max(advance_num, K-1) + 1.
   Sequential model = nn::make_mlp(4, 6, 3, 2, 1);  // K = 3 stages
   PipelineRuntime afab(model, {2, 4}, sgd_factory(0.1), cross_entropy_loss(),
-                       schedule::Kind::kAfab);
+                       {.kind = schedule::Kind::kAfab});
   EXPECT_EQ(afab.link_capacity(6), 7u);   // M + 1
   EXPECT_EQ(afab.link_capacity(2), 3u);
 
   Sequential m2 = nn::make_mlp(4, 6, 3, 2, 1);
   PipelineRuntime f1b(m2, {2, 4}, sgd_factory(0.1), cross_entropy_loss(),
-                      schedule::Kind::kOneFOneB);
+                      {.kind = schedule::Kind::kOneFOneB});
   EXPECT_EQ(f1b.link_capacity(6), 4u);    // min(6, (K-1)+1) + 1
   EXPECT_EQ(f1b.link_capacity(2), 3u);    // min(2, 3) + 1
 
   Sequential m3 = nn::make_mlp(4, 6, 3, 2, 1);
   PipelineRuntime afp(m3, {2, 4}, sgd_factory(0.1), cross_entropy_loss(),
-                      schedule::Kind::kAdvanceForward, /*advance_num=*/3);
+                      {.kind = schedule::Kind::kAdvanceForward,
+                       .advance_num = 3});
   EXPECT_EQ(afp.link_capacity(6), 5u);    // min(6, max(3, K-1)+1) + 1
   EXPECT_EQ(afp.link_capacity(2), 3u);    // min(2, 4) + 1
 }
@@ -208,14 +223,16 @@ TEST(PipelineRuntimeChannelTest, SteadyStateSendsAreZeroCopy) {
   Sequential model = nn::make_mlp(6, 8, 3, 3, 77);
   PipelineRuntime runtime(model, {2, 4}, sgd_factory(0.1),
                           cross_entropy_loss(),
-                          schedule::Kind::kAdvanceForward, /*advance_num=*/3);
+                          {.kind = schedule::Kind::kAdvanceForward,
+                           .advance_num = 3,
+                           .micro_batches = 4});
   const Batch batch = loader.batch(0, 0);
-  for (int i = 0; i < 4; ++i) runtime.train_batch(batch, 4);  // warm up
+  for (int i = 0; i < 4; ++i) runtime.train_batch(batch);  // warm up
 
   std::vector<std::uint64_t> acquires, heap_allocs;
   for (int i = 0; i < 8; ++i) {
     tensor::arena::reset_stats();
-    runtime.train_batch(batch, 4);
+    runtime.train_batch(batch);
     const auto s = tensor::arena::stats();
     acquires.push_back(s.acquires);
     heap_allocs.push_back(s.heap_allocs);

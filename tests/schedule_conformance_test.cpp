@@ -213,15 +213,18 @@ TEST_P(RuntimeConformanceTest, TraceReplaysScheduleVerbatim) {
   trace::Tracer tracer;
   nn::Sequential model = nn::make_mlp(6, 8, 3, 3, /*seed=*/77);
   runtime::PipelineRuntime rt(model, {2, 4}, sgd_factory(0.1),
-                              runtime::cross_entropy_loss(), kind, advance);
-  rt.set_tracer(&tracer);
+                              runtime::cross_entropy_loss(),
+                              {.kind = kind,
+                               .advance_num = advance,
+                               .micro_batches = micro,
+                               .tracer = &tracer});
   for (std::size_t b = 0; b < num_batches; ++b) {
-    rt.train_batch(loader.batch(0, b), micro);
+    rt.train_batch(loader.batch(0, b));
   }
   const trace::TraceAnalysis analysis(tracer.collect());
 
-  // The runtime regenerates the schedule per batch with num_batches = 1, so
-  // the expected replay is the one-batch stream repeated.
+  // The runtime builds one batch's schedule (num_batches = 1) and replays it
+  // every batch, so the expected replay is the one-batch stream repeated.
   schedule::ScheduleParams params;
   params.kind = kind;
   params.num_stages = rt.num_stages();
@@ -252,9 +255,12 @@ TEST_P(RuntimeConformanceTest, InFlightBoundsHold) {
   trace::Tracer tracer;
   nn::Sequential model = nn::make_mlp(6, 8, 3, 3, 77);
   runtime::PipelineRuntime rt(model, {2, 4}, sgd_factory(0.1),
-                              runtime::cross_entropy_loss(), kind, advance);
-  rt.set_tracer(&tracer);
-  rt.train_batch(loader.batch(0, 0), micro);
+                              runtime::cross_entropy_loss(),
+                              {.kind = kind,
+                               .advance_num = advance,
+                               .micro_batches = micro,
+                               .tracer = &tracer});
+  rt.train_batch(loader.batch(0, 0));
   const trace::TraceAnalysis analysis(tracer.collect());
 
   const std::size_t k_stages = rt.num_stages();

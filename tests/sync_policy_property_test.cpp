@@ -42,12 +42,9 @@ bool all_finite(const ParamSet& params) {
 SyncPolicyConfig random_policy_config(SyncPolicyKind kind, Rng& rng) {
   SyncPolicyConfig config;
   config.kind = kind;
-  // BMUF: sample η and draw ζ inside the CBM stability region ζ ≤ 1−η.
+  // BMUF: sample η; the policy sets ζ = 1−η, on the CBM stability bound.
   config.block_momentum = rng.uniform(0.0, 0.9);
-  config.block_lr = rng.uniform(0.1, 1.0) * (1.0 - config.block_momentum);
-  config.nesterov_restart = rng.uniform_int(0, 1) == 1;
   config.prediction_lookahead = rng.uniform(0.0, 1.5);
-  config.prediction_beta = rng.uniform(0.0, 0.9);
   return config;
 }
 

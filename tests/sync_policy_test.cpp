@@ -92,14 +92,16 @@ TEST(SyncPolicyTest, BmufStabilityConditionIsEnforcedAtConstruction) {
   EXPECT_NO_THROW(optim::BlockMomentum(0.5, 0.5));      // λ = 1 exactly
   EXPECT_NO_THROW(optim::BlockMomentum(0.0, 1.0));      // degenerate config
 
-  // The same condition guards policy construction.
+  // Policy construction sets ζ = 1−η, exactly at the bound: any η in [0,1)
+  // is allowed and an out-of-range η is still rejected.
   SyncPolicyConfig config;
   config.kind = SyncPolicyKind::kBmuf;
   config.block_momentum = 0.5;
-  config.block_lr = 0.8;
-  EXPECT_THROW(make_sync_policy(config), Error);
-  config.block_lr = 0.0;  // 0 -> 1−η: exactly at the bound, allowed
   EXPECT_NO_THROW(make_sync_policy(config));
+  config.block_momentum = 1.0;
+  EXPECT_THROW(make_sync_policy(config), Error);
+  config.block_momentum = -0.1;
+  EXPECT_THROW(make_sync_policy(config), Error);
 }
 
 TEST(SyncPolicyTest, BlockMomentumEffectiveLrMatchesFormula) {
@@ -134,13 +136,15 @@ TEST_P(SyncPolicyParityTest, DegenerateConfigAtNOneIsBitIdenticalToSerialSgd) {
   nn::Sequential serial_model = mlp_factory(6, 8, 2, 2)(1234);
   runtime::PipelineRuntime serial(serial_model, cfg.boundaries,
                                   sgd_factory(0.1),
-                                  runtime::cross_entropy_loss(), cfg.kind,
-                                  cfg.advance_num);
+                                  runtime::cross_entropy_loss(),
+                                  {.kind = cfg.kind,
+                                   .advance_num = cfg.advance_num,
+                                   .micro_batches = cfg.micro_batches});
 
   for (std::size_t iter = 0; iter < 4; ++iter) {
     const Batch b = loader.batch(iter, 0);
     const double system_loss = system.train_iteration({b});
-    const double serial_loss = serial.train_batch(b, cfg.micro_batches).loss;
+    const double serial_loss = serial.train_batch(b).loss;
     EXPECT_DOUBLE_EQ(system_loss, serial_loss) << "iter " << iter;
   }
   const double delta = max_abs_diff(system.replica_snapshot(0),

@@ -230,7 +230,8 @@ TEST(VerifierRuntimeCrossCheckTest, DerivedCapacityMatchesRuntime) {
         [](std::vector<tensor::Variable> params) {
           return std::make_unique<optim::Sgd>(std::move(params), 0.1);
         },
-        runtime::cross_entropy_loss(), c.kind, c.advance);
+        runtime::cross_entropy_loss(),
+        {.kind = c.kind, .advance_num = c.advance});
     for (const std::size_t m : {std::size_t{2}, std::size_t{6}}) {
       ModelConfig cfg = make_config(c.kind, 3, m, c.advance);
       const Report r = verify(cfg);
