@@ -1,5 +1,8 @@
 #include "core/avgpipe.hpp"
 
+#include <thread>
+#include <utility>
+
 #include "common/thread_pool.hpp"
 
 namespace avgpipe::core {
@@ -45,9 +48,30 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
     nn::copy_parameters(replicas_[0]->model, replicas_[i]->model);
   }
   nn::copy_parameters(replicas_[0]->model, eval_model_);
+  // Each replica stage's parameters move, once, into one flat buffer, whose
+  // layout the ring, reference, broadcast and residuals share. The replaced
+  // per-tensor buffers are released on a thread with no arena cache, so
+  // they are freed rather than parked in this thread's.
+  ParamSet replaced;
+  for (auto& replica : replicas_) {
+    for (nn::Sequential& stage : replica->model.partition(config_.boundaries)) {
+      auto params = stage.parameters();
+      replica->stages.push_back({replica->params.size(), params.size(), {}});
+      ParamSet views = tensor::flat_zeros(values_of(params));
+      for (std::size_t j = 0; j < params.size(); ++j) {
+        views[j].copy_from(params[j].value());
+        replaced.push_back(std::exchange(params[j].value(), views[j]));
+        replica->params.push_back(views[j]);
+      }
+    }
+    for (std::size_t slot = 0; slot < ring_size_; ++slot) {
+      replica->ring.push_back(tensor::zeros_like(replica->params));
+    }
+  }
+  std::thread([&replaced] { replaced.clear(); }).join();
 
-  auto params0 = replicas_[0]->model.parameters();
-  reference_ = std::make_unique<ReferenceModel>(clone_values(params0));
+  reference_ =
+      std::make_unique<ReferenceModel>(clone_set(replicas_[0]->params));
   policy_ = make_sync_policy(config_.sync);
   // An explicit config pins the compression mode; otherwise the environment
   // decides (default off — the bit-exact path).
@@ -59,7 +83,7 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
     // driver is the reference process (and no stage thread runs yet).
     common::RoleGuard ref_role(reference_capability());
     broadcast_codec_ = SyncCodec(compression_);
-    broadcast_ = uninitialized_like(reference_->params());
+    broadcast_ = tensor::zeros_like(reference_->params());
     publish_broadcast();
   }
 
@@ -100,21 +124,18 @@ void AvgPipe::start_runtime(std::size_t i) {
   auto rt = std::make_unique<runtime::PipelineRuntime>(
       r.model, config_.boundaries, make_optimizer_,
       runtime::cross_entropy_loss(), std::move(rc));
-  // Stage parameter lists are consecutive runs of the model's (partition).
-  r.stages.assign(rt->num_stages(), StageSync{});
-  std::size_t first = 0;
-  for (std::size_t k = 0; k < r.stages.size(); ++k) {
-    StageSync& s = r.stages[k];
-    s.first = first;
-    s.params = rt->stage_parameters(k);
-    first += s.params.size();
-    for (std::size_t slot = 0; slot < ring_size_; ++slot) {
-      s.ring.push_back(uninitialized_like(s.params));
-    }
+  AVGPIPE_CHECK(rt->num_stages() == r.stages.size(),
+                "runtime and shards partition the model differently");
+  // Fresh push streams (a real restart loses residuals), each stage's
+  // residuals being its shard of the replica's.
+  r.residuals = compression_.enabled() ? tensor::zeros_like(r.params)
+                                       : ParamSet{};
+  for (StageSync& s : r.stages) {
     s.push_codec = SyncCodec(compression_);
+    if (r.residuals.empty()) continue;
+    const auto run = std::span(r.residuals).subspan(s.first, s.size);
+    s.push_codec.residuals().assign(run.begin(), run.end());
   }
-  AVGPIPE_CHECK(first == r.model.parameters().size(),
-                "stage shards do not cover the model");
   r.runtime = std::move(rt);
 }
 
@@ -133,7 +154,8 @@ void AvgPipe::stage_sync(std::size_t i, std::size_t stage,
   // folds: round t sees the reference through round t - max(lag, 1), for
   // BSP/BMUF's reset as for the elastic pull. The local sync is elastic's
   // steps ❷–❸, or a BSP-family weight copy.
-  StageSync& s = replicas_[i]->stages[stage];
+  Replica& r = *replicas_[i];
+  StageSync& s = r.stages[stage];
   const Seconds t0 = trace != nullptr ? config_.tracer->wall_now() : 0;
   for (long p = published_.load(std::memory_order_acquire); p < submitted_;
        p = published_.load(std::memory_order_acquire)) {
@@ -141,21 +163,23 @@ void AvgPipe::stage_sync(std::size_t i, std::size_t stage,
   }
   // Ring invariant: round t writes slot t mod (lag + 1). At most `lag`
   // rounds were pending when the driver submitted round t, so round
-  // t - lag - 1, the slot's previous user, is folded and its handles dropped.
-  ParamSet& out = s.ring[ring_slot_];
-  for (std::size_t j = 0; !begin && j < out.size(); ++j) {
-    AVGPIPE_CHECK(out[j].use_count() == 1,
-                  "update ring slot " << ring_slot_ << " of pipeline " << i
-                                      << " stage " << stage
-                                      << " is held by an unfolded round");
-  }
-  const auto shard = std::span<const tensor::Tensor>(broadcast_).subspan(
-      s.first, s.params.size());
+  // t - lag - 1, the slot's previous user, is folded and its handles
+  // dropped: only the slot's own views hold the stage's buffer.
+  ParamSet& out = r.ring[ring_slot_];
+  AVGPIPE_CHECK(begin || s.size == 0 ||
+                    out[s.first].use_count() == static_cast<long>(s.size),
+                "update ring slot " << ring_slot_ << " of pipeline " << i
+                                    << " stage " << stage
+                                    << " is held by an unfolded round");
+  const auto shard = [&s](ParamSet& set) {
+    return std::span(set).subspan(s.first, s.size);
+  };
   if (begin) {
-    policy_->begin_round(s.params, shard);
+    policy_->begin_round(shard(r.params), shard(broadcast_));
   } else {
-    policy_->local_sync(s.params, shard, alpha_, out);
-    record_sync_bytes(trace, i, stage, s.push_codec.transmit(out));
+    policy_->local_sync(shard(r.params), shard(broadcast_), alpha_,
+                        shard(out));
+    record_sync_bytes(trace, i, stage, s.push_codec.transmit(shard(out)));
   }
   if (trace == nullptr) return;
   trace::TraceEvent ev;
@@ -298,9 +322,8 @@ void AvgPipe::rejoin_pipeline(std::size_t i) {
 }
 
 void AvgPipe::attach_pipeline(std::size_t i, const ParamSet& weights) {
-  auto params = replicas_[i]->model.parameters();
-  copy_into(params, weights);
-  for (auto& p : params) p.zero_grad();  // drop a crashed batch's partial sums
+  copy_into(replicas_[i]->params, weights);
+  replicas_[i]->model.zero_grad();  // drop a crashed batch's partial sums
   if (health_[i].alive) return;
   start_runtime(i);  // fresh push codecs: a real restart loses residuals
   health_[i].alive = true;
@@ -376,13 +399,8 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
       completed[i] = 0;
       continue;
     }
-    // The pipeline's update is its stages' ring slots, shared not copied.
-    ParamSet update;
-    for (const StageSync& s : replicas_[i]->stages) {
-      update.insert(update.end(), s.ring[ring_slot_].begin(),
-                    s.ring[ring_slot_].end());
-    }
-    round.push_back(std::move(update));
+    // The pipeline's update is its ring slot, shared not copied.
+    round.push_back(replicas_[i]->ring[ring_slot_]);
   }
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!health_[i].alive) continue;
@@ -436,9 +454,9 @@ void AvgPipe::synchronize() { fold_pending(0); }
 
 nn::Sequential& AvgPipe::eval_model() {
   synchronize();  // observe every completed iteration's round
-  auto params = eval_model_.parameters();
+  ParamSet values = values_of(eval_model_.parameters());
   common::RoleGuard ref_role(reference_capability());
-  copy_into(params, reference_->params());
+  copy_into(values, reference_->params());
   return eval_model_;
 }
 
@@ -457,8 +475,7 @@ ParamSet AvgPipe::broadcast_snapshot() {
 ParamSet AvgPipe::replica_snapshot(std::size_t i) const {
   AVGPIPE_CHECK(i < replicas_.size(), "pipeline out of range");
   AVGPIPE_CHECK(health_[i].alive, "pipeline " << i << " is detached");
-  auto params = replicas_[i]->model.parameters();
-  return clone_values(params);
+  return clone_set(replicas_[i]->params);
 }
 
 // -- durable checkpoint/restore -----------------------------------------------
@@ -496,12 +513,7 @@ ckpt::TrainState AvgPipe::capture_state() {
     if (p.alive) {
       p.params = replica_snapshot(i);
       p.stages = replicas_[i]->runtime->export_stage_state();
-      // The pipeline's push residuals are its shards' in stage order.
-      for (const StageSync& s : replicas_[i]->stages) {
-        for (const auto& r : s.push_codec.residuals()) {
-          p.residuals.push_back(r.clone());
-        }
-      }
+      p.residuals = clone_set(replicas_[i]->residuals);
     }
     state.pipelines.push_back(std::move(p));
   }
@@ -512,24 +524,25 @@ ckpt::TrainState AvgPipe::capture_state() {
   return state;
 }
 
+namespace {
+
+/// Residuals only transfer between identically compressed runs; restoring
+/// into a differently configured system, or from an empty list (captured
+/// before the stream's first lossy transmit), starts the stream over from
+/// zeros, like a fresh wire.
+void restore_residuals(ParamSet& stream, const ParamSet& saved,
+                       bool codec_match) {
+  copy_into(stream, codec_match && !saved.empty() ? saved
+                                                  : tensor::zeros_like(stream));
+}
+
+}  // namespace
+
 void AvgPipe::restore_pipeline(std::size_t i, const ckpt::PipelineState& p,
                                bool codec_match) {
   attach_pipeline(i, p.params);
   replicas_[i]->runtime->import_stage_state(p.stages);
-  // The checkpoint holds the pipeline's residuals as one list (empty before
-  // the first lossy push); each shard takes its own run of it.
-  const bool residuals = codec_match && !p.residuals.empty();
-  AVGPIPE_CHECK(!residuals || p.residuals.size() == p.params.size(),
-                "restore: pipeline " << i << " has " << p.residuals.size()
-                                     << " push residuals for "
-                                     << p.params.size() << " parameters");
-  for (StageSync& s : replicas_[i]->stages) {
-    ParamSet shard;
-    for (std::size_t j = 0; residuals && j < s.params.size(); ++j) {
-      shard.push_back(p.residuals[s.first + j].clone());
-    }
-    s.push_codec.set_residuals(std::move(shard));
-  }
+  restore_residuals(replicas_[i]->residuals, p.residuals, codec_match);
 }
 
 void AvgPipe::restore_state(const ckpt::TrainState& state) {
@@ -544,21 +557,15 @@ void AvgPipe::restore_state(const ckpt::TrainState& state) {
                                          << policy_->name() << "'");
   synchronize();
   iteration_ = state.step;
-  // Residuals only transfer between identically compressed runs; restoring
-  // into a differently configured system drops them (a codec change resets
-  // the EF streams, like a fresh wire).
   const bool codec_match =
       state.sync_codec == static_cast<std::uint8_t>(compression_.codec);
   {
     common::RoleGuard ref_role(reference_capability());  // the driver's
     copy_into(reference_->mutable_params(), state.reference);
-    policy_->import_state(clone_set(state.policy_state));
+    policy_->import_state(*reference_, state.policy_state);
     copy_into(broadcast_, state.broadcast);
-    if (codec_match) {
-      broadcast_codec_.set_residuals(clone_set(state.broadcast_residual));
-    } else {
-      broadcast_codec_.reset_residuals();
-    }
+    restore_residuals(broadcast_codec_.residuals(), state.broadcast_residual,
+                      codec_match);
   }
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (state.pipelines[i].alive) {

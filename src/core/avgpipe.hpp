@@ -213,18 +213,26 @@ class AvgPipe : public runtime::TrainerBase {
   ckpt::CheckpointDir::LoadResult restore_latest_checkpoint();
 
  private:
-  /// One stage's co-partitioned sync state. Touched by that stage's thread
-  /// during a batch and by the driver only between batches.
+  friend struct AvgPipeTestPeer;  ///< layout checks in the tests
+
+  /// One stage's co-partitioned sync state: its shard, positions
+  /// [first, first + size) of the replica's lists (one flat buffer in each),
+  /// and its push stream. Touched by that stage's thread during a batch and
+  /// by the driver only between batches.
   struct StageSync {
-    std::size_t first = 0;  ///< shard = parameters [first, first + size)
-    std::vector<tensor::Variable> params;  ///< the stage's weights
-    /// lag + 1 reused update shards; round t writes slot t mod (lag + 1).
-    std::vector<ParamSet> ring;
-    SyncCodec push_codec;  ///< this shard's push stream and EF residuals
+    std::size_t first = 0;
+    std::size_t size = 0;
+    SyncCodec push_codec;
   };
+  /// One pipeline. Its parameters, ring slots and push residuals are lists
+  /// of per-layer views in one layout: one flat buffer per stage.
   struct Replica {
     nn::Sequential model;
     std::unique_ptr<runtime::PipelineRuntime> runtime;
+    ParamSet params;  ///< the live weights (the model's parameter values)
+    /// lag + 1 reused update sets; round t writes slot t mod (lag + 1).
+    std::vector<ParamSet> ring;
+    ParamSet residuals;  ///< the push streams' EF residuals (empty when off)
     std::vector<StageSync> stages;
   };
 

@@ -28,35 +28,21 @@
 namespace avgpipe::core {
 
 using ParamSet = std::vector<tensor::Tensor>;
+using tensor::clone_set, tensor::clone_values, tensor::copy_into,
+    tensor::values_of;
 
-/// Deep-copy the values of a parameter list.
-ParamSet clone_values(const std::vector<tensor::Variable>& params);
-/// Deep copy of a parameter set (Tensor copies share storage, so a snapshot
-/// or checkpoint capture must own its own).
-ParamSet clone_set(const ParamSet& src);
-/// Uninitialised tensors shaped like `like`, for callers that overwrite
-/// every element (write-into buffers).
-ParamSet uninitialized_like(std::span<const tensor::Tensor> like);
-ParamSet uninitialized_like(std::span<const tensor::Variable> like);
-/// dst[j] ← src[j] for every j (the one ParamSet copy; sizes must match).
-/// The Variable form overwrites the values in place.
-void copy_into(std::span<tensor::Tensor> dst,
-               std::span<const tensor::Tensor> src);
-void copy_into(std::span<tensor::Variable> dst,
-               std::span<const tensor::Tensor> src);
-
-/// out = params − reference, written into caller-owned tensors.
-void difference_into(std::span<const tensor::Variable> params,
-                     std::span<const tensor::Tensor> reference,
-                     std::span<tensor::Tensor> out);
 double max_abs_diff(const ParamSet& a, const ParamSet& b);
 
 /// The default dependence factor α = 1/N.
 double default_alpha(std::size_t num_pipelines);
 
-/// Step ❷: pull live parameters toward a reference snapshot.
-void elastic_pull(std::span<tensor::Variable> params,
-                  std::span<const tensor::Tensor> reference, double alpha);
+/// The fold: for each of `rounds`, oldest first, per element
+/// acc = Σ 1.0·u over the round's updates in order, from zero, then
+/// v += (1/n)·acc, v starting from `dst` or, when `assign`, from 0. One
+/// sweep per shard runs every round on a register accumulator. Every update
+/// must have `dst`'s layout.
+void fold_rounds(std::span<tensor::Tensor> dst,
+                 std::span<const std::vector<ParamSet>> rounds, bool assign);
 
 /// The reference model (steps ❹–❺). Not thread-safe by itself; in the
 /// threaded system in avgpipe.hpp the driver thread owns it and plays the
@@ -67,11 +53,11 @@ class ReferenceModel {
 
   /// Steps ❹–❺ over a *batch* of complete rounds — under sync_lag the
   /// reference process may have several rounds pending. Each round, oldest
-  /// first, folds as the textbook accumulate-then-apply: acc = Σ 1.0·u over
-  /// its updates in order, from zero, then p += (1/n)·acc. One sweep per
-  /// parameter tensor runs every round on a register accumulator, so the
-  /// reference weights are read and written once per batch.
-  void apply_round_batch(const std::vector<std::vector<ParamSet>>& rounds);
+  /// first, folds as the textbook accumulate-then-apply (fold_rounds), so
+  /// the reference weights are read and written once per batch.
+  void apply_round_batch(const std::vector<std::vector<ParamSet>>& rounds) {
+    fold_rounds(params_, rounds, false);
+  }
 
   const ParamSet& params() const { return params_; }
   /// Direct mutable access for sync policies that replace (rather than

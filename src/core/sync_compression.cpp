@@ -24,7 +24,7 @@ SyncCompression sync_compression_from_env(SyncCompression configured) {
   return forced;
 }
 
-SyncCodec::Stats SyncCodec::transmit(ParamSet& params) {
+SyncCodec::Stats SyncCodec::transmit(std::span<tensor::Tensor> params) {
   Stats stats;
   for (const auto& t : params) {
     const std::size_t n = t.numel();
@@ -32,30 +32,31 @@ SyncCodec::Stats SyncCodec::transmit(ParamSet& params) {
     stats.wire_bytes += tensor::codec_wire_bytes(config_.codec, n);
   }
   if (!enabled()) return stats;
-  if (residuals_.size() != params.size()) {
-    AVGPIPE_CHECK(residuals_.empty(),
-                  "sync codec: stream went from " << residuals_.size()
-                                                  << " tensors to "
-                                                  << params.size());
-    residuals_.reserve(params.size());
-    for (const auto& t : params) {
-      residuals_.push_back(tensor::Tensor::zeros(t.shape()));
-    }
+  if (residuals_.empty()) residuals_ = tensor::zeros_like(params);
+  AVGPIPE_CHECK(residuals_.size() == params.size(),
+                "sync codec: stream went from " << residuals_.size()
+                                                << " tensors to "
+                                                << params.size());
+  // Fold the carried error in and remember the compensated payload, round
+  // trip it view by view (an int8 block never straddles two tensors), then
+  // keep the part the codec dropped: r' = (x + r) − dequant(quant(x + r)).
+  // The gaps between views stay zero.
+  tensor::for_each_shard(
+      [](std::span<tensor::Scalar> x, std::span<tensor::Scalar> r) {
+        for (std::size_t j = 0; j < x.size(); ++j) {
+          x[j] += r[j];
+          r[j] = x[j];
+        }
+      },
+      params, residuals_);
+  for (auto& t : params) {
+    tensor::codec_roundtrip(config_.codec, t.data().data(), t.numel());
   }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto xv = params[i].data();
-    auto rv = residuals_[i].data();
-    AVGPIPE_CHECK(rv.size() == xv.size(),
-                  "sync codec: tensor " << i << " changed size");
-    // Fold the carried error in, remember the compensated payload, then
-    // keep the part the codec dropped: r' = (x + r) − dequant(quant(x + r)).
-    for (std::size_t j = 0; j < xv.size(); ++j) {
-      xv[j] += rv[j];
-      rv[j] = xv[j];
-    }
-    tensor::codec_roundtrip(config_.codec, xv.data(), xv.size());
-    for (std::size_t j = 0; j < xv.size(); ++j) rv[j] -= xv[j];
-  }
+  tensor::for_each_shard(
+      [](std::span<const tensor::Scalar> x, std::span<tensor::Scalar> r) {
+        for (std::size_t j = 0; j < x.size(); ++j) r[j] -= x[j];
+      },
+      params, residuals_);
   return stats;
 }
 

@@ -13,11 +13,11 @@
 /// only codec-rounded values ever cross a boundary, which is precisely the
 /// semantics of a real compressed link.
 ///
-/// Error feedback (EF-SGD style, always on): each codec keeps a per-tensor residual
-/// r = original − dequantized, added back to the next payload before it is
-/// quantized, so quantization error accumulates into later transmissions
-/// instead of being lost — the standard fix that keeps lossy sync
-/// converging. Residuals are durable state: they ride along in checkpoints
+/// Error feedback (EF-SGD style, always on): each codec keeps a residual
+/// r = original − dequantized per transmitted tensor, in the payload's shard
+/// layout, added back to the next payload before it is quantized, so
+/// quantization error accumulates into later transmissions instead of being
+/// lost — the standard fix that keeps lossy sync converging. Residuals are durable state: they ride along in checkpoints
 /// (`ckpt::TrainState`) so a restored run resumes bit-identically.
 ///
 /// `Codec::kNone` short-circuits `transmit` into a no-op, which is why the
@@ -63,20 +63,20 @@ class SyncCodec {
   SyncCodec() = default;
   explicit SyncCodec(SyncCompression config) : config_(config) {}
 
-  const SyncCompression& config() const { return config_; }
   bool enabled() const { return config_.enabled(); }
 
   /// Degrade `params` in place to what the far end of the wire would decode
   /// (adding the carried residual first, then re-deriving it). No-op when
   /// the codec is off — then Stats reports raw == wire. Tensor count and
   /// shapes must stay stable across calls (residuals are per-position).
-  Stats transmit(ParamSet& params);
+  /// The residual passes run once per shard; quantization runs per tensor.
+  Stats transmit(std::span<tensor::Tensor> params);
 
-  /// EF residual accumulators, one per transmitted tensor (empty until the
-  /// first lossy transmit). Exposed for checkpoint capture/restore.
+  /// EF residual accumulators, one per transmitted tensor: zeros in the
+  /// first lossy payload's layout unless set before. Exposed for checkpoint
+  /// capture/restore; an owner may hand the stream views of its own buffer.
   const ParamSet& residuals() const { return residuals_; }
-  void set_residuals(ParamSet residuals) { residuals_ = std::move(residuals); }
-  void reset_residuals() { residuals_.clear(); }
+  ParamSet& residuals() { return residuals_; }
 
  private:
   SyncCompression config_;

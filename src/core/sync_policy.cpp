@@ -44,19 +44,17 @@ SyncPolicyConfig degenerate_config(SyncPolicyKind kind) {
   return cfg;
 }
 
-void SyncPolicy::begin_round(std::span<tensor::Variable> /*params*/,
-                             std::span<const tensor::Tensor> /*broadcast*/)
-    const {}
-
 ParamSet SyncPolicy::local_sync(std::span<tensor::Variable> params,
                                 std::span<const tensor::Tensor> broadcast,
                                 double alpha) const {
-  ParamSet out = uninitialized_like(params);
-  local_sync(params, broadcast, alpha, out);
+  ParamSet values = values_of(params);
+  ParamSet out = tensor::zeros_like(values);
+  local_sync(values, broadcast, alpha, out);
   return out;
 }
 
-void SyncPolicy::import_state(std::vector<tensor::Tensor> state) {
+void SyncPolicy::import_state(const ReferenceModel& /*reference*/,
+                              std::span<const tensor::Tensor> state) {
   AVGPIPE_CHECK(state.empty(), "policy '" << name() << "' is stateless but "
                                           << state.size()
                                           << " state tensors were restored");
@@ -68,31 +66,20 @@ void SyncPolicy::make_broadcast(const ReferenceModel& reference,
 }
 
 ParamSet SyncPolicy::make_broadcast(const ReferenceModel& reference) const {
-  ParamSet out = uninitialized_like(reference.params());
+  ParamSet out = tensor::zeros_like(reference.params());
   make_broadcast(reference, out);
   return out;
 }
 
 namespace {
 
-/// Mean of the round's parameter sets into `dst`. n = 1 assigns exactly
-/// (copy_from) rather than via zero + axpy, so a lone replica round-trips
-/// bit-identically — the parity gate's foundation for BSP and BMUF.
+/// Mean of the round's parameter sets into `dst`: the fold of that one
+/// round from zero. n = 1 assigns exactly (a copy) rather than via
+/// 0 + 1·(1.0·x), so a lone replica round-trips bit-identically — the parity
+/// gate's foundation for BSP and BMUF.
 void round_mean(ParamSet& dst, const std::vector<ParamSet>& round) {
-  AVGPIPE_CHECK(!round.empty(), "empty round");
-  for (const auto& r : round) {
-    AVGPIPE_CHECK(r.size() == dst.size(), "round/reference size mismatch");
-  }
-  if (round.size() == 1) {
-    copy_into(dst, round[0]);
-    return;
-  }
-  const double inv_n = 1.0 / static_cast<double>(round.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i].zero_();
-    for (const auto& r : round) dst[i].axpy_(1.0, r[i]);
-    dst[i].scale_(inv_n);
-  }
+  if (round.size() == 1) return copy_into(dst, round[0]);
+  fold_rounds(dst, std::span(&round, 1), true);
 }
 
 /// The paper's elastic averaging: pull/push against the broadcast, reference
@@ -102,11 +89,23 @@ class ElasticPolicy : public SyncPolicy {
   using SyncPolicy::SyncPolicy;
   std::string name() const override { return "elastic"; }
 
-  void local_sync(std::span<tensor::Variable> params,
+  void local_sync(std::span<tensor::Tensor> params,
                   std::span<const tensor::Tensor> broadcast, double alpha,
                   std::span<tensor::Tensor> out) const override {
-    elastic_pull(params, broadcast, alpha);
-    difference_into(params, broadcast, out);
+    AVGPIPE_CHECK(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
+    // Step ❷, the pull x ← x + α·(ref − x), then step ❸'s update
+    // u = x + (−1)·ref, in one pass.
+    tensor::for_each_shard(
+        [alpha](std::span<tensor::Scalar> x,
+                std::span<const tensor::Scalar> ref,
+                std::span<tensor::Scalar> u) {
+          for (std::size_t j = 0; j < x.size(); ++j) {
+            const tensor::Scalar pulled = x[j] + alpha * (ref[j] - x[j]);
+            x[j] = pulled;
+            u[j] = pulled + -1.0 * ref[j];
+          }
+        },
+        params, broadcast, out);
   }
 
   void apply_rounds(ReferenceModel& reference,
@@ -125,21 +124,18 @@ class BspPolicy : public SyncPolicy {
 
   bool needs_begin() const override { return true; }
 
-  void begin_round(std::span<tensor::Variable> params,
+  void begin_round(std::span<tensor::Tensor> params,
                    std::span<const tensor::Tensor> broadcast) const override {
     copy_into(params, broadcast);
   }
 
-  void local_sync(std::span<tensor::Variable> params,
+  void local_sync(std::span<tensor::Tensor> params,
                   std::span<const tensor::Tensor> /*broadcast*/,
                   double /*alpha*/,
                   std::span<tensor::Tensor> out) const override {
     // Ship the trained weights; the replica itself is untouched (it restarts
     // from the next broadcast anyway).
-    AVGPIPE_CHECK(params.size() == out.size(), "replica/update size mismatch");
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      out[i].copy_from(params[i].value());
-    }
+    copy_into(out, params);
   }
 
   void apply_rounds(ReferenceModel& reference,
@@ -165,7 +161,7 @@ class BmufPolicy : public BspPolicy {
   void apply_rounds(ReferenceModel& reference,
                     const std::vector<std::vector<ParamSet>>& rounds)
       REQUIRES(reference_capability()) override {
-    if (mean_.empty()) mean_ = reference.snapshot();  // shape donor
+    if (mean_.empty()) mean_ = tensor::zeros_like(reference.params());
     for (const auto& round : rounds) {
       round_mean(mean_, round);
       momentum_.filter_apply(reference.mutable_params(), mean_);
@@ -178,22 +174,22 @@ class BmufPolicy : public BspPolicy {
     momentum_.add_restart_offset(out);
   }
 
-  const optim::BlockMomentum& momentum() const
-      REQUIRES(reference_capability()) {
-    return momentum_;
-  }
-
   std::vector<tensor::Tensor> export_state() const
       REQUIRES(reference_capability()) override {
-    std::vector<tensor::Tensor> out;
-    out.reserve(momentum_.delta().size());
-    for (const auto& d : momentum_.delta()) out.push_back(d.clone());
-    return out;
+    return clone_set(momentum_.delta());
   }
 
-  void import_state(std::vector<tensor::Tensor> state)
+  void import_state(const ReferenceModel& reference,
+                    std::span<const tensor::Tensor> state)
       REQUIRES(reference_capability()) override {
-    momentum_.set_delta(std::move(state));
+    // Δ lands in the reference's layout; copy_into rejects a count or size
+    // that differs from the reference's.
+    ParamSet delta;
+    if (!state.empty()) {
+      delta = tensor::zeros_like(reference.params());
+      copy_into(delta, state);
+    }
+    momentum_.set_delta(std::move(delta));
   }
 
  private:

@@ -20,7 +20,9 @@
 /// stage thread runs the hooks over its own *shard* — the stage's parameters
 /// and the matching slices of the broadcast and of the round's update — and
 /// writes into caller-owned buffers, so a steady-state round allocates
-/// nothing. Whole-model calls pass the full lists.
+/// nothing. In `AvgPipe` each slice is one flat buffer per stage, so a hook
+/// is one loop over one span (tensor.hpp's shards); whole-model calls over
+/// separate tensors run the same code over one-view shards.
 ///
 /// Concurrency contract (enforced by constness, documented in DESIGN.md §13):
 /// the replica-side hooks are called concurrently from the N·K stage threads
@@ -104,7 +106,6 @@ class SyncPolicy {
   virtual ~SyncPolicy() = default;
 
   SyncPolicyKind kind() const { return config_.kind; }
-  const SyncPolicyConfig& config() const { return config_; }
   virtual std::string name() const = 0;
 
   // -- replica side: called concurrently from the stage threads, one shard
@@ -113,16 +114,17 @@ class SyncPolicy {
   /// Whether replicas must be reset from the broadcast before each round.
   virtual bool needs_begin() const { return false; }
 
-  /// Reset the shard `params` from its slice of the round's broadcast
-  /// (BSP/BMUF). Default: no-op.
-  virtual void begin_round(std::span<tensor::Variable> params,
-                           std::span<const tensor::Tensor> broadcast) const;
+  /// Reset the shard `params` (live weights, see values_of) from its slice
+  /// of the round's broadcast (BSP/BMUF). Default: no-op.
+  virtual void begin_round(std::span<tensor::Tensor> /*params*/,
+                           std::span<const tensor::Tensor> /*broadcast*/)
+      const {}
 
   /// Post-training step on a shard: transform `params` (elastic pull) and
   /// write the shard's contribution to the round into `out` (elastic update
-  /// or a copy of the trained weights). `out` is caller-owned, shaped like
-  /// `params`, and fully overwritten.
-  virtual void local_sync(std::span<tensor::Variable> params,
+  /// or a copy of the trained weights). `out` is caller-owned, in the layout
+  /// of `params`, and fully overwritten.
+  virtual void local_sync(std::span<tensor::Tensor> params,
                           std::span<const tensor::Tensor> broadcast,
                           double alpha,
                           std::span<tensor::Tensor> out) const = 0;
@@ -144,7 +146,7 @@ class SyncPolicy {
       REQUIRES(reference_capability()) = 0;
 
   /// Write the snapshot replicas pull/reset against next round into `out`
-  /// (shaped like the reference) — also what a rejoining pipeline restores
+  /// (in the reference's layout) — also what a rejoining pipeline restores
   /// from, so a policy with reference-side state (BMUF) bakes its
   /// reconstruction (the Nesterov restart point) in here. Const but reads
   /// reference-side state, hence the shared serialisation.
@@ -167,9 +169,11 @@ class SyncPolicy {
     return {};
   }
 
-  /// Restore a snapshot produced by `export_state` on a same-kind policy.
-  /// Throws avgpipe::Error if state is offered to a stateless policy.
-  virtual void import_state(std::vector<tensor::Tensor> state)
+  /// Restore a snapshot produced by `export_state` on a same-kind policy
+  /// over `reference`. Throws avgpipe::Error if state is offered to a
+  /// stateless policy or does not match the reference's tensors.
+  virtual void import_state(const ReferenceModel& reference,
+                            std::span<const tensor::Tensor> state)
       REQUIRES(reference_capability());
 
  protected:

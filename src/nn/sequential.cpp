@@ -27,16 +27,8 @@ std::string Sequential::describe() const {
 }
 
 void copy_parameters(Sequential& src, Sequential& dst) {
-  auto sp = src.parameters();
-  auto dp = dst.parameters();
-  AVGPIPE_CHECK(sp.size() == dp.size(),
-                "copy_parameters: model architectures differ ("
-                    << sp.size() << " vs " << dp.size() << " tensors)");
-  for (std::size_t i = 0; i < sp.size(); ++i) {
-    AVGPIPE_CHECK(sp[i].numel() == dp[i].numel(),
-                  "copy_parameters: tensor " << i << " shape mismatch");
-    dp[i].value().copy_from(sp[i].value());
-  }
+  auto values = tensor::values_of(dst.parameters());
+  tensor::copy_into(values, tensor::values_of(src.parameters()));
 }
 
 }  // namespace avgpipe::nn

@@ -10,25 +10,17 @@ namespace {
 
 /// Clone `src` onto the end of `state.slots`.
 void append_slots(OptimizerState& state, const std::vector<Tensor>& src) {
-  state.slots.reserve(state.slots.size() + src.size());
-  for (const auto& t : src) state.slots.push_back(t.clone());
+  for (Tensor& t : tensor::clone_set(src)) state.slots.push_back(std::move(t));
 }
 
-/// Copy `count` slots starting at `offset` into `dst` (shape-checked).
+/// Copy `dst.size()` slots starting at `offset` into `dst` (size-checked).
 void restore_slots(const OptimizerState& state, std::size_t offset,
                    std::vector<Tensor>& dst) {
   AVGPIPE_CHECK(offset + dst.size() <= state.slots.size(),
                 "optimizer state '" << state.name << "': expected at least "
                                     << offset + dst.size() << " slots, got "
                                     << state.slots.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    const Tensor& src = state.slots[offset + i];
-    AVGPIPE_CHECK(src.numel() == dst[i].numel(),
-                  "optimizer state '" << state.name << "': slot " << offset + i
-                                      << " numel " << src.numel()
-                                      << " != " << dst[i].numel());
-    dst[i].copy_from(src);
-  }
+  tensor::copy_into(dst, std::span(state.slots).subspan(offset, dst.size()));
 }
 
 }  // namespace
@@ -54,10 +46,7 @@ Sgd::Sgd(std::vector<Variable> params, Scalar lr, Scalar momentum,
     : Optimizer(std::move(params), lr),
       momentum_(momentum),
       weight_decay_(weight_decay) {
-  if (momentum_ != 0.0) {
-    velocity_.reserve(params_.size());
-    for (auto& p : params_) velocity_.emplace_back(p.value().shape());
-  }
+  if (momentum_ != 0.0) velocity_ = tensor::zeros_like(values_of(params_));
 }
 
 void Sgd::step() {
@@ -109,12 +98,8 @@ void Sgd::import_state(const OptimizerState& state) {
 Adam::Adam(std::vector<Variable> params, Scalar lr, Scalar beta1, Scalar beta2,
            Scalar eps)
     : Optimizer(std::move(params), lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (auto& p : params_) {
-    m_.emplace_back(p.value().shape());
-    v_.emplace_back(p.value().shape());
-  }
+  m_ = tensor::zeros_like(values_of(params_));
+  v_ = tensor::zeros_like(m_);
 }
 
 void Adam::step() {
@@ -157,8 +142,7 @@ void Adam::import_state(const OptimizerState& state) {
 
 Adagrad::Adagrad(std::vector<Variable> params, Scalar lr, Scalar eps)
     : Optimizer(std::move(params), lr), eps_(eps) {
-  accum_.reserve(params_.size());
-  for (auto& p : params_) accum_.emplace_back(p.value().shape());
+  accum_ = tensor::zeros_like(values_of(params_));
 }
 
 void Adagrad::step() {
@@ -196,8 +180,7 @@ Asgd::Asgd(std::vector<Variable> params, Scalar lr, std::size_t trigger,
     : Optimizer(std::move(params), lr),
       trigger_(trigger),
       weight_decay_(weight_decay) {
-  average_.reserve(params_.size());
-  for (auto& p : params_) average_.emplace_back(p.value().shape());
+  average_ = tensor::zeros_like(values_of(params_));
 }
 
 void Asgd::step() {
@@ -225,20 +208,14 @@ void Asgd::step() {
 }
 
 std::vector<Tensor> Asgd::averaged_params() const {
-  std::vector<Tensor> result;
-  result.reserve(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    result.push_back(averaged_steps_ > 0 ? average_[i].clone()
-                                         : params_[i].value().clone());
-  }
-  return result;
+  return averaged_steps_ > 0 ? tensor::clone_set(average_)
+                             : tensor::clone_values(params_);
 }
 
 void Asgd::swap_to_average() {
   if (averaged_steps_ == 0) return;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    params_[i].value().copy_from(average_[i]);
-  }
+  auto values = tensor::values_of(params_);
+  tensor::copy_into(values, average_);
 }
 
 OptimizerState Asgd::export_state() const {
@@ -283,44 +260,40 @@ Scalar BlockMomentum::effective_lr(Scalar block_momentum, Scalar block_lr) {
 
 void BlockMomentum::filter_apply(std::vector<Tensor>& global,
                                  const std::vector<Tensor>& block_mean) {
-  AVGPIPE_CHECK(global.size() == block_mean.size(),
-                "global/block-mean size mismatch");
-  if (delta_.empty()) {
-    delta_.reserve(global.size());
-    for (const auto& g : global) delta_.emplace_back(g.shape());
-  }
+  if (delta_.empty()) delta_ = tensor::zeros_like(global);
+  AVGPIPE_CHECK(delta_.size() == global.size(),
+                "global/delta size mismatch: " << global.size() << " vs "
+                                               << delta_.size());
   // η = 0, ζ = 1 collapses to W(t) = mean(x_i); assign exactly (rather than
   // W += (mean − W), whose round-trip is not bit-exact) so the degenerate
   // configuration is bit-identical to plain model averaging.
   const bool degenerate = eta_ == 0.0 && zeta_ == 1.0;
-  for (std::size_t i = 0; i < global.size(); ++i) {
-    AVGPIPE_CHECK(global[i].numel() == block_mean[i].numel(),
-                  "global/block-mean numel mismatch");
-    auto wv = global[i].data();
-    const auto mv = block_mean[i].data();
-    auto dv = delta_[i].data();
-    if (degenerate) {
-      for (std::size_t j = 0; j < wv.size(); ++j) {
-        dv[j] = mv[j] - wv[j];
-        wv[j] = mv[j];
-      }
-    } else {
-      for (std::size_t j = 0; j < wv.size(); ++j) {
-        const Scalar d = eta_ * dv[j] + zeta_ * (mv[j] - wv[j]);
-        dv[j] = d;
-        wv[j] += d;
-      }
-    }
-  }
+  tensor::for_each_shard(
+      [&](std::span<Scalar> wv, std::span<const Scalar> mv,
+          std::span<Scalar> dv) {
+        if (degenerate) {
+          for (std::size_t j = 0; j < wv.size(); ++j) {
+            dv[j] = mv[j] - wv[j];
+            wv[j] = mv[j];
+          }
+        } else {
+          for (std::size_t j = 0; j < wv.size(); ++j) {
+            const Scalar d = eta_ * dv[j] + zeta_ * (mv[j] - wv[j]);
+            dv[j] = d;
+            wv[j] += d;
+          }
+        }
+      },
+      global, block_mean, delta_);
 }
 
 void BlockMomentum::add_restart_offset(std::vector<Tensor>& broadcast) const {
   if (delta_.empty() || eta_ == 0.0) return;
-  AVGPIPE_CHECK(broadcast.size() == delta_.size(),
-                "broadcast/delta size mismatch");
-  for (std::size_t i = 0; i < broadcast.size(); ++i) {
-    broadcast[i].axpy_(eta_, delta_[i]);
-  }
+  tensor::for_each_shard(
+      [this](std::span<Scalar> bv, std::span<const Scalar> dv) {
+        for (std::size_t j = 0; j < bv.size(); ++j) bv[j] += eta_ * dv[j];
+      },
+      broadcast, delta_);
 }
 
 // -- factory ----------------------------------------------------------------------

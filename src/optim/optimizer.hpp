@@ -161,8 +161,9 @@ class BlockMomentum {
   /// λ = ζ/(1−η), the effective per-block learning rate.
   static Scalar effective_lr(Scalar block_momentum, Scalar block_lr);
 
-  /// One block update: fold `block_mean` into `global` through the filter.
-  /// Shapes must match pairwise; Δ is lazily initialised to zeros.
+  /// One block update: fold `block_mean` into `global` through the filter,
+  /// one pass per shard. `block_mean` and Δ must match `global` tensor for
+  /// tensor; Δ is lazily initialised to zeros in `global`'s layout.
   void filter_apply(std::vector<Tensor>& global,
                     const std::vector<Tensor>& block_mean);
 
@@ -170,13 +171,10 @@ class BlockMomentum {
   /// the first filter_apply, or when η = 0).
   void add_restart_offset(std::vector<Tensor>& broadcast) const;
 
-  bool initialized() const { return !delta_.empty(); }
   const std::vector<Tensor>& delta() const { return delta_; }
   /// Restore Δ(t) from a checkpoint (empty = back to uninitialised; the
-  /// next `filter_apply` re-validates shapes against the global model).
+  /// next `filter_apply` checks it against the global model).
   void set_delta(std::vector<Tensor> delta) { delta_ = std::move(delta); }
-  Scalar block_momentum() const { return eta_; }
-  Scalar block_lr() const { return zeta_; }
 
  private:
   Scalar eta_, zeta_;

@@ -158,21 +158,15 @@ std::string PipelineRuntime::failure_message() const {
   return failure_;
 }
 
-std::vector<tensor::Variable> PipelineRuntime::stage_parameters(
-    std::size_t k) const {
-  AVGPIPE_CHECK(k < stages_.size(), "stage out of range");
-  return stages_[k]->module.parameters();
-}
-
 void PipelineRuntime::record_span(Stage& stage, trace::EventKind kind,
-                                  const schedule::Instr& instr,
+                                  const schedule::Instr& instr, long step,
                                   Seconds t_begin) {
   if (stage.trace_buf == nullptr) return;
   trace::TraceEvent ev;
   ev.kind = kind;
   ev.pipeline = static_cast<std::uint32_t>(config_.pipeline_index);
   ev.stage = static_cast<std::uint32_t>(stage.index);
-  ev.batch = instr.batch;
+  ev.batch = static_cast<std::int32_t>(step);
   ev.micro_batch = instr.micro_batch;
   ev.t_begin = t_begin;
   ev.t_end = config_.tracer->wall_now();
@@ -244,7 +238,7 @@ void PipelineRuntime::faulty_send(Stage& stage, SpscChannel<T>& ch, T msg,
       fault::sleep_for(retry);
     }
     if (attempt > 0) {
-      record_span(stage, trace::EventKind::kFaultDrop, instr, t0);
+      record_span(stage, trace::EventKind::kFaultDrop, instr, step, t0);
     }
     // Degraded-link windows add per-message latency on this boundary.
     const int link = dir == fault::LinkDir::kActivation
@@ -308,8 +302,8 @@ void PipelineRuntime::worker_loop(Stage& stage) {
       std::ostringstream msg;
       msg << "stage " << stage.index;
       if (current != nullptr) {
-        msg << " [" << schedule::to_string(current->kind) << " b"
-            << current->batch << "." << current->micro_batch << "]";
+        msg << " [" << schedule::to_string(current->kind) << " b" << *step
+            << "." << current->micro_batch << "]";
       }
       msg << ": " << e.what();
       fail(msg.str());
@@ -369,7 +363,7 @@ void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
   switch (instr.kind) {
     case schedule::OpKind::kForward: run_forward(stage, instr, step); break;
     case schedule::OpKind::kBackward: run_backward(stage, instr, step); break;
-    case schedule::OpKind::kUpdate: run_update(stage, instr); break;
+    case schedule::OpKind::kUpdate: run_update(stage, instr, step); break;
     case schedule::OpKind::kAllReduce:
       AVGPIPE_THROW("all-reduce in a pipeline stream");
   }
@@ -387,7 +381,7 @@ void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
     // missing (slow - 1) share of its measured duration.
     const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
     fault::sleep_for((slow - 1.0) * elapsed_since(w0));
-    record_span(stage, trace::EventKind::kFaultStraggler, instr, t0);
+    record_span(stage, trace::EventKind::kFaultStraggler, instr, step, t0);
   }
 }
 
@@ -402,7 +396,7 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
   common::RoleGuard in_role(in_ch.consumer_role());
   const Seconds t_wait = stage.trace_buf ? config_.tracer->wall_now() : 0;
   auto msg = robust_recv(stage, in_ch, "activation");
-  record_span(stage, trace::EventKind::kWaitBubble, instr, t_wait);
+  record_span(stage, trace::EventKind::kWaitBubble, instr, step, t_wait);
   record_queue_depth(stage, in_ch.size());
   AVGPIPE_CHECK(msg.has_value(), "activation channel closed mid-batch");
   AVGPIPE_CHECK(msg->micro_batch == instr.micro_batch,
@@ -431,7 +425,7 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
   }
   stage.stash.emplace(instr.micro_batch, std::move(stash));
   stage.peak_stash = std::max(stage.peak_stash, stage.stash.size());
-  record_span(stage, trace::EventKind::kForward, instr, t0);
+  record_span(stage, trace::EventKind::kForward, instr, step, t0);
 }
 
 void PipelineRuntime::run_backward(Stage& stage,
@@ -455,7 +449,7 @@ void PipelineRuntime::run_backward(Stage& stage,
     common::RoleGuard grad_role(grad_ch.consumer_role());
     const Seconds t_wait = t0;
     auto grad = robust_recv(stage, grad_ch, "gradient");
-    record_span(stage, trace::EventKind::kWaitBubble, instr, t_wait);
+    record_span(stage, trace::EventKind::kWaitBubble, instr, step, t_wait);
     record_queue_depth(stage, grad_ch.size());
     AVGPIPE_CHECK(grad.has_value(), "gradient channel closed mid-batch");
     AVGPIPE_CHECK(grad->micro_batch == instr.micro_batch,
@@ -478,37 +472,32 @@ void PipelineRuntime::run_backward(Stage& stage,
                             std::move(stash.input.mutable_grad())},
                 instr, step, fault::LinkDir::kGradient);
   }
-  record_span(stage, trace::EventKind::kBackward, instr, t0);
+  record_span(stage, trace::EventKind::kBackward, instr, step, t0);
 }
 
 void PipelineRuntime::begin_prediction(Stage& stage, long step) {
   if (config_.prediction_lookahead == 0.0) return;
-  const auto& params = stage.optimizer->params();
+  auto values = tensor::values_of(stage.optimizer->params());
   if (stage.pred_true.empty()) {
-    stage.pred_true.reserve(params.size());
-    for (const auto& p : params) stage.pred_true.push_back(p.value().clone());
+    stage.pred_true = tensor::clone_set(values);
   } else {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      stage.pred_true[i].copy_from(params[i].value());
-    }
+    tensor::copy_into(stage.pred_true, values);
   }
   // Sized independently of pred_true: import_stage_state restores Δ̂ before
   // this stage has ever predicted (pred_true still empty).
-  if (stage.pred_delta.empty()) {
-    stage.pred_delta.reserve(params.size());
-    for (const auto& p : params) {
-      stage.pred_delta.emplace_back(p.value().shape());
-    }
-  }
+  if (stage.pred_delta.empty()) stage.pred_delta = tensor::zeros_like(values);
   stage.pred_predicted = true;
   // Nothing to extrapolate from until the first realised update: the batch
   // then runs on the true weights (and seeds Δ̂ in run_update).
   if (!stage.pred_have_delta) return;
   const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const_cast<tensor::Variable&>(params[i]).value().axpy_(
-        config_.prediction_lookahead, stage.pred_delta[i]);
-  }
+  const double lookahead = config_.prediction_lookahead;
+  tensor::for_each_shard(
+      [lookahead](std::span<tensor::Scalar> w,
+                  std::span<const tensor::Scalar> d) {
+        for (std::size_t j = 0; j < w.size(); ++j) w[j] += lookahead * d[j];
+      },
+      values, stage.pred_delta);
   if (stage.trace_buf != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::EventKind::kWeightPrediction;
@@ -521,20 +510,18 @@ void PipelineRuntime::begin_prediction(Stage& stage, long step) {
   }
 }
 
-void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr) {
+void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr,
+                                 long step) {
   // Accumulated micro-batch gradients -> batch-mean gradient.
   const Seconds t0 = stage.trace_buf ? config_.tracer->wall_now() : 0;
   const auto& params = stage.optimizer->params();
   const bool predicted = stage.pred_predicted;
-  if (predicted) {
-    // The batch's gradients were computed at the predicted weights ŵ; the
-    // update itself lands on the true weights stashed at batch start (XPipe
-    // semantics: predict for compute, correct on apply).
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const_cast<tensor::Variable&>(params[i]).value().copy_from(
-          stage.pred_true[i]);
-    }
-  }
+  auto values = predicted ? tensor::values_of(params)
+                          : std::vector<tensor::Tensor>{};
+  // The batch's gradients were computed at the predicted weights ŵ; the
+  // update itself lands on the true weights stashed at batch start (XPipe
+  // semantics: predict for compute, correct on apply).
+  if (predicted) tensor::copy_into(values, stage.pred_true);
   const double inv_m = 1.0 / static_cast<double>(config_.micro_batches);
   for (auto& p : params) {
     const_cast<tensor::Variable&>(p).mutable_grad().scale_(inv_m);
@@ -543,16 +530,16 @@ void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr) {
   stage.optimizer->zero_grad();
   if (predicted) {
     // The realised update w_new − w_old becomes Δ̂ for the next prediction.
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      auto dv = stage.pred_delta[i].data();
-      const auto wv = params[i].value().data();
-      const auto ov = stage.pred_true[i].data();
-      for (std::size_t j = 0; j < dv.size(); ++j) dv[j] = wv[j] - ov[j];
-    }
+    tensor::for_each_shard(
+        [](std::span<tensor::Scalar> d, std::span<const tensor::Scalar> w,
+           std::span<const tensor::Scalar> o) {
+          for (std::size_t j = 0; j < d.size(); ++j) d[j] = w[j] - o[j];
+        },
+        stage.pred_delta, values, stage.pred_true);
     stage.pred_have_delta = true;
     stage.pred_predicted = false;
   }
-  record_span(stage, trace::EventKind::kUpdate, instr, t0);
+  record_span(stage, trace::EventKind::kUpdate, instr, step, t0);
 }
 
 BatchStats PipelineRuntime::train_batch(const data::Batch& batch) {
@@ -611,8 +598,7 @@ std::vector<StageState> PipelineRuntime::export_stage_state() const {
   for (const auto& stage : stages_) {
     StageState s;
     s.optimizer = stage->optimizer->export_state();
-    s.pred_delta.reserve(stage->pred_delta.size());
-    for (const auto& d : stage->pred_delta) s.pred_delta.push_back(d.clone());
+    s.pred_delta = tensor::clone_set(stage->pred_delta);
     s.pred_have_delta = stage->pred_have_delta;
     out.push_back(std::move(s));
   }
@@ -628,11 +614,7 @@ void PipelineRuntime::import_stage_state(const std::vector<StageState>& state) {
     stage.optimizer->import_state(state[i].optimizer);
     // The Δ̂ buffers are lazily sized by begin_prediction; a restore before
     // the first predicted batch recreates them from the snapshot instead.
-    stage.pred_delta.clear();
-    stage.pred_delta.reserve(state[i].pred_delta.size());
-    for (const auto& d : state[i].pred_delta) {
-      stage.pred_delta.push_back(d.clone());
-    }
+    stage.pred_delta = tensor::clone_set(state[i].pred_delta);
     stage.pred_have_delta = state[i].pred_have_delta;
     stage.pred_predicted = false;
   }

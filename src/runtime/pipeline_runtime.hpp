@@ -136,9 +136,6 @@ class PipelineRuntime {
   /// step and end hook included).
   BatchStats wait();
 
-  /// Stage k's parameters (handles sharing the model's), in model order.
-  std::vector<tensor::Variable> stage_parameters(std::size_t k) const;
-
   /// Whether a stage worker has failed (see train_batch).
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   /// First recorded failure, empty if none.
@@ -214,12 +211,13 @@ class PipelineRuntime {
   void run_instr(Stage& stage, const schedule::Instr& instr, long step);
   void run_forward(Stage& stage, const schedule::Instr& instr, long step);
   void run_backward(Stage& stage, const schedule::Instr& instr, long step);
-  void run_update(Stage& stage, const schedule::Instr& instr);
+  void run_update(Stage& stage, const schedule::Instr& instr, long step);
   /// Batch start under weight prediction: stash the true weights and jump to
   /// ŵ = w + lookahead·Δ̂ (no-op before the first realised update exists).
   void begin_prediction(Stage& stage, long step);
+  /// A span of `instr`, tagged with the step its start token carried.
   void record_span(Stage& stage, trace::EventKind kind,
-                   const schedule::Instr& instr, Seconds t_begin);
+                   const schedule::Instr& instr, long step, Seconds t_begin);
   void record_counter(Stage& stage, trace::CounterId id, double value);
   void record_queue_depth(Stage& stage, std::size_t depth);
 

@@ -53,30 +53,21 @@ StalenessTrainer::StalenessTrainer(nn::Sequential model,
 }
 
 void StalenessTrainer::push_version() {
-  std::vector<tensor::Tensor> snap;
-  for (auto& p : model_.parameters()) snap.push_back(p.value().clone());
-  versions_.push_back(std::move(snap));
+  versions_.push_back(tensor::clone_values(model_.parameters()));
   while (versions_.size() > delay_ + 1) versions_.pop_front();
 }
 
 double StalenessTrainer::stale_gradient(const data::Batch& batch) {
-  auto params = model_.parameters();
-  const auto& stale = versions_.front();
+  auto values = tensor::values_of(model_.parameters());
 
   // Swap in the stale weights, evaluate, swap back. Gradients land in the
   // (shared) grad buffers and are applied to the *current* weights — the
   // defining inconsistency of multi-version pipelines.
-  std::vector<tensor::Tensor> current;
-  current.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    current.push_back(params[i].value().clone());
-    params[i].value().copy_from(stale[i]);
-  }
+  const std::vector<tensor::Tensor> current = tensor::clone_set(values);
+  tensor::copy_into(values, versions_.front());
   tensor::Variable loss = batch_loss(model_, batch);
   loss.backward();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i].value().copy_from(current[i]);
-  }
+  tensor::copy_into(values, current);
   return loss.value()[0];
 }
 

@@ -57,6 +57,17 @@ void Variable::zero_grad() {
   if (data_ && data_->grad_allocated) data_->grad.zero_();
 }
 
+std::vector<Tensor> values_of(std::span<const Variable> params) {
+  std::vector<Tensor> out;
+  out.reserve(params.size());
+  for (const auto& p : params) out.push_back(p.value());
+  return out;
+}
+
+std::vector<Tensor> clone_values(std::span<const Variable> params) {
+  return clone_set(values_of(params));
+}
+
 Variable Variable::make_op(Tensor value, std::vector<Variable> parents,
                            std::function<void(detail::VarData&)> backward_fn) {
   bool any_grad = false;

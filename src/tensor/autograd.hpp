@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -92,6 +93,12 @@ class Variable {
 
   std::shared_ptr<detail::VarData> data_;
 };
+
+/// The live value tensors of `params` (shallow: writing through them writes
+/// the parameters).
+std::vector<Tensor> values_of(std::span<const Variable> params);
+/// Deep copy of the values of a parameter list, in their shard layout.
+std::vector<Tensor> clone_values(std::span<const Variable> params);
 
 /// Count of graph nodes created so far (diagnostic; monotone).
 std::uint64_t autograd_nodes_created();

@@ -67,50 +67,52 @@ Tensor Tensor::reshape(Shape new_shape) const {
   return view;
 }
 
+Tensor Tensor::view(std::size_t offset, Shape shape) const {
+  const std::size_t n = shape_numel(shape);
+  AVGPIPE_CHECK(offset <= numel_ && n <= numel_ - offset,
+                "view [" << offset << ", " << offset + n << ") of a "
+                         << numel_ << "-element tensor");
+  Tensor v = *this;
+  v.offset_ += offset;
+  v.numel_ = n;
+  v.shape_ = std::move(shape);
+  return v;
+}
+
 Tensor Tensor::clone() const {
   Tensor copy = uninitialized(shape_);
-  std::copy(storage_->data(), storage_->data() + storage_->size(),
-            copy.storage_->data());
+  std::ranges::copy(data(), copy.data().begin());
   return copy;
 }
 
-void Tensor::fill_(Scalar value) {
-  std::fill(storage_->data(), storage_->data() + storage_->size(), value);
-}
+void Tensor::fill_(Scalar value) { std::ranges::fill(data(), value); }
 
 void Tensor::axpy_(Scalar alpha, const Tensor& other) {
   AVGPIPE_CHECK(numel() == other.numel(), "axpy_ numel mismatch");
-  Scalar* a = storage_->data();
-  const Scalar* b = other.storage_->data();
-  const std::size_t n = numel();
-  for (std::size_t i = 0; i < n; ++i) a[i] += alpha * b[i];
+  const auto a = data();
+  const auto b = other.data();
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] += alpha * b[i];
 }
 
 void Tensor::scale_(Scalar alpha) {
-  Scalar* a = storage_->data();
-  const std::size_t n = numel();
-  for (std::size_t i = 0; i < n; ++i) a[i] *= alpha;
+  for (Scalar& a : data()) a *= alpha;
 }
 
 void Tensor::lerp_(const Tensor& other, Scalar t) {
   AVGPIPE_CHECK(numel() == other.numel(), "lerp_ numel mismatch");
-  Scalar* a = storage_->data();
-  const Scalar* b = other.storage_->data();
-  const std::size_t n = numel();
-  for (std::size_t i = 0; i < n; ++i) a[i] += t * (b[i] - a[i]);
+  const auto a = data();
+  const auto b = other.data();
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] += t * (b[i] - a[i]);
 }
 
 void Tensor::copy_from(const Tensor& other) {
   AVGPIPE_CHECK(numel() == other.numel(), "copy_from numel mismatch");
-  std::copy(other.storage_->data(), other.storage_->data() + other.numel(),
-            storage_->data());
+  std::ranges::copy(other.data(), data().begin());
 }
 
 Scalar Tensor::sum() const {
-  const Scalar* a = storage_->data();
-  const std::size_t n = numel();
   Scalar acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i];
+  for (const Scalar a : data()) acc += a;
   return acc;
 }
 
@@ -119,10 +121,8 @@ Scalar Tensor::mean() const {
 }
 
 Scalar Tensor::abs_max() const {
-  const Scalar* a = storage_->data();
-  const std::size_t n = numel();
   Scalar m = 0.0;
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(a[i]));
+  for (const Scalar a : data()) m = std::max(m, std::fabs(a));
   return m;
 }
 
@@ -131,20 +131,20 @@ Scalar Tensor::norm() const { return std::sqrt(dot(*this)); }
 Scalar Tensor::dot(const Tensor& other) const {
   AVGPIPE_CHECK(numel() == other.numel(), "dot numel mismatch");
   Scalar acc = 0.0;
-  const Scalar* a = storage_->data();
-  const Scalar* b = other.storage_->data();
-  const std::size_t n = numel();
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
+  const auto a = data();
+  const auto b = other.data();
+  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
   return acc;
 }
 
 Scalar Tensor::max_abs_diff(const Tensor& other) const {
   AVGPIPE_CHECK(numel() == other.numel(), "max_abs_diff numel mismatch");
   Scalar m = 0.0;
-  const Scalar* a = storage_->data();
-  const Scalar* b = other.storage_->data();
-  const std::size_t n = numel();
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(a[i] - b[i]));
+  const auto a = data();
+  const auto b = other.data();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    m = std::max(m, std::fabs(a[i] - b[i]));
+  }
   return m;
 }
 
@@ -154,11 +154,71 @@ std::string Tensor::to_string(std::size_t max_elems) const {
   const std::size_t n = std::min(numel(), max_elems);
   for (std::size_t i = 0; i < n; ++i) {
     if (i) os << ", ";
-    os << storage_->data()[i];
+    os << (*this)[i];
   }
   if (numel() > max_elems) os << ", ...";
   os << '}';
   return os.str();
+}
+
+namespace {
+
+/// Views start on 64-byte boundaries: offsets round up to 8 scalars.
+std::size_t align_up(std::size_t n) { return (n + 7) / 8 * 8; }
+
+/// Fresh views shaped like `like`: one buffer per shard of `like`, or one
+/// for all of it when `one`; zero-filled when `zero`, else for callers that
+/// write every element, gaps included.
+std::vector<Tensor> laid_out(std::span<const Tensor> like, bool one,
+                             bool zero) {
+  std::vector<Tensor> out;
+  out.reserve(like.size());
+  for (std::size_t first = 0, last = 0; first < like.size(); first = last) {
+    last = one ? like.size() : shard_end(like, first);
+    std::size_t end = 0;
+    for (std::size_t j = first; j < last; ++j) {
+      end = align_up(end) + like[j].numel();
+    }
+    const Tensor buffer = zero ? Tensor({end}) : Tensor::uninitialized({end});
+    for (std::size_t j = first, at = 0; j < last; ++j) {
+      out.push_back(buffer.view(at, like[j].shape()));
+      at = align_up(at + like[j].numel());
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<Tensor> flat_zeros(std::span<const Tensor> like) {
+  return laid_out(like, true, true);
+}
+
+std::vector<Tensor> zeros_like(std::span<const Tensor> like) {
+  return laid_out(like, false, true);
+}
+
+std::vector<Tensor> clone_set(std::span<const Tensor> src) {
+  std::vector<Tensor> out = laid_out(src, false, false);
+  copy_into(out, src);
+  return out;
+}
+
+void copy_into(std::span<Tensor> dst, std::span<const Tensor> src) {
+  for_each_shard(
+      [](std::span<Scalar> d, std::span<const Scalar> s) {
+        std::ranges::copy(s, d.begin());
+      },
+      dst, src);
+}
+
+std::size_t shard_end(std::span<const Tensor> set, std::size_t first) {
+  std::size_t last = first + 1;
+  for (; last < set.size() && set[last].aliases(set[last - 1]); ++last) {
+    const Tensor& prev = set[last - 1];
+    if (set[last].offset() != prev.offset() + align_up(prev.numel())) break;
+  }
+  return last;
 }
 
 }  // namespace avgpipe::tensor

@@ -990,6 +990,39 @@ TEST(CkptCompressedSystemTest, CodecMismatchResetsResidualsButRestores) {
   EXPECT_TRUE(std::isfinite(loss));
 }
 
+TEST(CkptSystemTest, RestoreRejectsABmufDeltaThatDoesNotMatchTheModel) {
+  // A policy record whose Δ decodes with another tensor count or size than
+  // the reference must fail the restore, not feed the next fold a Δ it
+  // would read and write out of bounds.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  AvgPipeConfig cfg;
+  cfg.num_pipelines = 2;
+  cfg.micro_batches = 3;
+  cfg.boundaries = {2};
+  cfg.sync.kind = SyncPolicyKind::kBmuf;
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
+  for (std::size_t iter = 0; iter < 2; ++iter) {
+    system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
+  }
+  const ckpt::TrainState good = system.capture_state();
+  ASSERT_EQ(good.policy_state.size(), good.reference.size());
+
+  ckpt::TrainState fewer = good;
+  fewer.policy_state.pop_back();
+  EXPECT_THROW(system.restore_state(fewer), Error);
+
+  ckpt::TrainState bigger = good;
+  bigger.policy_state.back() =
+      Tensor({bigger.policy_state.back().numel() + 9});
+  EXPECT_THROW(system.restore_state(bigger), Error);
+
+  // The intact record still restores and trains.
+  system.restore_state(good);
+  EXPECT_TRUE(std::isfinite(
+      system.train_iteration({loader.batch(2, 0), loader.batch(2, 1)})));
+}
+
 // -- registered RNG streams in system checkpoints ----------------------------------------
 
 TEST(CkptSystemTest, RegisteredRngStreamsRideAlongCaptureAndRestore) {

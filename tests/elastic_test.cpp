@@ -53,11 +53,14 @@ TEST(ElasticMathTest, DefaultAlphaIsOneOverN) {
   EXPECT_DOUBLE_EQ(default_alpha(1), 0.0);
 }
 
+// The elastic policy's local_sync is steps ❷–❸: the pull toward the
+// broadcast, then the update params − broadcast.
+
 TEST(ElasticMathTest, PullMovesTowardReference) {
   Variable p(Tensor::from({0.0, 8.0}), true);
   std::vector<Variable> params{p};
-  ParamSet ref{Tensor::from({4.0, 4.0})};
-  elastic_pull(params, ref, 0.5);
+  const ParamSet ref{Tensor::from({4.0, 4.0})};
+  make_sync_policy({})->local_sync(params, ref, 0.5);
   EXPECT_DOUBLE_EQ(p.value()[0], 2.0);
   EXPECT_DOUBLE_EQ(p.value()[1], 6.0);
 }
@@ -65,18 +68,20 @@ TEST(ElasticMathTest, PullMovesTowardReference) {
 TEST(ElasticMathTest, PullWithZeroAlphaIsIdentity) {
   Variable p(Tensor::from({3.0}), true);
   std::vector<Variable> params{p};
-  ParamSet ref{Tensor::from({100.0})};
-  elastic_pull(params, ref, 0.0);
+  const ParamSet ref{Tensor::from({100.0})};
+  make_sync_policy({})->local_sync(params, ref, 0.0);
   EXPECT_DOUBLE_EQ(p.value()[0], 3.0);
 }
 
-TEST(ElasticMathTest, DifferenceIntoWritesParamsMinusReference) {
-  const std::vector<Variable> p{Variable(Tensor::from({5.0, 7.0}), true)};
+TEST(ElasticMathTest, UpdateIsPulledParamsMinusReference) {
+  std::vector<Variable> p{Variable(Tensor::from({5.0, 7.0}), true)};
   const ParamSet ref{Tensor::from({1.0, 2.0})};
-  ParamSet diff = uninitialized_like(p);
-  difference_into(p, ref, diff);
+  const ParamSet diff = make_sync_policy({})->local_sync(p, ref, 0.0);
   EXPECT_DOUBLE_EQ(diff[0][0], 4.0);
   EXPECT_DOUBLE_EQ(diff[0][1], 5.0);
+  const ParamSet pulled = make_sync_policy({})->local_sync(p, ref, 0.5);
+  EXPECT_DOUBLE_EQ(p[0].value()[0], 3.0);  // 5 + 0.5·(1 − 5)
+  EXPECT_DOUBLE_EQ(pulled[0][0], 2.0);     // 3 − 1
 }
 
 TEST(ReferenceModelTest, StaysAtMeanOfParallelModels) {
@@ -85,6 +90,7 @@ TEST(ReferenceModelTest, StaysAtMeanOfParallelModels) {
   const std::size_t n = 3;
   ParamSet init{Tensor::randn({6}, rng)};
   ReferenceModel ref(init);
+  const auto policy = make_sync_policy({});
 
   std::vector<std::vector<Variable>> replicas;
   for (std::size_t i = 0; i < n; ++i) {
@@ -101,9 +107,7 @@ TEST(ReferenceModelTest, StaysAtMeanOfParallelModels) {
     const ParamSet snapshot = ref.snapshot();
     std::vector<ParamSet> round;
     for (std::size_t i = 0; i < n; ++i) {
-      elastic_pull(replicas[i], snapshot, alpha);
-      round.push_back(uninitialized_like(replicas[i]));
-      difference_into(replicas[i], snapshot, round.back());
+      round.push_back(policy->local_sync(replicas[i], snapshot, alpha));
     }
     ref.apply_round_batch({std::move(round)});
 
@@ -820,6 +824,45 @@ TEST(SyncCompressionTest, EnvParsingAndPrecedence) {
   EXPECT_FALSE(parse_sync_compression("zstd", &c));
 }
 
+TEST(SyncCompressionTest, FlatSetTransmitsLikeItsPerTensorClone) {
+  // The codec's residual passes run once per shard and its quantization
+  // view by view, so a flat set and a per-tensor copy of it must decode to
+  // the same values with the same residuals and byte counts.
+  Rng rng(17);
+  const ParamSet like{Tensor::randn({5}, rng), Tensor::randn({3, 100}, rng),
+                      Tensor::randn({261}, rng)};
+  for (const tensor::Codec codec :
+       {tensor::Codec::kInt8, tensor::Codec::kFp16}) {
+    SCOPED_TRACE(tensor::to_string(codec));
+    ParamSet flat = tensor::flat_zeros(like);
+    copy_into(flat, like);
+    ParamSet split;
+    for (const Tensor& t : like) split.push_back(t.clone());
+    SyncCodec flat_codec({codec}), split_codec({codec});
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t j = 0; j < like.size(); ++j) {
+        const Tensor noise = Tensor::randn(like[j].shape(), rng);
+        flat[j].axpy_(1.0, noise);
+        split[j].axpy_(1.0, noise);
+      }
+      const auto a = flat_codec.transmit(flat);
+      const auto b = split_codec.transmit(split);
+      EXPECT_EQ(a.raw_bytes, b.raw_bytes);
+      EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+      EXPECT_EQ(max_abs_diff(flat, split), 0.0) << "round " << round;
+      EXPECT_EQ(max_abs_diff(flat_codec.residuals(), split_codec.residuals()),
+                0.0)
+          << "round " << round;
+    }
+    // The flat stream's residuals share its layout: one shard, zero gaps.
+    const ParamSet& r = flat_codec.residuals();
+    EXPECT_EQ(tensor::shard_end(r, 0), r.size());
+    const auto all = tensor::run_span(std::span(r), 0, r.size());
+    const auto gap = all.subspan(5, 3);  // after the 5-element first view
+    EXPECT_TRUE(std::ranges::all_of(gap, [](double x) { return x == 0.0; }));
+  }
+}
+
 TEST(AvgPipeElasticTest, RejoinRestoresAlphaAndEmitsTraceEvents) {
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
@@ -954,6 +997,94 @@ TEST(AvgPipeElasticTest, DetachAndRejoinAreIdempotent) {
   system.detach_pipeline(0, "x again");  // already dead: no-op
   EXPECT_EQ(system.health(0).failures, 1u);
   EXPECT_EQ(system.alive_pipelines(), 1u);
+}
+
+}  // namespace
+
+/// Reads the layout of an AvgPipe's flat sets.
+struct AvgPipeTestPeer {
+  /// Each stage's views in `set` are one shard in a buffer of their own:
+  /// no other stage shares it, every view starts on a 64-byte boundary and
+  /// the gaps between views are zero.
+  static void expect_stage_shards(const AvgPipe& system, const ParamSet& set,
+                                  const std::string& what) {
+    SCOPED_TRACE(what);
+    const auto& stages = system.replicas_[0]->stages;
+    ASSERT_GT(stages.size(), 1u);
+    for (std::size_t k = 0; k < stages.size(); ++k) {
+      const std::size_t first = stages[k].first, last = first + stages[k].size;
+      EXPECT_EQ(tensor::shard_end(set, first), last) << "stage " << k;
+      if (last < set.size()) {
+        EXPECT_FALSE(set[last].aliases(set[first]));
+      }
+      std::vector<char> covered(set[last - 1].offset() +
+                                    set[last - 1].numel() - set[first].offset(),
+                                0);
+      for (std::size_t j = first; j < last; ++j) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(set[j].data().data()) % 64,
+                  0u)
+            << "view " << j;
+        const std::size_t at = set[j].offset() - set[first].offset();
+        std::fill_n(covered.begin() + static_cast<std::ptrdiff_t>(at),
+                    set[j].numel(), 1);
+      }
+      const auto span = tensor::run_span(std::span(set), first, last);
+      for (std::size_t e = 0; e < span.size(); ++e) {
+        if (!covered[e]) {
+          EXPECT_EQ(span[e], 0.0) << "stage " << k << " gap";
+        }
+      }
+    }
+  }
+
+  static void expect_flat_layout(AvgPipe& system) {
+    common::RoleGuard ref_role(reference_capability());  // single-threaded
+    for (std::size_t i = 0; i < system.num_pipelines(); ++i) {
+      AvgPipe::Replica& r = *system.replicas_[i];
+      const std::string p = "pipeline " + std::to_string(i);
+      expect_stage_shards(system, r.params, p + " params");
+      // The model trains on the views themselves.
+      auto live = r.model.parameters();
+      for (std::size_t j = 0; j < live.size(); ++j) {
+        EXPECT_EQ(live[j].value().data().data(), r.params[j].data().data());
+      }
+      for (std::size_t slot = 0; slot < r.ring.size(); ++slot) {
+        expect_stage_shards(system, r.ring[slot],
+                            p + " ring slot " + std::to_string(slot));
+      }
+      expect_stage_shards(system, r.residuals, p + " push residuals");
+    }
+    expect_stage_shards(system, system.reference_->params(), "reference");
+    expect_stage_shards(system, system.broadcast_, "broadcast");
+    expect_stage_shards(system, system.broadcast_codec_.residuals(),
+                        "broadcast residuals");
+  }
+};
+
+namespace {
+
+TEST(AvgPipeLayoutTest, OneAlignedBufferPerStageShardWithZeroGaps) {
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  for (const SyncPolicyKind kind :
+       {SyncPolicyKind::kElastic, SyncPolicyKind::kBmuf}) {
+    SCOPED_TRACE(to_string(kind));
+    AvgPipeConfig config;
+    config.num_pipelines = 2;
+    config.micro_batches = 3;
+    config.boundaries = {2};
+    config.async_sync = true;
+    config.sync_lag = 2;
+    config.sync.kind = kind;
+    config.sync_compression = int8_compression();
+    AvgPipe system(mlp_factory(6, 9, 2, 3), sgd_factory(0.1), config);
+    AvgPipeTestPeer::expect_flat_layout(system);
+    for (std::size_t iter = 0; iter < 4; ++iter) {
+      system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
+    }
+    system.synchronize();
+    AvgPipeTestPeer::expect_flat_layout(system);
+  }
 }
 
 }  // namespace

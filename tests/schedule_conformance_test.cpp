@@ -224,7 +224,8 @@ TEST_P(RuntimeConformanceTest, TraceReplaysScheduleVerbatim) {
   const trace::TraceAnalysis analysis(tracer.collect());
 
   // The runtime builds one batch's schedule (num_batches = 1) and replays it
-  // every batch, so the expected replay is the one-batch stream repeated.
+  // every batch, so the expected replay is the one-batch stream repeated,
+  // repeat b tagged with its step b.
   schedule::ScheduleParams params;
   params.kind = kind;
   params.num_stages = rt.num_stages();
@@ -235,7 +236,10 @@ TEST_P(RuntimeConformanceTest, TraceReplaysScheduleVerbatim) {
     const auto one_batch = expected_ops(params, k);
     std::vector<Instr> expected;
     for (std::size_t b = 0; b < num_batches; ++b) {
-      expected.insert(expected.end(), one_batch.begin(), one_batch.end());
+      for (Instr op : one_batch) {
+        op.batch = static_cast<int>(b);
+        expected.push_back(op);
+      }
     }
     const auto replayed = analysis.stage_ops(0, k);
     EXPECT_EQ(replayed, expected)

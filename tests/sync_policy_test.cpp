@@ -71,10 +71,11 @@ TEST(SyncPolicyTest, ShardHooksAndBroadcastWriteIntoAllocateNothing) {
 
     // A shard: the second half of the parameter list.
     const std::size_t first = params.size() / 2;
-    const std::span<Variable> shard = std::span<Variable>(params).subspan(first);
+    ParamSet values = values_of(params);
+    const std::span<Tensor> shard = std::span<Tensor>(values).subspan(first);
     const std::span<const Tensor> from =
         std::span<const Tensor>(broadcast).subspan(first);
-    ParamSet out = uninitialized_like(shard);
+    ParamSet out = tensor::zeros_like(shard);
     const std::uint64_t before = tensor::arena::stats().acquires;
     policy->begin_round(shard, from);
     policy->local_sync(shard, from, 0.5, out);

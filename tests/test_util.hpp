@@ -201,7 +201,8 @@ class TextbookAvgPipe {
     std::vector<core::ParamSet> round;
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
       auto params = replicas_[i].eval_model().parameters();
-      policy_->begin_round(params, broadcast_);
+      core::ParamSet values = core::values_of(params);
+      policy_->begin_round(values, broadcast_);
       replicas_[i].train_batch(batches.at(i));
       round.push_back(policy_->local_sync(params, broadcast_, alpha_));
       push_codecs_[i].transmit(round.back());
